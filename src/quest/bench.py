@@ -15,6 +15,8 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 
+import numpy as np
+
 from .delivery import deliver, ones_bits
 from .engine import evaluate
 from .optimizer import plan_query
@@ -214,39 +216,46 @@ _COUNTER_KEYS = ("columns_read", "metadata_reads", "bytes_read", "bitset_ops")
 def time_query(
     store,
     query,
-    indexes=None,
+    configs: dict,
     runs: int = DEFAULT_RUNS,
     timeout: float = DEFAULT_TIMEOUT,
     plan=None,
 ) -> dict:
-    """Run one query ``runs`` times; counters from a separate probe run.
+    """Time one query under each ``configs`` entry (name -> indexes).
 
-    The probe run also samples allocator peak via tracemalloc, which is
-    too slow to leave on while timing.  The timeout is a per-query soft
-    budget checked between repetitions.
+    Counters come from one probe run per configuration, which also
+    samples allocator peak via tracemalloc (too slow to leave on while
+    timing).  The timed repetitions interleave the configurations,
+    reversing their order every round, so a slow stretch of the host
+    lands on all of them alike.  The timeout is a per-query soft budget
+    checked between rounds.
     """
-    tracemalloc.start()
-    rs = evaluate(store, query, plan=plan, indexes=indexes)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    out = {
-        "rows": len(rs.rows),
-        "peak_memory_estimate": int(peak),
-        "timed_out": False,
-    }
-    for k in _COUNTER_KEYS:
-        out[k] = rs.stats[k]
-    walls = []
+    out = {}
+    for name, indexes in configs.items():
+        tracemalloc.start()
+        rs = evaluate(store, query, plan=plan, indexes=indexes)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        out[name] = {
+            "rows": len(rs.rows),
+            "peak_memory_estimate": int(peak),
+            "wall_times": [],
+            **{k: rs.stats[k] for k in _COUNTER_KEYS},
+        }
+    names = list(configs)
+    timed_out = False
     started = time.perf_counter()
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        evaluate(store, query, plan=plan, indexes=indexes)
-        walls.append(time.perf_counter() - t0)
+    for rep in range(runs):
+        for name in names if rep % 2 == 0 else reversed(names):
+            t0 = time.perf_counter()
+            evaluate(store, query, plan=plan, indexes=configs[name])
+            out[name]["wall_times"].append(time.perf_counter() - t0)
         if time.perf_counter() - started > timeout:
-            out["timed_out"] = True
+            timed_out = True
             break
-    out["wall_time"] = statistics.median(walls)
-    out["wall_times"] = walls
+    for r in out.values():
+        r["timed_out"] = timed_out
+        r["wall_time"] = statistics.median(r["wall_times"])
     return out
 
 
@@ -265,6 +274,7 @@ def run_workload(
     schemas = {name: store.data(name).schema for name in store.datasets}
     indexes = {name: build_skip_tree(store.data(name)) for name in store.datasets}
     queries = WORKLOAD if names is None else [q for q in WORKLOAD if q.name in names]
+    configs = {"skiptree_on": indexes, "skiptree_off": None}
     report = {"runs": runs, "timeout": timeout, "queries": []}
     for wq in queries:
         query = parse_query(schemas, wq.doc)
@@ -278,10 +288,7 @@ def run_workload(
                 "depth": wq.depth,
                 "level": wq.level,
                 "plan_time": plan_time,
-                "configs": {
-                    "skiptree_on": time_query(store, query, indexes, runs, timeout, plan=plan),
-                    "skiptree_off": time_query(store, query, None, runs, timeout, plan=plan),
-                },
+                "configs": time_query(store, query, configs, runs, timeout, plan=plan),
             }
         )
     return report
@@ -340,7 +347,8 @@ def _widest_column_node(schema, data):
 def calibrate(store, repeats: int = 5) -> dict:
     """Measure the simplified model's unit costs on this store.
 
-    ``a`` is seconds per scanned value (full-column reads), ``bp``
+    ``a`` is seconds per scanned value (a gather at every position of
+    the widest column plus one comparison over the values), ``bp``
     seconds per bitset delivery unit (a full leaf-to-root roll).  Both
     are medians over every schema and repetition.
     """
@@ -352,9 +360,11 @@ def calibrate(store, repeats: int = 5) -> dict:
         node, card = _widest_column_node(schema, data)
         if node is None or card == 0:
             continue
+        positions = np.arange(card)
         for _ in range(repeats):
             t0 = time.perf_counter()
-            store.scan_values(name, node.id, None)
+            vals, valid = store.scan_values(name, node.id, positions)
+            np.count_nonzero(valid & (vals == vals[0]))
             a_samples.append((time.perf_counter() - t0) / card)
 
         # deepest leaf-to-root delivery and its run-unit count

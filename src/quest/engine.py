@@ -67,66 +67,85 @@ class ResultSet:
         return len(self.rows)
 
 
-def build_join_indicator(left_vals, left_valid, right_vals, right_valid):
-    """First-match pointers from right key instances into the left column.
+def _join_keys(vals: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Positions whose value can match: valid and, for numbers, not NaN."""
+    if vals.dtype.kind == "f":
+        valid = valid & ~np.isnan(vals)
+    return np.flatnonzero(valid)
 
-    Returns ``(pointers, miss)``: for each right instance the position of
-    the first valid left instance with the same value, and a mask of the
-    rights that matched nothing (their pointer slot is dead).
+
+def _build_match_relation(lvals, lvalid, rvals, rvalid):
+    """Every (left, right) position pair whose key values are equal.
+
+    Returns ``(order, keys, l_pair, r_pair)``: the matchable left
+    positions stably sorted by value, their values in that order, and
+    the pairs with rights ascending and, per right, lefts ascending.
     """
-    first: dict[Any, int] = {}
-    for i in range(len(left_vals)):
-        if left_valid[i]:
-            first.setdefault(_scalar(left_vals[i]), i)
-    n = len(right_vals)
-    pointers = np.zeros(n, dtype=np.int64)
-    miss = np.ones(n, dtype=bool)
-    for r in range(n):
-        if not right_valid[r]:
-            continue
-        hit = first.get(_scalar(right_vals[r]))
-        if hit is not None:
-            pointers[r] = hit
-            miss[r] = False
-    return pointers, miss
+    lpos = _join_keys(lvals, lvalid)
+    order = lpos[np.argsort(lvals[lpos], kind="stable")]
+    keys = lvals[order]
+    rpos = _join_keys(rvals, rvalid)
+    rkeys = rvals[rpos]
+    lo = np.searchsorted(keys, rkeys, side="left")
+    counts = np.searchsorted(keys, rkeys, side="right") - lo
+    r_pair = np.repeat(rpos, counts)
+    # offset of each pair inside its right's run of matching lefts
+    run_start = np.repeat(np.cumsum(counts) - counts, counts)
+    l_pair = order[np.repeat(lo, counts) + np.arange(r_pair.size) - run_start]
+    relation = (order, keys, l_pair, r_pair)
+    for arr in relation:
+        arr.flags.writeable = False  # shared by every later query on the store
+    return relation
 
 
 class JoinIndex:
     """Value-match index for one join, built from the two key columns.
 
     Holds the full match relation as COO pairs (for bitset crossings in
-    either direction), the first-match pointer surface, and a per-value
-    lookup used when rows are regenerated across the join.
+    either direction) and the value-sorted left keys used when rows are
+    regenerated across the join.  The relation depends only on the
+    store, so it is built once and kept in ``store.joins``.
     """
 
     def __init__(self, store: Store, join: JoinSpec):
-        self.join = join
         lname, lnode = join.left.schema, join.left.node
         rname, rnode = join.right.schema, join.right.node
         lvals, lvalid = store.scan_values(lname, lnode)
         rvals, rvalid = store.scan_values(rname, rnode)
         self.left_cardinality = len(lvals)
         self.right_cardinality = len(rvals)
-        groups: dict[Any, list[int]] = {}
-        for i in np.flatnonzero(lvalid):
-            groups.setdefault(_scalar(lvals[i]), []).append(int(i))
-        self.lookup = {v: np.asarray(p, dtype=np.int64) for v, p in groups.items()}
-        self.pointers_first, self.miss = build_join_indicator(lvals, lvalid, rvals, rvalid)
         self.right_values = rvals
-        lp: list[np.ndarray] = []
-        rp: list[np.ndarray] = []
-        for r in np.flatnonzero(rvalid):
-            hit = self.lookup.get(_scalar(rvals[r]))
-            if hit is None:
-                continue
-            lp.append(hit)
-            rp.append(np.full(hit.size, r, dtype=np.int64))
-        self.l_pair = np.concatenate(lp) if lp else np.empty(0, dtype=np.int64)
-        self.r_pair = np.concatenate(rp) if rp else np.empty(0, dtype=np.int64)
+        cache_key = (lname, lnode, rname, rnode)
+        relation = store.joins.get(cache_key)
+        if relation is None:
+            relation = store.joins[cache_key] = _build_match_relation(lvals, lvalid, rvals, rvalid)
+        self.order, self.keys, self.l_pair, self.r_pair = relation
         self.nbytes = 8 * (self.l_pair.size + self.r_pair.size)
         lpath = store.schema(lname).path_of(lnode)
         rpath = store.schema(rname).path_of(rnode)
         self._io_key = f"{lname}.{lpath}~{rname}.{rpath}#join"
+
+    def host_of(self, rights: np.ndarray, valid_left: np.ndarray | None) -> np.ndarray:
+        """The one left instance (among ``valid_left``) matching each right.
+
+        Raises `QueryError` when a right's key value matches no surviving
+        left or more than one.
+        """
+        vals = self.right_values[rights]
+        lo = np.searchsorted(self.keys, vals, side="left")
+        hi = np.searchsorted(self.keys, vals, side="right")
+        if valid_left is None:
+            first, count = lo, hi - lo
+        else:
+            alive = np.concatenate(([0], np.cumsum(valid_left[self.order])))
+            count = alive[hi] - alive[lo]
+            # first surviving sorted slot at or after lo
+            first = np.searchsorted(alive, alive[lo] + 1, side="left") - 1
+        bad = np.flatnonzero(count != 1)
+        if bad.size:
+            val = _scalar(vals[bad[0]])
+            raise QueryError(f"join key value {val!r} does not determine a single host instance")
+        return self.order[first].astype(np.int64, copy=False)
 
     def _record(self, store: Store) -> None:
         store.io.record_metadata(self._io_key, self.nbytes)
@@ -404,21 +423,8 @@ class _Evaluation:
 
     def _map_join_up(self, idxs: np.ndarray, guest: str) -> np.ndarray:
         join = self.tree.join_for[guest]
-        ji = self.join_index(join)
         lkey = (join.left.schema, join.left.node)
-        valid_left = self.saved.get(lkey)
-        out = np.empty(idxs.size, dtype=np.int64)
-        for i, r in enumerate(idxs):
-            val = _scalar(ji.right_values[r])
-            cand = ji.lookup.get(val)
-            if cand is not None and valid_left is not None:
-                cand = cand[valid_left[cand]]
-            if cand is None or cand.size != 1:
-                raise QueryError(
-                    f"join key value {val!r} does not determine a single host instance"
-                )
-            out[i] = cand[0]
-        return out
+        return self.join_index(join).host_of(idxs, self.saved.get(lkey))
 
 
 def evaluate(

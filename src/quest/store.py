@@ -24,6 +24,7 @@ import struct
 import zlib
 from collections import Counter as _TallyCounter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -132,9 +133,12 @@ class PrimitiveColumn:
     def cardinality(self) -> int:
         return int(len(self.values))
 
-    @property
+    @cached_property
     def unit_size(self) -> float:
-        """Average encoded size of one value, in bytes."""
+        """Average encoded size of one value, in bytes.
+
+        Cached: a column's values are not modified after ingest.
+        """
         if self.kind == "number":
             return 8.0
         if self.kind == "boolean":
@@ -371,9 +375,13 @@ class Store:
         self.path = Path(path) if path is not None else None
         self.datasets: dict[str, SchemaData] = {}
         self.io = IOStats(block_size)
+        # join match relations built from this store's key columns, keyed
+        # by (left schema, left node, right schema, right node)
+        self.joins: dict[tuple, tuple] = {}
 
     def add(self, data: SchemaData) -> "Store":
         self.datasets[data.name] = data
+        self.joins.clear()
         return self
 
     def data(self, name: str) -> SchemaData:

@@ -7,15 +7,16 @@ oracle under every valid filter order and with the skip index on.
 import numpy as np
 import pytest
 
-from quest.engine import ResultSet, build_join_indicator, evaluate, run_query
+from quest.engine import JoinIndex, ResultSet, evaluate, run_query
 from quest.errors import QueryError
 from quest.optimizer import _plan_filters, derive_wandering, enumerate_valid_orders
 from quest.oracle import oracle_query
 from quest.query import parse_query
+from quest.schema import parse_schema
 from quest.skiptree import build_skip_tree
 from quest.store import Store, ingest_json, ingest_rows
 
-from conftest import PEOPLE_ROWS
+from conftest import PEOPLE_MANIFEST, PEOPLE_ROWS
 
 
 @pytest.fixture
@@ -126,23 +127,96 @@ def test_two_hop_chain(multi_store, schemas):
     assert evaluate(multi_store, q(schemas, doc)).rows == [("ann",), ("bo",)]
 
 
-def test_join_indicator_surface():
-    pointers, miss = build_join_indicator(
-        ["p1", "p2", "p3"],
-        np.ones(3, dtype=bool),
-        ["p2", "p1"],
-        np.ones(2, dtype=bool),
-    )
-    assert pointers.tolist() == [1, 0]
-    assert miss.tolist() == [False, False]
+def _join_store(ads_schema, people_schema):
+    # nulls on both sides, a click with no people row, duplicate left keys
+    # (p1 clicked three times), and people rows nobody clicked
+    docs = [
+        {"Email": "e1", "Campaign": [
+            {"WordSet": {"Word": ["w"]}, "Clicks": [{"Person": ["p1", None, "p2", "p1"]}]},
+        ]},
+        {"Email": "e2", "Campaign": [
+            {"WordSet": {"Word": ["w"]}, "Clicks": [{"Person": ["zz", "p1"]}, {"Person": [None]}]},
+        ]},
+    ]
+    rows = PEOPLE_ROWS + [{"PID": None, "credit_score": 1.0, "balance": 1.0}]
+    return Store().add(ingest_json(docs, ads_schema)).add(ingest_rows(rows, people_schema))
 
 
-def test_join_indicator_records_misses():
-    pointers, miss = build_join_indicator(
-        ["p1"], np.ones(1, dtype=bool), ["p9", "p1"], np.ones(2, dtype=bool)
+def _checked_join_pairs(store, join):
+    """The join's index, after checking its pairs against a nested loop."""
+    ji = JoinIndex(store, join)
+    lvals, lvalid = store.scan_values(join.left.schema, join.left.node)
+    rvals, rvalid = store.scan_values(join.right.schema, join.right.node)
+    want = [
+        (left, right)
+        for right in range(len(rvals))
+        for left in range(len(lvals))
+        if rvalid[right] and lvalid[left] and lvals[left] == rvals[right]
+    ]
+    assert list(zip(ji.l_pair.tolist(), ji.r_pair.tolist())) == want
+    return ji, want
+
+
+def test_join_index_pairs_equal_nested_loop(ads_schema, people_schema):
+    store = _join_store(ads_schema, people_schema)
+    query = parse_query(
+        {"ads": ads_schema, "people": people_schema},
+        {"from": ["ads", "people"], "joins": JOIN_CLAUSE, "fetch": ["ads.Email"]},
     )
-    assert miss.tolist() == [True, False]
-    assert pointers[1] == 0
+    ji, want = _checked_join_pairs(store, query.joins[0])
+    assert sorted({r for _, r in want}) == [0, 1]  # p1, p2 match; p3..p7 and null do not
+
+    # mapping a right back to its host: exactly one surviving left, or an error
+    survivors = np.ones(ji.left_cardinality, dtype=bool)
+    survivors[[0, 3]] = False  # two of p1's three clicks
+    assert ji.host_of(np.array([1, 0]), survivors).tolist() == [2, 5]
+    for rights, alive in (([0], None), ([2], survivors), ([7], survivors)):
+        with pytest.raises(QueryError, match="single host instance"):
+            ji.host_of(np.array(rights), alive)
+
+
+def test_nan_join_keys_never_match(people_schema):
+    other = parse_schema({**PEOPLE_MANIFEST, "name": "other"})
+    nan = float("nan")
+    store = (
+        Store()
+        .add(ingest_rows([{"credit_score": nan}, {"credit_score": 5.0}], people_schema))
+        .add(ingest_rows([{"credit_score": 5.0}, {"credit_score": nan}], other))
+    )
+    query = parse_query(
+        {"people": people_schema, "other": other},
+        {
+            "from": ["people", "other"],
+            "joins": [{"left": "people.credit_score", "right": "other.credit_score"}],
+            "fetch": ["people.PID"],
+        },
+    )
+    _, want = _checked_join_pairs(store, query.joins[0])
+    assert want == [(1, 0)]
+
+
+def test_store_add_invalidates_cached_join(multi_store, schemas, people_schema):
+    doc = {
+        "from": ["ads", "people"],
+        "joins": JOIN_CLAUSE,
+        "filters": [{"path": "people.credit_score", "op": ">", "value": 700}],
+        "fetch": ["people.credit_score", "ads.Email"],
+    }
+    query = q(schemas, doc)
+    assert evaluate(multi_store, query).rows == [(710.0, "e1"), (805.0, "e2"), (745.0, "e2")]
+    assert multi_store.joins
+    # fewer rows, reordered keys: a stale relation would point past the
+    # new column or at the wrong people
+    multi_store.add(ingest_rows(
+        [
+            {"PID": "p6", "credit_score": 100.0, "balance": 0.0},
+            {"PID": "p1", "credit_score": 900.0, "balance": 0.0},
+        ],
+        people_schema,
+    ))
+    rows = evaluate(multi_store, query).rows
+    assert rows == [(900.0, "e1")]
+    assert rows == oracle_query(multi_store, query)
 
 
 # -- oracle parity ---------------------------------------------------------------
