@@ -35,7 +35,7 @@ from .errors import (
 from .optimizer import CostParams, explain_plan, plan_query
 from .oracle import oracle_query
 from .query import parse_query
-from .skiptree import build_skip_tree, load_skiptree, write_skiptree
+from .skiptree import build_skip_tree, load_skiptree, remove_skiptree, write_skiptree
 from .store import Store, ingest_csv, ingest_graph, ingest_json, open_store, write_store
 
 EXIT_USAGE = 2
@@ -200,6 +200,8 @@ def ingest(store_dir):
             vertex_files = {label: raw / f for label, f in entry["vertex_files"].items()}
             edge_files = {label: raw / f for label, f in entry["edge_files"].items()}
             store.add(ingest_graph(vertex_files, edge_files, schema))
+    for name in store.datasets:
+        remove_skiptree(store_dir, name)
     write_store(store, store_dir)
     click.echo(f"ingested {', '.join(sorted(store.datasets))} into {store_dir}")
 
@@ -241,15 +243,20 @@ def _parse(store: Store, doc):
     return parse_query(schemas, doc)
 
 
-def _load_indexes(store: Store, names) -> dict:
-    """Persisted skip-trees where available, in-memory builds otherwise."""
+def _load_indexes(store: Store, names) -> tuple[dict, list[str]]:
+    """Persisted skip-trees where available, in-memory builds otherwise.
+
+    Returns the indexes and the sorted names of the schemas whose index
+    had to be built in memory."""
     indexes = {}
+    built = []
     for name in names:
         try:
             indexes[name] = load_skiptree(store, name)
         except StoreError:
             indexes[name] = build_skip_tree(store.data(name))
-    return indexes
+            built.append(name)
+    return indexes, sorted(built)
 
 
 def _emit_rows(columns: list[str], rows, fmt: str) -> None:
@@ -295,11 +302,12 @@ def query(store_dir, no_skiptree, use_oracle, fmt, timeout, query_doc):
         rows = oracle_query(store, q)
         stats = {"evaluator": "oracle"}
     else:
-        indexes = None if no_skiptree else _load_indexes(store, q.schemas)
+        indexes, built = (None, []) if no_skiptree else _load_indexes(store, q.schemas)
         result = evaluate(store, q, indexes=indexes)
         stats = dict(result.stats)
         stats["evaluator"] = "engine"
         stats["skiptree"] = not no_skiptree
+        stats["skiptree_built"] = built
         rows = result.rows
     elapsed = time.perf_counter() - start
     stats["wall_time"] = elapsed

@@ -16,12 +16,12 @@ hops yields the skip counter/indicator pair for the whole chain.
 from __future__ import annotations
 
 import json
+import shutil
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse as _sp
 
 from .errors import DeliveryError, StoreError
 from .delivery import drill_down, indicator_gather, indicator_scatter, roll_up
@@ -52,6 +52,7 @@ __all__ = [
     "build_skip_structure",
     "write_skiptree",
     "load_skiptree",
+    "remove_skiptree",
     "naive_lca",
 ]
 
@@ -71,8 +72,13 @@ class Mapping:
     def down(self, bits: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def to_csr(self) -> _sp.csr_matrix:
-        """Boolean relation as an (upper x lower) CSR matrix."""
+    def to_csr(self):
+        """Boolean relation as an (upper x lower) scipy CSR matrix.
+
+        Implementations import scipy here: only index builds and
+        multi-hop composition need it, and a query process that loads a
+        persisted index should not pay for the import.
+        """
         raise NotImplementedError
 
 
@@ -89,7 +95,9 @@ class IdentityMapping(Mapping):
         return bits
 
     def to_csr(self):
-        return _sp.identity(self.lower_cardinality, dtype=bool, format="csr")
+        from scipy import sparse
+
+        return sparse.identity(self.lower_cardinality, dtype=bool, format="csr")
 
     def __repr__(self):
         return f"IdentityMapping({self.lower_cardinality})"
@@ -111,10 +119,12 @@ class ContiguousMapping(Mapping):
         return drill_down(bits, self.boundaries)
 
     def to_csr(self):
+        from scipy import sparse
+
         indptr = np.concatenate(([0], self.boundaries))
         indices = np.arange(self.lower_cardinality, dtype=np.int64)
         data = np.ones(self.lower_cardinality, dtype=bool)
-        return _sp.csr_matrix((data, indices, indptr), shape=(self.upper_cardinality, self.lower_cardinality))
+        return sparse.csr_matrix((data, indices, indptr), shape=(self.upper_cardinality, self.lower_cardinality))
 
     def __repr__(self):
         return f"ContiguousMapping(n={self.upper_cardinality}->{self.lower_cardinality})"
@@ -152,12 +162,14 @@ class SparseMapping(Mapping):
         return indicator_scatter(per_pointer, self.pointers, self.lower_cardinality)
 
     def to_csr(self):
+        from scipy import sparse
+
         if self.boundaries is None:
             indptr = np.arange(self.pointers.size + 1, dtype=np.int64)
         else:
             indptr = np.concatenate(([0], self.boundaries))
         data = np.ones(self.pointers.size, dtype=bool)
-        return _sp.csr_matrix(
+        return sparse.csr_matrix(
             (data, self.pointers, indptr), shape=(self.upper_cardinality, self.lower_cardinality)
         )
 
@@ -418,9 +430,13 @@ def build_skip_tree(data: SchemaData) -> SkipTree:
 # persistence
 
 
+def _index_dir(store_path, schema_name: str) -> Path:
+    return Path(store_path) / schema_name / "_skiptree"
+
+
 def write_skiptree(tree: SkipTree, store_path, schema: Schema) -> None:
     """Persist one schema's index under ``<store>/<schema>/_skiptree/``."""
-    root = Path(store_path) / schema.name / "_skiptree"
+    root = _index_dir(store_path, schema.name)
     root.mkdir(parents=True, exist_ok=True)
     doc: dict = {"H": tree.H, "nodes": {}}
     for v in range(len(tree)):
@@ -459,7 +475,7 @@ def load_skiptree(store: Store, schema_name: str) -> SkipTree:
     if store.path is None:
         raise StoreError("store was not opened from disk; build the index in memory instead")
     schema = store.schema(schema_name)
-    root = store.path / schema_name / "_skiptree"
+    root = _index_dir(store.path, schema_name)
     mpath = root / "skiptree.json"
     if not mpath.exists():
         raise StoreError(f"{schema_name!r} has no skip index (run the index step first)")
@@ -493,3 +509,14 @@ def load_skiptree(store: Store, schema_name: str) -> SkipTree:
                 mapping = SparseMapping(pointers=pointers, boundaries=boundaries, lower_cardinality=e_doc["lower"])
             entries[v].append(SkipEntry(ancestor=path_to_id[e_doc["ancestor"]], mapping=mapping))
     return SkipTree(parents=parents, depths=depths, H=doc["H"], heights=heights, entries=entries)
+
+
+def remove_skiptree(store_path, schema_name: str) -> None:
+    """Delete one schema's persisted index, if it has one.
+
+    An index is composed from the schema's arrays, so it must go when
+    they are rewritten.
+    """
+    root = _index_dir(store_path, schema_name)
+    if root.exists():
+        shutil.rmtree(root)

@@ -117,21 +117,56 @@ class IndicatorArray:
         return int(self.pointers.size) * DEFAULT_METADATA_UNIT
 
 
-@dataclass
-class PrimitiveColumn:
-    node: int
-    kind: str  # primitive kind of the values
-    values: np.ndarray
-    validity: np.ndarray
+@dataclass(frozen=True)
+class EncodedStrings:
+    """A string column as stored on disk: ``<u4`` byte lengths, then the
+    values' UTF-8 bytes back to back."""
 
-    def __post_init__(self):
-        self.validity = np.asarray(self.validity, dtype=bool)
-        if len(self.values) != len(self.validity):
-            raise StoreError(f"column {self.node}: values and validity lengths differ")
+    lengths: np.ndarray
+    blob: memoryview
+
+    def decode(self) -> np.ndarray:
+        """The values as an object array, decoding the blob in one pass.
+
+        A value's character offset in the decoded text is the number of
+        UTF-8 lead bytes (those not of the form ``10xxxxxx``) before its
+        byte offset.
+        """
+        text = bytes(self.blob).decode("utf-8")
+        raw = np.frombuffer(self.blob, dtype=np.uint8)
+        chars = np.concatenate(([0], np.cumsum((raw & 0xC0) != 0x80, dtype=np.int64)))
+        bounds = chars[np.concatenate(([0], np.cumsum(self.lengths, dtype=np.int64)))].tolist()
+        return np.asarray([text[bounds[i] : bounds[i + 1]] for i in range(len(self.lengths))], dtype=object)
+
+
+class PrimitiveColumn:
+    """Values and validity of one primitive node.
+
+    A string column opened from disk starts out `encoded`; its object
+    array is built on the first read of `values`, and the encoded form is
+    then dropped.
+    """
+
+    def __init__(self, node: int, kind: str, values, validity, encoded: EncodedStrings | None = None):
+        self.node = node
+        self.kind = kind  # primitive kind of the values
+        self.validity = np.asarray(validity, dtype=bool)
+        self.encoded = encoded
+        self._values = values
+        n = len(values) if encoded is None else len(encoded.lengths)
+        if n != len(self.validity):
+            raise StoreError(f"column {node}: values and validity lengths differ")
+
+    @property
+    def values(self) -> np.ndarray:
+        if self.encoded is not None:
+            self._values = self.encoded.decode()
+            self.encoded = None
+        return self._values
 
     @property
     def cardinality(self) -> int:
-        return int(len(self.values))
+        return int(len(self.validity))
 
     @cached_property
     def unit_size(self) -> float:
@@ -144,10 +179,13 @@ class PrimitiveColumn:
         if self.kind == "boolean":
             return 1.0
         if self.kind == "string":
-            if not len(self.values):
+            if not self.cardinality:
                 return 8.0
-            total = sum(len(str(v).encode("utf-8")) + 4 for v in self.values)
-            return total / len(self.values)
+            if self.encoded is not None:
+                total = int(self.encoded.lengths.sum(dtype=np.int64)) + 4 * self.cardinality
+            else:
+                total = sum(len(str(v).encode("utf-8")) + 4 for v in self.values)
+            return total / self.cardinality
         return 8.0
 
     def gather(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,9 +294,6 @@ class SchemaData:
     def name(self) -> str:
         return self.schema.name
 
-    def cardinality_of(self, node_id: int) -> int:
-        return self.cardinality[node_id]
-
     def finalize(self) -> "SchemaData":
         """Derive identity-link cardinalities, build stats, and validate."""
         for nid in self.schema.preorder:
@@ -295,15 +330,6 @@ class SchemaData:
             expected = self.cardinality[node.parent] if node.link is Link.INDICATOR else self.cardinality[nid]
             if ind.cardinality != expected:
                 raise StoreError(f"{sch.name}.{sch.path_of(nid)}: pointer count mismatch")
-
-    def link_mapping_arrays(self, node_id: int):
-        """(kind, array) describing the parent->node instance mapping."""
-        node = self.schema.node(node_id)
-        if node.link is Link.COUNTER:
-            return "counter", self.counters[node_id]
-        if node.link is Link.INDICATOR:
-            return "indicator", self.indicators[node_id]
-        return "identity", None
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +849,8 @@ def _encode_values(kind: str, values: np.ndarray, validity: np.ndarray) -> bytes
     return out.getvalue()
 
 
-def _decode_values(kind: str, buf: memoryview, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _decode_column(nid: int, kind: str, buf: memoryview, count: int) -> PrimitiveColumn:
+    """Decode a value payload; string values stay encoded until first read."""
     nvalid = (count + 7) // 8
     validity = np.unpackbits(np.frombuffer(buf[:nvalid], dtype=np.uint8), count=count).astype(bool)
     buf = buf[nvalid:]
@@ -833,15 +860,14 @@ def _decode_values(kind: str, buf: memoryview, count: int) -> tuple[np.ndarray, 
         values = np.frombuffer(buf[:count], dtype=np.uint8).astype(bool)
     elif kind == "string":
         lengths = np.frombuffer(buf[: 4 * count], dtype="<u4")
-        pos = 4 * count
-        vals = []
-        for ln in lengths.tolist():
-            vals.append(bytes(buf[pos : pos + ln]).decode("utf-8"))
-            pos += ln
-        values = np.asarray(vals, dtype=object)
+        blob = buf[4 * count :]
+        if len(lengths) != count or int(lengths.sum(dtype=np.int64)) != len(blob):
+            raise StoreError(f"column {nid}: string lengths do not match the payload")
+        encoded = EncodedStrings(lengths=lengths, blob=blob)
+        return PrimitiveColumn(node=nid, kind=kind, values=None, validity=validity, encoded=encoded)
     else:
         raise StoreError(f"cannot decode primitive kind {kind!r}")
-    return values, validity
+    return PrimitiveColumn(node=nid, kind=kind, values=values, validity=validity)
 
 
 def _encode_column_file(kind_code: int, cardinality: int, payload: bytes) -> bytes:
@@ -931,6 +957,13 @@ def write_store(store: Store, path) -> None:
 
 
 def open_store(path) -> Store:
+    """Open a store written by `write_store`.
+
+    Every column file is read and CRC-checked here, so a corrupt file
+    raises `StoreError` at open.  Counters, pointers, number and boolean
+    values and every validity bitmap are decoded here too; string values
+    are kept encoded and decoded on first use (`PrimitiveColumn.values`).
+    """
     root = Path(path)
     mpath = root / "manifest.json"
     if not mpath.exists():
@@ -973,14 +1006,12 @@ def open_store(path) -> Store:
                 boundaries = np.frombuffer(payload[8 : 8 + 8 * ctr_len], dtype="<i8").copy()
                 data.counters[nid] = CounterArray(node=nid, boundaries=boundaries)
                 prim = {K_ARRAY_NUMBER: "number", K_ARRAY_STRING: "string", K_ARRAY_BOOLEAN: "boolean"}[kind_code]
-                values, validity = _decode_values(prim, payload[8 + 8 * ctr_len :], cardinality)
-                data.columns[nid] = PrimitiveColumn(node=nid, kind=prim, values=values, validity=validity)
+                data.columns[nid] = _decode_column(nid, prim, payload[8 + 8 * ctr_len :], cardinality)
             else:
                 prim = {K_NUMBER: "number", K_STRING: "string", K_BOOLEAN: "boolean"}[kind_code]
                 if node.primitive == "null":
                     prim = "null"
-                values, validity = _decode_values(prim, payload, cardinality)
-                data.columns[nid] = PrimitiveColumn(node=nid, kind=prim, values=values, validity=validity)
+                data.columns[nid] = _decode_column(nid, prim, payload, cardinality)
         data.validate()
         store.add(data)
     return store

@@ -1,11 +1,17 @@
 """End-to-end runs of the ``quest`` command line."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import quest
+from quest.bench import WORKLOAD
 from quest.cli import main
 
 VIP_QUERY = json.dumps(
@@ -103,6 +109,66 @@ def test_query_stats_sidecar_on_stderr(store_dir):
     assert stats["evaluator"] == "engine"
     assert stats["rows"] == len(_rows(result))
     assert stats["columns_read"] >= 1
+
+
+def test_sidecar_names_indexes_built_in_memory(store_dir, tmp_path):
+    loaded = invoke("query", "--store", store_dir, VIP_QUERY)
+    assert json.loads(loaded.stderr.strip().splitlines()[-1])["skiptree_built"] == []
+    copy = tmp_path / "store"
+    shutil.copytree(store_dir, copy)
+    shutil.rmtree(copy / "people" / "_skiptree")
+    rebuilt = invoke("query", "--store", copy, VIP_QUERY)
+    assert rebuilt.exit_code == 0, rebuilt.output
+    stats = json.loads(rebuilt.stderr.strip().splitlines()[-1])
+    assert stats["skiptree_built"] == ["people"]
+    assert _rows(rebuilt) == _rows(loaded)
+
+
+def test_reingest_drops_the_stale_index(tmp_path):
+    root = tmp_path / "store"
+    for step in (
+        ["gen", "--store", root, "--scale", "tiny", "--seed", "3"],
+        ["ingest", "--store", root],
+        ["index", "--store", root],
+        ["gen", "--store", root, "--scale", "small", "--seed", "3"],
+        ["ingest", "--store", root],
+    ):
+        result = invoke(*step)
+        assert result.exit_code == 0, result.output
+    assert not any(root.glob("*/_skiptree"))
+    deep = json.dumps(next(q.doc for q in WORKLOAD if q.name.startswith("Q09")))
+    engine = invoke("query", "--store", root, deep)
+    assert engine.exit_code == 0, engine.output
+    oracle = invoke("query", "--store", root, "--oracle", deep)
+    assert sorted(map(tuple, _rows(engine))) == sorted(map(tuple, _rows(oracle)))
+    assert _rows(engine)
+
+
+def _scipy_imported(code: str) -> bool:
+    """Run `code` in a fresh interpreter; report whether it imported scipy."""
+    src = str(Path(quest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = code + "\nimport sys\nprint('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1] == "True"
+
+
+def _cli_code(*args) -> str:
+    return (
+        "from quest.cli import main\n"
+        f"try:\n    main({[str(a) for a in args]!r})\n"
+        "except SystemExit as exc:\n    assert not exc.code, exc.code"
+    )
+
+
+def test_query_with_persisted_indexes_never_imports_scipy(store_dir, tmp_path):
+    assert not _scipy_imported("import quest.cli")
+    assert not _scipy_imported(_cli_code("query", "--store", store_dir, WORD_QUERY))
+    # the probe does see the import where an index is built
+    copy = tmp_path / "store"
+    shutil.copytree(store_dir, copy)
+    assert _scipy_imported(_cli_code("index", "--store", copy))
 
 
 def test_query_formats_agree(store_dir):

@@ -1,9 +1,13 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
 
+from quest.datagen import generate
+from quest.engine import run_query
 from quest.errors import IngestError, StoreError
+from quest.schema import parse_schema
 from quest.store import (
     CounterArray,
     Store,
@@ -236,3 +240,105 @@ def test_audit_mode_flags_reads_outside_context(ads_store):
     ads_store.scan_values("ads", WORD, positions=np.array([0, 3]), context_bits=bits)
     assert ads_store.io.audit_violations == 1
     assert ads_store.io.audit[-1]["violations"] == 1
+
+
+# -- string columns: decoded on first use ------------------------------------
+
+TEXT_MANIFEST = {
+    "name": "text",
+    "model": "document",
+    "root": {
+        "name": "doc",
+        "kind": "record",
+        "children": [
+            {"name": "title", "kind": "primitive", "primitive": "string"},
+            {"name": "tags", "kind": "array", "primitive": "string"},
+            {"name": "never", "kind": "array", "primitive": "string"},
+        ],
+    },
+}
+
+# 1- to 4-byte UTF-8 sequences, empty strings and nulls; `never` is always
+# empty, so its column has no values at all
+TEXT_DOCS = [
+    {"title": "caf\u00e9", "tags": ["\u20ac", "\U0001d11e", ""], "never": []},
+    {"title": None, "tags": []},
+    {"title": "", "tags": [None, "a\u00e9\u20ac\U0001d11e", "plain"]},
+    {"title": "\U0001f600\U0001f600", "tags": ["\u00df" * 40]},
+]
+
+
+def _walk_unit_size(values) -> float:
+    if not len(values):
+        return 8.0
+    return sum(len(str(v).encode("utf-8")) + 4 for v in values) / len(values)
+
+
+@pytest.mark.parametrize("docs", [TEXT_DOCS, []], ids=["mixed", "no-documents"])
+def test_string_columns_round_trip_encoded(tmp_path, docs):
+    data = ingest_json(docs, parse_schema(TEXT_MANIFEST))
+    write_store(Store().add(data), tmp_path / "a")
+    reopened = open_store(tmp_path / "a")
+    loaded = reopened.data("text")
+    assert len(loaded.columns) == 3
+    for nid, col in data.columns.items():
+        other = loaded.columns[nid]
+        assert other.encoded is not None
+        assert other.unit_size == col.unit_size
+        assert other.validity.tolist() == col.validity.tolist()
+        assert other.values.dtype == object
+        assert other.values.tolist() == col.values.tolist()
+        assert other.encoded is None
+    write_store(reopened, tmp_path / "b")
+    for rel in sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file()):
+        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
+
+
+def test_opened_unit_size_equals_the_value_walk(tmp_path):
+    write_store(generate("tiny", seed=5).store(), tmp_path / "s")
+    store = open_store(tmp_path / "s")
+    checked = 0
+    for data in store.datasets.values():
+        for col in data.columns.values():
+            if col.kind != "string":
+                continue
+            assert col.encoded is not None
+            size = col.unit_size  # computed from the encoded lengths
+            assert size == _walk_unit_size(col.values)
+            checked += 1
+    assert checked >= 10
+
+
+def test_query_decodes_only_the_columns_it_reads(tmp_path):
+    write_store(generate("tiny", seed=5).store(), tmp_path / "s")
+    store = open_store(tmp_path / "s")
+    people = store.data("people")
+    result = run_query(
+        store,
+        {
+            "from": "people",
+            "filters": [{"path": "people.segment", "op": "=", "value": "vip"}],
+            "fetch": ["people.PID"],
+        },
+    )
+    assert result.rows
+    read = {store.schema("people").path_of(nid) for nid, col in people.columns.items() if col.encoded is None}
+    assert {"people.segment", "people.PID"} <= read
+    for name, data in store.datasets.items():
+        if name == "people":
+            continue
+        strings = [col for col in data.columns.values() if col.kind == "string"]
+        assert strings, name
+        assert all(col.encoded is not None for col in strings), name
+
+
+def test_string_lengths_must_match_the_payload(tmp_path):
+    data = ingest_json(TEXT_DOCS, parse_schema(TEXT_MANIFEST))
+    write_store(Store().add(data), tmp_path / "s")
+    target = tmp_path / "s" / "text" / "doc.title.col"
+    raw = bytearray(target.read_bytes())
+    body = raw[:-4]
+    body[15 + 1] += 1  # first length (after the 1-byte validity bitmap)
+    target.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
+    with pytest.raises(StoreError, match="string lengths"):
+        open_store(tmp_path / "s")
