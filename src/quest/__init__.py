@@ -24,7 +24,6 @@ from .store import (
     PrimitiveColumn,
     SchemaData,
     Store,
-    counter_range,
     ingest_csv,
     ingest_graph,
     ingest_graph_tables,
@@ -56,7 +55,6 @@ __all__ = [
     "IndicatorArray",
     "SchemaData",
     "Store",
-    "counter_range",
     "ingest_json",
     "ingest_csv",
     "ingest_rows",

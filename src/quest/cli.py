@@ -292,12 +292,14 @@ def query(store_dir, no_skiptree, use_oracle, fmt, timeout, query_doc):
     """Run a query document (JSON literal, @FILE, or - for stdin).
 
     Rows go to stdout in the chosen format; a one-line stats sidecar
-    goes to stderr."""
+    goes to stderr.  ``wall_time`` and ``--timeout`` count from the
+    moment the command is entered, so they include the store open and
+    the parse."""
+    start = time.perf_counter()
     doc = _read_doc(query_doc)
     store = open_store(store_dir)
     q = _parse(store, doc)
     columns = [f.path for f in q.fetch]
-    start = time.perf_counter()
     if use_oracle:
         rows = oracle_query(store, q)
         stats = {"evaluator": "oracle"}

@@ -7,8 +7,9 @@ four kernels below are the only ways bits ever change address space:
 * `indicator_gather` / `indicator_scatter` cross a many-to-one pointer array.
 
 `deliver` routes a bitset from one node to another through their lowest
-common ancestor, either layer by layer (reading each boundary array on the
-way) or through a skip index that provides precomputed multi-layer mappings.
+common ancestor in the jumps of a Skip-Tree: a skip index whose jumps cross
+several layers at once, or the height-0 tree whose jumps cross one boundary
+array each.
 """
 from __future__ import annotations
 
@@ -102,65 +103,28 @@ class DeliveryTrace:
     path: list = field(default_factory=list)  # (node_id, op) pairs, in order
 
 
-def _tree_lca(schema: Schema, a: int, b: int) -> int:
-    if a == b:
-        return a
-    seen = {a}
-    cur = a
-    while schema.node(cur).parent is not None:
-        cur = schema.node(cur).parent
-        seen.add(cur)
-    cur = b
-    while cur not in seen:
-        cur = schema.node(cur).parent
-    return cur
+_LINK_SUFFIX = {Link.COUNTER: "#counter", Link.INDICATOR: "#indicator"}
 
 
-def _climb(store, schema_name: str, schema: Schema, node_id: int, bits: np.ndarray, trace: DeliveryTrace):
-    """One layered step up: move bits from `node_id`'s space to its parent's."""
-    node = schema.node(node_id)
-    if node.link is Link.COUNTER:
-        ctr = store.read_counter(schema_name, node_id)
-        bits = roll_up(bits, ctr.boundaries)
-        store.io.bitset_ops += 1
-        trace.path.append((node_id, "roll_up"))
-        trace.steps += 1
-    elif node.link is Link.INDICATOR:
-        ind = store.read_indicator(schema_name, node_id)
-        bits = indicator_gather(bits, ind.pointers)
-        store.io.bitset_ops += 1
-        trace.path.append((node_id, "gather"))
-        trace.steps += 1
-    else:
-        trace.path.append((node_id, "identity"))
-    return bits
+def _read_key(schema: Schema, node_id: int, level: int, mapping) -> str | None:
+    """Metadata key a jump from `node_id` reads, or None if it reads nothing.
 
-
-def _descend(store, schema_name: str, schema: Schema, node_id: int, bits: np.ndarray, trace: DeliveryTrace):
-    """One layered step down: move bits from the parent's space into `node_id`'s."""
-    node = schema.node(node_id)
-    if node.link is Link.COUNTER:
-        ctr = store.read_counter(schema_name, node_id)
-        bits = drill_down(bits, ctr.boundaries)
-        store.io.bitset_ops += 1
-        trace.path.append((node_id, "drill_down"))
-        trace.steps += 1
-    elif node.link is Link.INDICATOR:
-        ind = store.read_indicator(schema_name, node_id)
-        bits = indicator_scatter(bits, ind.pointers, ind.target_cardinality)
-        store.io.bitset_ops += 1
-        trace.path.append((node_id, "scatter"))
-        trace.steps += 1
-    else:
-        trace.path.append((node_id, "identity"))
-    return bits
+    A level-0 jump reads the node's own counter or pointer array, even an
+    empty one; an identity link reads nothing.  A higher jump reads a
+    composed skip mapping, and an empty one is not read.
+    """
+    if level == 0:
+        suffix = _LINK_SUFFIX.get(schema.node(node_id).link)
+        return None if suffix is None else f"{schema.path_of(node_id)}{suffix}"
+    return f"skip/{schema.path_of(node_id)}#{level}" if mapping.nbytes else None
 
 
 def deliver(store, schema_name: str, src: int, dst: int, bits: np.ndarray, index=None):
     """Move `bits` from node `src`'s instance space to node `dst`'s.
 
-    With `index` (an object exposing ``find_lca``) the route uses precomputed
-    skip mappings; otherwise it climbs and descends one boundary at a time.
+    The route runs through the two nodes' lowest common ancestor in the
+    jumps of `index.find_lca`.  Without `index` it is the schema's
+    height-0 Skip-Tree, whose jumps cross one boundary array each.
     Returns ``(bits, trace)``.
     """
     data = store.data(schema_name)
@@ -172,35 +136,20 @@ def deliver(store, schema_name: str, src: int, dst: int, bits: np.ndarray, index
         )
     if src == dst:
         return bits, DeliveryTrace(src=src, dst=dst, lca=src)
+    if index is None:
+        from .skiptree import layered_tree  # skiptree imports this module's kernels
 
-    if index is not None:
-        res = index.find_lca(src, dst)
-        trace = DeliveryTrace(src=src, dst=dst, lca=res.lca, steps=res.steps)
-        for node_id, level, mapping in res.src_jumps:
-            if mapping.nbytes:
-                store.io.record_metadata(f"{schema_name}/skip/{schema.path_of(node_id)}#{level}", mapping.nbytes)
-                store.io.bitset_ops += 1
-            bits = mapping.up(bits)
-            trace.path.append((node_id, f"skip_up[{level}]"))
-        for node_id, level, mapping in reversed(res.dst_jumps):
-            if mapping.nbytes:
-                store.io.record_metadata(f"{schema_name}/skip/{schema.path_of(node_id)}#{level}", mapping.nbytes)
-                store.io.bitset_ops += 1
-            bits = mapping.down(bits)
-            trace.path.append((node_id, f"skip_down[{level}]"))
-        return bits, trace
+        index = layered_tree(data)
 
-    lca = _tree_lca(schema, src, dst)
-    trace = DeliveryTrace(src=src, dst=dst, lca=lca)
-    cur = src
-    while cur != lca:
-        bits = _climb(store, schema_name, schema, cur, bits, trace)
-        cur = schema.node(cur).parent
-    down_path = []
-    cur = dst
-    while cur != lca:
-        down_path.append(cur)
-        cur = schema.node(cur).parent
-    for node_id in reversed(down_path):
-        bits = _descend(store, schema_name, schema, node_id, bits, trace)
+    res = index.find_lca(src, dst)
+    trace = DeliveryTrace(src=src, dst=dst, lca=res.lca, steps=res.steps)
+    route = [(jump, "up") for jump in res.src_jumps]
+    route += [(jump, "down") for jump in reversed(res.dst_jumps)]
+    for (node_id, level, mapping), way in route:
+        key = _read_key(schema, node_id, level, mapping)
+        if key is not None:
+            store.io.record_metadata(f"{schema_name}/{key}", mapping.nbytes)
+            store.io.bitset_ops += 1
+        bits = mapping.up(bits) if way == "up" else mapping.down(bits)
+        trace.path.append((node_id, f"skip_{way}[{level}]"))
     return bits, trace

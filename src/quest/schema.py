@@ -385,8 +385,3 @@ def expand_graph_schema(
         log.warning("graph expansion from %r leaves edge labels unreachable: %s", root_label, skipped)
 
     return Schema(name, nodes, model_tag="graph")
-
-
-def subtree_interval(schema: Schema, node_id: int) -> SubtreeInterval:
-    """Preorder interval covering `node_id` and all of its descendants."""
-    return schema.subtree_interval(node_id)

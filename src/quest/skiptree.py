@@ -42,14 +42,12 @@ __all__ = [
     "compose",
     "counter_union",
     "multi_hop",
-    "fold_mappings",
     "set_height",
     "tree_height",
-    "skip_up",
-    "skip_down",
     "SkipTree",
     "build_skip_tree",
     "build_skip_structure",
+    "layered_tree",
     "write_skiptree",
     "load_skiptree",
     "remove_skiptree",
@@ -218,14 +216,6 @@ def compose(first: Mapping, second: Mapping) -> Mapping:
     )
 
 
-def fold_mappings(mappings: list[Mapping], lower_cardinality: int) -> Mapping:
-    """Compose a bottom-up chain of mappings into one."""
-    acc: Mapping = IdentityMapping(lower_cardinality)
-    for m in mappings:
-        acc = compose(acc, m)
-    return acc
-
-
 def multi_hop(hops: list[Mapping]) -> Mapping:
     """Compose graph hops (listed in traversal order) into one skip mapping.
 
@@ -336,30 +326,6 @@ class SkipTree:
                          steps=len(src_jumps) + len(dst_jumps))
 
 
-def skip_up(tree: SkipTree, node: int, ancestor: int, bits: np.ndarray) -> np.ndarray:
-    """Carry `bits` from `node`'s space to `ancestor`'s in skip jumps."""
-    for _, _, mapping in _jumps_to(tree, node, ancestor):
-        bits = mapping.up(bits)
-    return bits
-
-
-def skip_down(tree: SkipTree, node: int, ancestor: int, bits: np.ndarray) -> np.ndarray:
-    """Carry `bits` from `ancestor`'s space down into `node`'s."""
-    for _, _, mapping in reversed(_jumps_to(tree, node, ancestor)):
-        bits = mapping.down(bits)
-    return bits
-
-
-def _jumps_to(tree: SkipTree, node: int, ancestor: int) -> list:
-    if node == ancestor:
-        return []
-    jumps: list = []
-    landed = tree._lift(node, tree.depths[ancestor], jumps)
-    if landed != ancestor:
-        raise DeliveryError(f"node {ancestor} is not an ancestor of node {node}")
-    return jumps
-
-
 def naive_lca(parents: list, a: int, b: int) -> int:
     """Reference LCA by plain parent walking."""
     seen = {a}
@@ -373,9 +339,10 @@ def naive_lca(parents: list, a: int, b: int) -> int:
     return cur
 
 
-def _build(parents: list, depths: list, link_mappings: list | None) -> SkipTree:
+def _build(parents: list, depths: list, link_mappings: list | None, H: int | None = None) -> SkipTree:
     n = len(parents)
-    H = tree_height(max(depths) if depths else 0)
+    if H is None:
+        H = tree_height(max(depths) if depths else 0)
     heights = [set_height(d, H) for d in depths]
     entries: list[list[SkipEntry]] = [[] for _ in range(n)]
     for v in range(n):
@@ -417,13 +384,29 @@ def _link_mapping(data: SchemaData, node_id: int) -> Mapping:
     return IdentityMapping(data.cardinality[node_id])
 
 
+def _data_links(data: SchemaData) -> tuple[list, list, list]:
+    nodes = data.schema.nodes
+    parents = [n.parent for n in nodes]
+    depths = [n.depth for n in nodes]
+    link_mappings = [None if n.parent is None else _link_mapping(data, n.id) for n in nodes]
+    return parents, depths, link_mappings
+
+
 def build_skip_tree(data: SchemaData) -> SkipTree:
     """Build the index, with instance mappings, for one ingested schema."""
-    schema = data.schema
-    parents = [n.parent for n in schema.nodes]
-    depths = [n.depth for n in schema.nodes]
-    link_mappings = [None if n.parent is None else _link_mapping(data, n.id) for n in schema.nodes]
-    return _build(parents, depths, link_mappings)
+    return _build(*_data_links(data))
+
+
+def layered_tree(data: SchemaData) -> SkipTree:
+    """The height-0 tree of one ingested schema, for delivery without an index.
+
+    Each node's only entry is its own link mapping, so nothing is composed
+    and scipy is not imported.  The tree is built once and kept on `data`;
+    new data for the schema is a new `SchemaData` with no tree yet.
+    """
+    if data.layered_tree is None:
+        data.layered_tree = _build(*_data_links(data), H=0)
+    return data.layered_tree
 
 
 # ---------------------------------------------------------------------------

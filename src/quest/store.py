@@ -82,13 +82,6 @@ class CounterArray:
         return int(self.boundaries.size) * DEFAULT_METADATA_UNIT
 
 
-def counter_range(counter: CounterArray, parent_index: int) -> tuple[int, int]:
-    """Half-open child offset range owned by one parent instance."""
-    if not 0 <= parent_index < counter.cardinality:
-        raise StoreError(f"parent index {parent_index} out of range for node {counter.node}")
-    return counter.range(parent_index)
-
-
 @dataclass
 class IndicatorArray:
     """One pointer per instance, each a row offset in the target column."""
@@ -289,6 +282,9 @@ class SchemaData:
         self.indicators: dict[int, IndicatorArray] = {}
         self.cardinality: dict[int, int] = {}
         self.stats: dict[int, ColumnStats] = {}
+        # height-0 Skip-Tree for delivery without an index
+        # (`skiptree.layered_tree` builds it on first use)
+        self.layered_tree = None
 
     @property
     def name(self) -> str:

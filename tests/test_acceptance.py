@@ -39,10 +39,8 @@ from quest.skiptree import (
     counter_union,
     multi_hop,
     naive_lca,
-    skip_down,
-    skip_up,
 )
-from quest.store import ingest_json, open_store, write_store
+from quest.store import Store, ingest_json, open_store, write_store
 
 from conftest import ADVERTISER, CAMPAIGN, EMAIL, PERSON, WORD
 
@@ -200,17 +198,16 @@ def test_criterion_03_skip_transfers_equal_iterated():
         data = _random_dataset(rng)
         instances += 1
         tree = build_skip_tree(data)
+        store = Store().add(data)
         schema = data.schema
         for node in range(len(schema)):
             for anc in schema.ancestors(node):
                 bits = nprng.random(data.cardinality[node]) < 0.5
-                assert np.array_equal(
-                    skip_up(tree, node, anc, bits), _iterated_up(data, node, anc, bits)
-                )
+                up, _ = deliver(store, "t", node, anc, bits, index=tree)
+                assert np.array_equal(up, _iterated_up(data, node, anc, bits))
                 abits = nprng.random(data.cardinality[anc]) < 0.5
-                assert np.array_equal(
-                    skip_down(tree, node, anc, abits), _iterated_down(data, node, anc, abits)
-                )
+                down, _ = deliver(store, "t", anc, node, abits, index=tree)
+                assert np.array_equal(down, _iterated_down(data, node, anc, abits))
                 pair_checks += 1
 
     graphs = 0

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,7 @@ def _cli_code(*args) -> str:
 def test_query_with_persisted_indexes_never_imports_scipy(store_dir, tmp_path):
     assert not _scipy_imported("import quest.cli")
     assert not _scipy_imported(_cli_code("query", "--store", store_dir, WORD_QUERY))
+    assert not _scipy_imported(_cli_code("query", "--store", store_dir, "--no-skiptree", WORD_QUERY))
     # the probe does see the import where an index is built
     copy = tmp_path / "store"
     shutil.copytree(store_dir, copy)
@@ -205,6 +207,22 @@ def test_query_timeout_exit(store_dir):
     result = invoke("query", "--store", store_dir, "--timeout", "1e-9", VIP_QUERY)
     assert result.exit_code == 5
     assert "budget" in result.stderr
+
+
+def test_query_timeout_counts_store_open(store_dir, monkeypatch):
+    import quest.cli
+
+    real_open = quest.cli.open_store
+
+    def slow_open(path):
+        time.sleep(0.3)
+        return real_open(path)
+
+    monkeypatch.setattr(quest.cli, "open_store", slow_open)
+    result = invoke("query", "--store", store_dir, "--timeout", "0.2", VIP_QUERY)
+    assert result.exit_code == 5
+    sidecar = next(line for line in result.stderr.splitlines() if line.startswith("{"))
+    assert json.loads(sidecar)["wall_time"] >= 0.3
 
 
 def test_explain_prints_plan_without_rows(store_dir):

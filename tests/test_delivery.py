@@ -11,10 +11,13 @@ from quest.delivery import (
     positions_of,
     roll_up,
 )
+from quest.engine import evaluate
 from quest.errors import DeliveryError
-from quest.skiptree import build_skip_tree
+from quest.query import parse_query
+from quest.skiptree import build_skip_tree, layered_tree
+from quest.store import Store, ingest_json
 
-from conftest import ADVERTISER, CAMPAIGN, EMAIL, PERSON, WORD
+from conftest import ADS_DOCS, ADVERTISER, CAMPAIGN, EMAIL, PERSON, WORD
 
 
 def test_roll_up_golden():
@@ -88,6 +91,62 @@ def test_deliver_counts_metadata(ads_store):
     deliver(ads_store, "ads", WORD, CAMPAIGN, bits)
     # one counter read (Word); the WordSet hop is identity and free
     assert ads_store.io.metadata_reads == 1
+
+
+def _log(store):
+    return {key: (e["reads"], e["bytes"]) for key, e in store.io.metadata_log.items()}
+
+
+def test_layered_deliver_records_each_array_it_crosses(multi_store):
+    deliver(multi_store, "ads", WORD, PERSON, ones_bits(8))
+    # WordSet is an identity link: no key, no bitset op
+    assert _log(multi_store) == {
+        "ads/Advertiser.Campaign.WordSet.Word#counter": (1, 24),
+        "ads/Advertiser.Campaign.Clicks#counter": (1, 24),
+        "ads/Advertiser.Campaign.Clicks.Person#counter": (1, 32),
+    }
+    assert multi_store.io.bitset_ops == 3
+
+    multi_store.io.reset()
+    deliver(multi_store, "social", 6, 0, np.array([True, False]))
+    assert _log(multi_store) == {
+        "social/Person.like#.#Message#indicator": (1, 24),
+        "social/Person.like##counter": (1, 24),
+    }
+    assert multi_store.io.bitset_ops == 2
+
+
+def test_layered_deliver_records_empty_arrays(ads_schema):
+    store = Store().add(ingest_json([{"Email": "e", "Campaign": []}], ads_schema))
+    out, _ = deliver(store, "ads", WORD, ADVERTISER, new_bits(0))
+    assert out.tolist() == [False]
+    assert _log(store) == {
+        "ads/Advertiser.Campaign.WordSet.Word#counter": (1, 0),
+        "ads/Advertiser.Campaign#counter": (1, 8),
+    }
+    assert store.io.bitset_ops == 2
+
+
+def test_layered_tree_built_once_per_schema_data(ads_schema, ads_data, ads_store):
+    deliver(ads_store, "ads", WORD, ADVERTISER, ones_bits(8))
+    tree = ads_data.layered_tree
+    assert tree is not None and tree.H == 0
+    deliver(ads_store, "ads", PERSON, EMAIL, ones_bits(7))
+    assert ads_data.layered_tree is tree and layered_tree(ads_data) is tree
+
+    doc = {
+        "from": "ads",
+        "filters": [{"path": "ads.Campaign.WordSet.Word", "op": "=", "value": "w5"}],
+        "fetch": ["ads.Email"],
+    }
+    query = parse_query({"ads": ads_schema}, doc)
+    assert [tuple(r) for r in evaluate(ads_store, query).rows] == [("e1",)]
+    # new arrays for the same schema answer from a new tree
+    extra = {"Email": "e9", "Campaign": [{"WordSet": {"Word": ["w5"]}}]}
+    moved = ingest_json([extra, *ADS_DOCS], ads_schema)
+    ads_store.add(moved)
+    assert sorted(tuple(r) for r in evaluate(ads_store, query).rows) == [("e1",), ("e9",)]
+    assert moved.layered_tree is not None and moved.layered_tree is not tree
 
 
 def test_skip_deliver_reads_fewer_arrays(ads_store, ads_data):

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from quest.delivery import new_bits
+from quest.delivery import deliver
 from quest.errors import DeliveryError
 from quest.skiptree import (
     ContiguousMapping,
@@ -14,13 +14,10 @@ from quest.skiptree import (
     build_skip_tree,
     compose,
     counter_union,
-    fold_mappings,
     load_skiptree,
     multi_hop,
     naive_lca,
     set_height,
-    skip_down,
-    skip_up,
     tree_height,
     write_skiptree,
 )
@@ -228,27 +225,32 @@ def test_ads_skiptree_entries(ads_data):
     assert isinstance(top, ContiguousMapping) and top.boundaries.tolist() == [2, 4]
 
 
-def test_skip_up_down_equal_iterated(ads_data):
+def test_skip_up_down_equal_iterated(ads_data, ads_store):
+    # deliver over the index, deliver without it (the height-0 tree), and
+    # the parent links applied one at a time all agree
     tree = build_skip_tree(ads_data)
     schema = ads_data.schema
     rng = np.random.default_rng(83)
     for node in range(len(schema)):
-        chain_up = []
+        chain = []
         cur = node
         for anc in schema.ancestors(node):
-            chain_up.append(tree.entries[cur][0].mapping)
+            chain.append(tree.entries[cur][0].mapping)
             cur = anc
-            folded = fold_mappings(chain_up, ads_data.cardinality[node])
             bits = rng.random(ads_data.cardinality[node]) < 0.5
-            assert np.array_equal(skip_up(tree, node, anc, bits), folded.up(bits))
+            iterated = bits
+            for m in chain:
+                iterated = m.up(iterated)
+            for index in (tree, None):
+                up, _ = deliver(ads_store, "ads", node, anc, bits, index=index)
+                assert np.array_equal(up, iterated), (node, anc, index is None)
             abits = rng.random(ads_data.cardinality[anc]) < 0.5
-            assert np.array_equal(skip_down(tree, node, anc, abits), folded.down(abits))
-
-
-def test_skip_up_rejects_non_ancestor(ads_data):
-    tree = build_skip_tree(ads_data)
-    with pytest.raises(DeliveryError):
-        skip_up(tree, WORD, CLICKS, new_bits(8))
+            iterated = abits
+            for m in reversed(chain):
+                iterated = m.down(iterated)
+            for index in (tree, None):
+                down, _ = deliver(ads_store, "ads", anc, node, abits, index=index)
+                assert np.array_equal(down, iterated), (node, anc, index is None)
 
 
 def test_skiptree_round_trip(tmp_path, ads_data, ads_store):

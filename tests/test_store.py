@@ -11,7 +11,6 @@ from quest.schema import parse_schema
 from quest.store import (
     CounterArray,
     Store,
-    counter_range,
     estimate_selectivity,
     ingest_csv,
     ingest_graph_tables,
@@ -54,11 +53,10 @@ def test_golden_values(ads_data):
 
 def test_counter_range(ads_data):
     clicks = ads_data.counters[CLICKS]
-    assert counter_range(clicks, 0) == (0, 1)
-    assert counter_range(clicks, 2) == (2, 4)
+    assert clicks.range(0) == (0, 1)
+    assert clicks.range(1) == (1, 2)
+    assert clicks.range(2) == (2, 4)
     assert clicks.child_cardinality == 4
-    with pytest.raises(StoreError):
-        counter_range(clicks, 3)
 
 
 def test_counter_must_not_decrease():
