@@ -348,7 +348,8 @@ def calibrate(store, repeats: int = 5) -> dict:
     """Measure the simplified model's unit costs on this store.
 
     ``a`` is seconds per scanned value (a gather at every position of
-    the widest column plus one comparison over the values), ``bp``
+    the widest column plus one comparison over the stored values, as a
+    filter compares them), ``bp``
     seconds per bitset delivery unit (a full leaf-to-root roll).  Both
     are medians over every schema and repetition.
     """
@@ -363,7 +364,7 @@ def calibrate(store, repeats: int = 5) -> dict:
         positions = np.arange(card)
         for _ in range(repeats):
             t0 = time.perf_counter()
-            vals, valid = store.scan_values(name, node.id, positions)
+            vals, valid = store.scan_values(name, node.id, positions, decode=False)
             np.count_nonzero(valid & (vals == vals[0]))
             a_samples.append((time.perf_counter() - t0) / card)
 

@@ -21,8 +21,6 @@ from pathlib import Path
 
 import click
 
-from . import bench as bench_mod
-from . import datagen
 from .engine import evaluate
 from .errors import (
     DeliveryError,
@@ -42,14 +40,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CONSTRAINT = 4
 EXIT_TIMEOUT = 5
-
-_FAMILY_SCHEMAS = {
-    "ads": datagen.ads_schema,
-    "org": datagen.org_schema,
-    "people": datagen.people_schema,
-    "social": datagen.social_schema,
-}
-
 
 def _fail(code: int, message) -> None:
     click.echo(f"error: {message}", err=True)
@@ -99,8 +89,10 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_raw(corpus: datagen.Corpus, raw: Path) -> dict:
-    """Serialize the corpus records as the ingestable raw files."""
+def _write_raw(corpus, raw: Path) -> dict:
+    """Serialize a `datagen.Corpus`'s records as the ingestable raw files."""
+    from . import datagen
+
     files: dict = {}
 
     table_cols = [c["name"] for c in datagen.PEOPLE_MANIFEST["root"]["children"]]
@@ -146,19 +138,17 @@ def _write_raw(corpus: datagen.Corpus, raw: Path) -> dict:
 @main.command()
 @_store_option
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option(
-    "--scale",
-    default="tiny",
-    show_default=True,
-    type=click.Choice(sorted(datagen.PRESETS)),
-    help="preset size",
-)
+@click.option("--scale", default="tiny", show_default=True, help="preset size: tiny, small or medium")
 @click.option("--high", default=0.05, show_default=True, type=float, help="rare probe-value fraction")
 @click.option("--low", default=0.10, show_default=True, type=float, help="common probe-value fraction")
 @_guard
 def gen(store_dir, seed, scale, high, low):
     """Write deterministic raw inputs: a CSV table, NDJSON documents,
     and graph vertex/edge files."""
+    from . import datagen  # imported here: other commands do not need it
+
+    if scale not in datagen.PRESETS:
+        raise click.BadParameter(f"{scale!r} is not one of {sorted(datagen.PRESETS)}", param_hint="'--scale'")
     corpus = datagen.generate(scale, seed=seed, high=high, low=low)
     raw = Path(store_dir) / "raw"
     raw.mkdir(parents=True, exist_ok=True)
@@ -184,6 +174,14 @@ def gen(store_dir, seed, scale, high, low):
 @_guard
 def ingest(store_dir):
     """Load the raw files into the columnar store layout."""
+    from . import datagen
+
+    family_schemas = {
+        "ads": datagen.ads_schema,
+        "org": datagen.org_schema,
+        "people": datagen.people_schema,
+        "social": datagen.social_schema,
+    }
     raw = Path(store_dir) / "raw"
     meta_path = raw / "gen.json"
     if not meta_path.exists():
@@ -191,7 +189,7 @@ def ingest(store_dir):
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     store = Store()
     for name, entry in sorted(meta["files"].items()):
-        schema = _FAMILY_SCHEMAS[name]()
+        schema = family_schemas[name]()
         if entry["kind"] == "table":
             store.add(ingest_csv(raw / entry["file"], schema))
         elif entry["kind"] == "documents":
@@ -285,7 +283,13 @@ def _emit_rows(columns: list[str], rows, fmt: str) -> None:
     show_default=True,
     type=click.Choice(["csv", "ndjson", "json"]),
 )
-@click.option("--timeout", default=None, type=float, help="wall-clock budget in seconds")
+@click.option(
+    "--timeout",
+    default=None,
+    type=float,
+    help="wall-clock budget in seconds, counted from command entry; "
+    "interpreter start and imports are not included",
+)
 @click.argument("query_doc")
 @_guard
 def query(store_dir, no_skiptree, use_oracle, fmt, timeout, query_doc):
@@ -348,10 +352,10 @@ def explain(store_dir, query_doc):
 
 @main.command()
 @_store_option
-@click.option("--runs", default=bench_mod.DEFAULT_RUNS, show_default=True, type=int)
+@click.option("--runs", default=5, show_default=True, type=int)
 @click.option(
     "--timeout",
-    default=bench_mod.DEFAULT_TIMEOUT,
+    default=300.0,
     show_default=True,
     type=float,
     help="per-query budget in seconds",
@@ -367,6 +371,8 @@ def explain(store_dir, query_doc):
 @_guard
 def bench(store_dir, runs, timeout, out_dir, do_calibrate):
     """Run the benchmark workload with the skip index on and off."""
+    from . import bench as bench_mod
+
     store = open_store(store_dir)
     out = Path(out_dir or store_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,6 +15,7 @@ deepest fetched node.
 
 from __future__ import annotations
 
+import gc
 import operator
 import time
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .errors import QueryError
 from .optimizer import WanderingSequence, plan_query
 from .query import JoinSpec, Key, Predicate, Query, parse_query
 from .schema import Kind, Link
-from .store import Store
+from .store import PrimitiveColumn, Store
 
 _OPS = {
     "=": operator.eq,
@@ -39,18 +40,33 @@ _OPS = {
 }
 
 
-def _match(vals: np.ndarray, op: str, value: Any) -> np.ndarray:
+def _match(column: PrimitiveColumn, vals: np.ndarray, op: str, value: Any) -> np.ndarray:
+    """Compare stored values (a string column's codes) with the operand.
+
+    A string operand the dictionary lacks becomes code -1, which no
+    value holds.
+    """
     if op == "in":
-        return np.isin(vals, np.asarray(value, dtype=vals.dtype))
-    return np.asarray(_OPS[op](vals, value), dtype=bool)
+        return np.isin(vals, np.asarray([column.encode(v) for v in value], dtype=vals.dtype))
+    return np.asarray(_OPS[op](vals, column.encode(value)), dtype=bool)
 
 
-def _scalar(value: Any) -> Any:
-    return value.item() if isinstance(value, np.generic) else value
+def _row_tuples(columns: list[list]) -> list[tuple]:
+    """The rows, one tuple per position of the fetched columns.
 
-
-def _pyval(value: Any, ok: bool) -> Any:
-    return _scalar(value) if ok else None
+    Rows hold only str, float, bool and None, so the cyclic collector
+    can free nothing among them.  It is paused while they are built:
+    otherwise every few hundred new tuples start a collection that
+    moves the query's live objects toward the oldest generation, and
+    full collections come several times as often.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(zip(*columns))
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass
@@ -72,6 +88,14 @@ def _join_keys(vals: np.ndarray, valid: np.ndarray) -> np.ndarray:
     if vals.dtype.kind == "f":
         valid = valid & ~np.isnan(vals)
     return np.flatnonzero(valid)
+
+
+def _right_keys(left: PrimitiveColumn, right: PrimitiveColumn) -> np.ndarray:
+    """The right key column in the left one's terms: a string as its left
+    code (-1 where the left never holds it), a number as it is."""
+    if right.dictionary is None:
+        return right.stored
+    return left.dictionary.codes_of(right.dictionary.entries())[right.stored]
 
 
 def _build_match_relation(lvals, lvalid, rvals, rvalid):
@@ -103,23 +127,25 @@ class JoinIndex:
 
     Holds the full match relation as COO pairs (for bitset crossings in
     either direction) and the value-sorted left keys used when rows are
-    regenerated across the join.  The relation depends only on the
-    store, so it is built once and kept in ``store.joins``.
+    regenerated across the join.  String keys are compared as left
+    dictionary codes.  The relation depends only on the store, so it is
+    built once and kept in ``store.joins``.
     """
 
     def __init__(self, store: Store, join: JoinSpec):
         lname, lnode = join.left.schema, join.left.node
         rname, rnode = join.right.schema, join.right.node
-        lvals, lvalid = store.scan_values(lname, lnode)
-        rvals, rvalid = store.scan_values(rname, rnode)
+        lvals, lvalid = store.scan_values(lname, lnode, decode=False)
+        rvals, rvalid = store.scan_values(rname, rnode, decode=False)
         self.left_cardinality = len(lvals)
         self.right_cardinality = len(rvals)
-        self.right_values = rvals
+        self.right = store.column(rname, rnode)
         cache_key = (lname, lnode, rname, rnode)
         relation = store.joins.get(cache_key)
         if relation is None:
-            relation = store.joins[cache_key] = _build_match_relation(lvals, lvalid, rvals, rvalid)
-        self.order, self.keys, self.l_pair, self.r_pair = relation
+            rkeys = _right_keys(store.column(lname, lnode), self.right)
+            relation = store.joins[cache_key] = (rkeys, *_build_match_relation(lvals, lvalid, rkeys, rvalid))
+        self.right_keys, self.order, self.keys, self.l_pair, self.r_pair = relation
         self.nbytes = 8 * (self.l_pair.size + self.r_pair.size)
         lpath = store.schema(lname).path_of(lnode)
         rpath = store.schema(rname).path_of(rnode)
@@ -131,7 +157,7 @@ class JoinIndex:
         Raises `QueryError` when a right's key value matches no surviving
         left or more than one.
         """
-        vals = self.right_values[rights]
+        vals = self.right_keys[rights]
         lo = np.searchsorted(self.keys, vals, side="left")
         hi = np.searchsorted(self.keys, vals, side="right")
         if valid_left is None:
@@ -143,7 +169,7 @@ class JoinIndex:
             first = np.searchsorted(alive, alive[lo] + 1, side="left") - 1
         bad = np.flatnonzero(count != 1)
         if bad.size:
-            val = _scalar(vals[bad[0]])
+            val = self.right.decode(self.right.stored[rights[bad[:1]]]).tolist()[0]
             raise QueryError(f"join key value {val!r} does not determine a single host instance")
         return self.order[first].astype(np.int64, copy=False)
 
@@ -293,11 +319,12 @@ class _Evaluation:
             return np.zeros_like(ctx)
         whole = positions.size == ctx.size
         vals, valid = self.store.scan_values(
-            name, node, None if whole else positions, context_bits=ctx
+            name, node, None if whole else positions, context_bits=ctx, decode=False
         )
+        column = self.store.column(name, node)
         mask = valid.copy()
         for pred in preds:
-            mask &= _match(vals, pred.op, pred.value)
+            mask &= _match(column, vals, pred.op, pred.value)
         self.store.io.bitset_ops += 1
         if whole:
             return mask.astype(bool, copy=False)
@@ -398,8 +425,11 @@ class _Evaluation:
                 ctx = self._move(bits, dkey, fkey)
                 idxs = self._map_positions(positions, dkey, fkey)
             vals, valid = self.store.scan_values(fkey[0], fkey[1], idxs, context_bits=ctx)
-            columns.append([_pyval(v, ok) for v, ok in zip(vals, valid)])
-        return [tuple(row) for row in zip(*columns)]
+            values = vals.tolist()
+            for i in np.flatnonzero(~valid).tolist():
+                values[i] = None
+            columns.append(values)
+        return _row_tuples(columns)
 
     def _map_positions(self, positions: np.ndarray, src: Key, dst: Key) -> np.ndarray:
         """Map instance indexes along the route; every step is functional."""

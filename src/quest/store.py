@@ -3,6 +3,8 @@
 Every instance-bearing node owns exactly one column file:
 
 * Primitive nodes store their values (with a validity bitmap for nulls).
+  A string column stores int32 codes into a sorted per-column dictionary
+  of its distinct values (nulls hold ``""``).
 * Array nodes store a boundary array: entry ``i`` is the exclusive end of the
   children of parent instance ``i``, so parent ``i`` owns ``[b[i-1], b[i])``
   and the last entry equals the node's own cardinality.  Leaf arrays whose
@@ -16,8 +18,8 @@ owning `Store` so that I/O counters reflect what a query actually touched.
 """
 from __future__ import annotations
 
+import bisect
 import csv as _csv
-import io as _io
 import json
 import math
 import struct
@@ -25,6 +27,7 @@ import zlib
 from collections import Counter as _TallyCounter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,7 @@ from .errors import IngestError, SchemaError, StoreError
 from .schema import Kind, Link, Schema, parse_schema, serialize_schema
 
 MAGIC = b"QSTC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DEFAULT_BLOCK_SIZE = 4096
 DEFAULT_METADATA_UNIT = 8  # bytes per boundary/pointer entry on disk
 
@@ -110,52 +113,112 @@ class IndicatorArray:
         return int(self.pointers.size) * DEFAULT_METADATA_UNIT
 
 
-@dataclass(frozen=True)
-class EncodedStrings:
-    """A string column as stored on disk: ``<u4`` byte lengths, then the
-    values' UTF-8 bytes back to back."""
+class StringDictionary:
+    """The sorted distinct values of one string column, held as UTF-8.
 
-    lengths: np.ndarray
-    blob: memoryview
+    UTF-8 byte order equals code-point order, so the entries are in the
+    order `sorted` gives the strings, and a value is found by a binary
+    search over bytes.  Entries are decoded to `str` on first use and
+    kept.
+    """
 
-    def decode(self) -> np.ndarray:
-        """The values as an object array, decoding the blob in one pass.
+    def __init__(self, lengths: np.ndarray, blob: bytes):
+        self.lengths = lengths
+        self.blob = blob
 
-        A value's character offset in the decoded text is the number of
-        UTF-8 lead bytes (those not of the form ``10xxxxxx``) before its
-        byte offset.
+    # built on first use, so that opening a store does not pay for them
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.lengths, dtype=np.int64)))
+
+    @cached_property
+    def _entries(self) -> np.ndarray:
+        return np.empty(len(self), dtype=object)
+
+    @cached_property
+    def _decoded(self) -> np.ndarray:
+        return np.zeros(len(self), dtype=bool)
+
+    @classmethod
+    def from_sorted(cls, ordered: list[str]) -> "StringDictionary":
+        encoded = [s.encode("utf-8") for s in ordered]
+        out = cls(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)), b"".join(encoded))
+        out._entries[:] = ordered
+        out._decoded[:] = True
+        return out
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def code_of(self, value: str) -> int:
+        """The code of `value`, or -1 when the column never holds it."""
+        # a lone surrogate cannot be stored, so it must find nothing
+        target = value.encode("utf-8", "surrogatepass")
+        blob, off = self.blob, self.offsets
+        i = bisect.bisect_left(range(len(self)), target, key=lambda k: blob[off[k] : off[k + 1]])
+        if i < len(self) and blob[off[i] : off[i + 1]] == target:
+            return i
+        return -1
+
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        """The entries at `codes` as an object array of `str`.
+
+        Only entries not decoded before are decoded, each once.
         """
-        text = bytes(self.blob).decode("utf-8")
-        raw = np.frombuffer(self.blob, dtype=np.uint8)
-        chars = np.concatenate(([0], np.cumsum((raw & 0xC0) != 0x80, dtype=np.int64)))
-        bounds = chars[np.concatenate(([0], np.cumsum(self.lengths, dtype=np.int64)))].tolist()
-        return np.asarray([text[bounds[i] : bounds[i + 1]] for i in range(len(self.lengths))], dtype=object)
+        missing = codes[~self._decoded[codes]]
+        if missing.size:
+            need = np.zeros(len(self), dtype=bool)
+            need[missing] = True
+            todo = np.flatnonzero(need)
+            blob = self.blob
+            spans = zip(self.offsets[todo].tolist(), self.offsets[todo + 1].tolist())
+            self._entries[todo] = [blob[a:b].decode("utf-8") for a, b in spans]
+            self._decoded[todo] = True
+        return self._entries[codes]
+
+    def entries(self) -> list[str]:
+        return self.decode(np.arange(len(self))).tolist()
+
+    def codes_of(self, values: list[str]) -> np.ndarray:
+        """The code of each of `values`, -1 for one the column never holds."""
+        lookup = dict(zip(self.entries(), range(len(self))))
+        return np.fromiter(map(lookup.get, values, repeat(-1)), dtype=np.int32, count=len(values))
 
 
 class PrimitiveColumn:
     """Values and validity of one primitive node.
 
-    A string column opened from disk starts out `encoded`; its object
-    array is built on the first read of `values`, and the encoded form is
-    then dropped.
+    A string column is given its int32 codes as `values`, plus the
+    `dictionary` they index.  Scans read `stored`: the values, or a
+    string column's codes.
     """
 
-    def __init__(self, node: int, kind: str, values, validity, encoded: EncodedStrings | None = None):
+    def __init__(self, node: int, kind: str, values, validity, dictionary: StringDictionary | None = None):
         self.node = node
         self.kind = kind  # primitive kind of the values
         self.validity = np.asarray(validity, dtype=bool)
-        self.encoded = encoded
-        self._values = values
-        n = len(values) if encoded is None else len(encoded.lengths)
-        if n != len(self.validity):
+        self.stored = np.asarray(values)
+        self.dictionary = dictionary
+        if (kind == "string") != (dictionary is not None):
+            raise StoreError(f"column {node}: a string column needs a dictionary, and only it")
+        if len(self.stored) != len(self.validity):
             raise StoreError(f"column {node}: values and validity lengths differ")
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        if self.encoded is not None:
-            self._values = self.encoded.decode()
-            self.encoded = None
-        return self._values
+        """The values; a string column's are decoded on first read.
+
+        The oracle and the statistics read this; queries read `stored`.
+        """
+        return self.decode(self.stored)
+
+    def encode(self, value):
+        """The stored form of `value`: a string's code, else the value itself."""
+        return value if self.dictionary is None else self.dictionary.code_of(value)
+
+    def decode(self, stored: np.ndarray) -> np.ndarray:
+        """Values from their stored form: a string column's codes decoded."""
+        return stored if self.dictionary is None else self.dictionary.decode(stored)
 
     @property
     def cardinality(self) -> int:
@@ -163,7 +226,8 @@ class PrimitiveColumn:
 
     @cached_property
     def unit_size(self) -> float:
-        """Average encoded size of one value, in bytes.
+        """Average logical size of one value, in bytes: a string counts its
+        UTF-8 length plus a 4-byte length.
 
         Cached: a column's values are not modified after ingest.
         """
@@ -174,15 +238,9 @@ class PrimitiveColumn:
         if self.kind == "string":
             if not self.cardinality:
                 return 8.0
-            if self.encoded is not None:
-                total = int(self.encoded.lengths.sum(dtype=np.int64)) + 4 * self.cardinality
-            else:
-                total = sum(len(str(v).encode("utf-8")) + 4 for v in self.values)
+            total = int(self.dictionary.lengths[self.stored].sum()) + 4 * self.cardinality
             return total / self.cardinality
         return 8.0
-
-    def gather(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.values[positions], self.validity[positions]
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +286,8 @@ class ColumnStats:
 
 def build_stats(column: PrimitiveColumn) -> ColumnStats:
     stats = ColumnStats(cardinality=column.cardinality, unit_size=round(column.unit_size, 4))
+    if column.dictionary is not None:
+        return _string_stats(column, stats)
     valid = column.values[column.validity]
     n = len(valid)
     if n == 0:
@@ -243,6 +303,25 @@ def build_stats(column: PrimitiveColumn) -> ColumnStats:
         svals = np.sort(np.asarray(valid, dtype=np.float64))
         cuts = np.linspace(0, n - 1, HISTOGRAM_BUCKETS + 1).astype(np.int64)
         stats.bounds = [float(svals[i]) for i in cuts]
+    return stats
+
+
+def _string_stats(column: PrimitiveColumn, stats: ColumnStats) -> ColumnStats:
+    """String statistics from the codes; the dictionary is already sorted."""
+    codes = column.stored[column.validity]
+    if codes.size == 0:
+        stats.distinct = 0
+        return stats
+    counts = np.bincount(codes, minlength=len(column.dictionary))
+    present = np.flatnonzero(counts)
+    stats.distinct = int(present.size)
+    stats.vmin, stats.vmax = column.dictionary.decode(present[[0, -1]]).tolist()
+    # most common first, ties to the value seen first (as Counter.most_common)
+    first = np.full(len(column.dictionary), codes.size)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    top = present[np.lexsort((first[present], -counts[present]))[:MCV_KEEP]]
+    shares = (counts[top] / column.cardinality).tolist()
+    stats.mcv = dict(zip(column.dictionary.decode(top).tolist(), shares))
     return stats
 
 
@@ -357,7 +436,11 @@ class IOStats:
             nblocks = 0
         else:
             starts = (positions * unit_size // self.block_size).astype(np.int64)
-            nblocks = int(np.unique(starts).size)
+            steps = np.diff(starts)
+            if (steps >= 0).all():  # sorted, as every scan's positions are
+                nblocks = 1 + int(np.count_nonzero(steps))
+            else:  # positions mapped through pointers or a join
+                nblocks = int(np.unique(starts).size)
         self.bytes_read += nblocks * self.block_size
         if self.audit_enabled:
             n_read = cardinality if positions is None else int(len(positions))
@@ -421,18 +504,26 @@ class Store:
         path = self.data(schema_name).schema.path_of(node_id)
         return f"{schema_name}/{path}{suffix}"
 
-    def scan_values(self, schema_name, node_id, positions=None, context_bits=None):
-        """Read values (and validity) at `positions`, or the whole column."""
-        data = self.data(schema_name)
-        col = data.columns.get(node_id)
+    def column(self, schema_name, node_id) -> PrimitiveColumn:
+        col = self.data(schema_name).columns.get(node_id)
         if col is None:
             raise StoreError(f"{self._key(schema_name, node_id)} has no value column")
+        return col
+
+    def scan_values(self, schema_name, node_id, positions=None, context_bits=None, decode=True):
+        """Read values (and validity) at `positions`, or the whole column.
+
+        A string column decodes only the dictionary entries it reads; with
+        ``decode=False`` it yields its codes instead (see `PrimitiveColumn.encode`).
+        """
+        col = self.column(schema_name, node_id)
         self.io.record_column(
             self._key(schema_name, node_id), positions, col.unit_size, col.cardinality, context_bits
         )
         if positions is None:
-            return col.values, col.validity
-        return col.gather(positions)
+            return (col.values if decode else col.stored), col.validity
+        stored = col.stored[positions]
+        return (col.decode(stored) if decode else stored), col.validity[positions]
 
     def read_counter(self, schema_name, node_id) -> CounterArray:
         ctr = self.data(schema_name).counters.get(node_id)
@@ -485,13 +576,15 @@ def _coerce(value, prim_kind: str, path: str, ordinal: int):
 
 
 def _column_from_buffers(nid, prim_kind, raw, valid) -> PrimitiveColumn:
-    if prim_kind == "number" or prim_kind == "null":
-        values = np.asarray(raw, dtype=np.float64)
-    elif prim_kind == "boolean":
-        values = np.asarray(raw, dtype=bool)
-    else:
-        values = np.asarray(raw, dtype=object)
-    return PrimitiveColumn(node=nid, kind=prim_kind, values=values, validity=np.asarray(valid, dtype=bool))
+    validity = np.asarray(valid, dtype=bool)
+    if prim_kind == "string":
+        # nulls hold "", so "" is in the dictionary whenever a null is
+        ordered = sorted(set(raw))
+        code_of = dict(zip(ordered, range(len(ordered))))
+        codes = np.fromiter(map(code_of.__getitem__, raw), dtype=np.int32, count=len(raw))
+        return PrimitiveColumn(nid, prim_kind, codes, validity, StringDictionary.from_sorted(ordered))
+    dtype = bool if prim_kind == "boolean" else np.float64
+    return PrimitiveColumn(node=nid, kind=prim_kind, values=np.asarray(raw, dtype=dtype), validity=validity)
 
 
 def ingest_json(source, schema: Schema) -> SchemaData:
@@ -828,25 +921,25 @@ def _graph_edge_prop_kinds(schema: Schema, label: str) -> dict[str, str]:
 # on-disk format
 
 
-def _encode_values(kind: str, values: np.ndarray, validity: np.ndarray) -> bytes:
-    out = _io.BytesIO()
-    out.write(np.packbits(validity.astype(np.uint8)).tobytes())
-    if kind in ("number", "null"):
-        out.write(np.asarray(values, dtype="<f8").tobytes())
-    elif kind == "boolean":
-        out.write(np.asarray(values, dtype=np.uint8).tobytes())
-    elif kind == "string":
-        blobs = [str(v).encode("utf-8") for v in values]
-        out.write(np.asarray([len(b) for b in blobs], dtype="<u4").tobytes())
-        for b in blobs:
-            out.write(b)
+def _encode_values(col: PrimitiveColumn) -> bytes:
+    """Validity bitmap, then the values.  A string column writes ``<i4``
+    codes, its ``<u4`` dictionary size and entry byte lengths, then the
+    entries' UTF-8 bytes back to back."""
+    parts = [np.packbits(col.validity.astype(np.uint8)).tobytes()]
+    if col.kind in ("number", "null"):
+        parts.append(col.stored.astype("<f8").tobytes())
+    elif col.kind == "boolean":
+        parts.append(col.stored.astype(np.uint8).tobytes())
+    elif col.kind == "string":
+        d = col.dictionary
+        parts += [col.stored.astype("<i4").tobytes(), struct.pack("<I", len(d)), d.lengths.astype("<u4").tobytes(), d.blob]
     else:
-        raise StoreError(f"cannot encode primitive kind {kind!r}")
-    return out.getvalue()
+        raise StoreError(f"cannot encode primitive kind {col.kind!r}")
+    return b"".join(parts)
 
 
 def _decode_column(nid: int, kind: str, buf: memoryview, count: int) -> PrimitiveColumn:
-    """Decode a value payload; string values stay encoded until first read."""
+    """Decode a value payload; dictionary entries are decoded on first use."""
     nvalid = (count + 7) // 8
     validity = np.unpackbits(np.frombuffer(buf[:nvalid], dtype=np.uint8), count=count).astype(bool)
     buf = buf[nvalid:]
@@ -855,12 +948,20 @@ def _decode_column(nid: int, kind: str, buf: memoryview, count: int) -> Primitiv
     elif kind == "boolean":
         values = np.frombuffer(buf[:count], dtype=np.uint8).astype(bool)
     elif kind == "string":
-        lengths = np.frombuffer(buf[: 4 * count], dtype="<u4")
-        blob = buf[4 * count :]
-        if len(lengths) != count or int(lengths.sum(dtype=np.int64)) != len(blob):
+        if len(buf) < 4 * count + 4:
+            raise StoreError(f"column {nid}: string payload is truncated")
+        codes = np.frombuffer(buf[: 4 * count], dtype="<i4").astype(np.int32)
+        (size,) = struct.unpack("<I", buf[4 * count : 4 * count + 4])
+        blob_at = 4 * count + 4 + 4 * size
+        if len(buf) < blob_at:
+            raise StoreError(f"column {nid}: string payload is truncated")
+        lengths = np.frombuffer(buf[4 * count + 4 : blob_at], dtype="<u4").astype(np.int64)
+        blob = bytes(buf[blob_at:])
+        if int(lengths.sum(dtype=np.int64)) != len(blob):
             raise StoreError(f"column {nid}: string lengths do not match the payload")
-        encoded = EncodedStrings(lengths=lengths, blob=blob)
-        return PrimitiveColumn(node=nid, kind=kind, values=None, validity=validity, encoded=encoded)
+        if count and (codes.min() < 0 or codes.max() >= size):
+            raise StoreError(f"column {nid}: string codes fall outside the dictionary")
+        return PrimitiveColumn(nid, kind, codes, validity, StringDictionary(lengths, blob))
     else:
         raise StoreError(f"cannot decode primitive kind {kind!r}")
     return PrimitiveColumn(node=nid, kind=kind, values=values, validity=validity)
@@ -876,6 +977,9 @@ def write_column(path, kind_code: int, cardinality: int, payload: bytes) -> None
     Path(path).write_bytes(_encode_column_file(kind_code, cardinality, payload))
 
 
+_REINGEST = "rewrite the store with `quest ingest`"
+
+
 def read_column(path) -> tuple[int, int, memoryview]:
     """Read and checksum one column file; returns (kind_code, cardinality, payload)."""
     raw = Path(path).read_bytes()
@@ -887,7 +991,7 @@ def read_column(path) -> tuple[int, int, memoryview]:
         raise StoreError(f"{path}: checksum mismatch")
     version, kind_code, cardinality = struct.unpack("<HBQ", body[4:15])
     if version != FORMAT_VERSION:
-        raise StoreError(f"{path}: unsupported format version {version}")
+        raise StoreError(f"{path}: format version {version}, not {FORMAT_VERSION}; {_REINGEST}")
     return kind_code, int(cardinality), memoryview(body)[15:]
 
 
@@ -901,14 +1005,14 @@ def _node_file_payload(data: SchemaData, node) -> tuple[int, int, bytes] | None:
         ctr = data.counters[nid]
         col = data.columns[nid]
         payload = struct.pack("<Q", ctr.cardinality) + ctr.boundaries.astype("<i8").tobytes()
-        payload += _encode_values(col.kind, col.values, col.validity)
+        payload += _encode_values(col)
         return _ARRAY_KIND_BY_PRIM[col.kind], col.cardinality, payload
     if has_counter:
         ctr = data.counters[nid]
         return K_COUNTER, ctr.cardinality, ctr.boundaries.astype("<i8").tobytes()
     if has_column:
         col = data.columns[nid]
-        return _VALUE_KIND_BY_PRIM[col.kind], col.cardinality, _encode_values(col.kind, col.values, col.validity)
+        return _VALUE_KIND_BY_PRIM[col.kind], col.cardinality, _encode_values(col)
     if has_indicator:
         ind = data.indicators[nid]
         return K_INDICATOR, ind.cardinality, ind.pointers.astype("<i8").tobytes()
@@ -956,15 +1060,19 @@ def open_store(path) -> Store:
     """Open a store written by `write_store`.
 
     Every column file is read and CRC-checked here, so a corrupt file
-    raises `StoreError` at open.  Counters, pointers, number and boolean
-    values and every validity bitmap are decoded here too; string values
-    are kept encoded and decoded on first use (`PrimitiveColumn.values`).
+    raises `StoreError` at open.  Counters, pointers, values, string
+    codes and dictionaries and every validity bitmap are decoded here
+    too; a dictionary entry is decoded to `str` on first use.  A store
+    of another format version raises `StoreError`.
     """
     root = Path(path)
     mpath = root / "manifest.json"
     if not mpath.exists():
         raise StoreError(f"{root}: no manifest.json (not a store)")
     manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise StoreError(f"{root}: store format version {version}, not {FORMAT_VERSION}; {_REINGEST}")
     store = Store(
         block_size=manifest.get("block_size", DEFAULT_BLOCK_SIZE),
         metadata_unit=manifest.get("metadata_unit", DEFAULT_METADATA_UNIT),

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -145,11 +146,11 @@ def test_reingest_drops_the_stale_index(tmp_path):
     assert _rows(engine)
 
 
-def _scipy_imported(code: str) -> bool:
-    """Run `code` in a fresh interpreter; report whether it imported scipy."""
+def _imported(code: str, module: str = "scipy") -> bool:
+    """Run `code` in a fresh interpreter; report whether it imported `module`."""
     src = str(Path(quest.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = code + "\nimport sys\nprint('scipy' in sys.modules)"
+    probe = code + f"\nimport sys\nprint({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip().splitlines()[-1] == "True"
@@ -164,13 +165,35 @@ def _cli_code(*args) -> str:
 
 
 def test_query_with_persisted_indexes_never_imports_scipy(store_dir, tmp_path):
-    assert not _scipy_imported("import quest.cli")
-    assert not _scipy_imported(_cli_code("query", "--store", store_dir, WORD_QUERY))
-    assert not _scipy_imported(_cli_code("query", "--store", store_dir, "--no-skiptree", WORD_QUERY))
+    assert not _imported("import quest.cli")
+    assert not _imported(_cli_code("query", "--store", store_dir, WORD_QUERY))
+    assert not _imported(_cli_code("query", "--store", store_dir, "--no-skiptree", WORD_QUERY))
     # the probe does see the import where an index is built
     copy = tmp_path / "store"
     shutil.copytree(store_dir, copy)
-    assert _scipy_imported(_cli_code("index", "--store", copy))
+    assert _imported(_cli_code("index", "--store", copy))
+
+
+def test_cli_import_leaves_bench_and_datagen_out():
+    assert not _imported("import quest.cli", "quest.bench")
+    assert not _imported("import quest.cli", "quest.datagen")
+    # the probe does see them where a command needs them
+    assert _imported("import quest.cli, quest.datagen", "quest.datagen")
+
+
+def test_query_on_a_version_1_store_names_quest_ingest(store_dir, tmp_path):
+    old = tmp_path / "old"
+    shutil.copytree(store_dir, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    manifest["format_version"] = 1
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    for col in old.glob("*/*.col"):
+        body = bytearray(col.read_bytes()[:-4])
+        body[4:6] = (1).to_bytes(2, "little")
+        col.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
+    result = invoke("query", "--store", old, VIP_QUERY)
+    assert result.exit_code == 3
+    assert "quest ingest" in result.stderr
 
 
 def test_query_formats_agree(store_dir):

@@ -32,6 +32,28 @@ def test_roll_up_handles_empty_ranges():
     assert roll_up(np.zeros(0, bool), np.array([], dtype=np.int64)).tolist() == []
 
 
+def test_roll_up_kernels_equal_a_loop():
+    # empty ranges at the start, in the middle and at the end
+    boundaries = np.array([0, 0, 3, 3, 40, 41, 100, 100])
+
+    def loop(bits):
+        starts = [0, *boundaries[:-1].tolist()]
+        return [bool(bits[lo:hi].any()) for lo, hi in zip(starts, boundaries.tolist())]
+
+    rng = np.random.default_rng(11)
+    one_last = np.zeros(100, bool)
+    one_last[99] = True
+    cases = {
+        "all zero (sparse kernel)": np.zeros(100, bool),
+        "one bit (sparse kernel)": one_last,
+        "3% (sparse kernel)": rng.random(100) < 0.03,
+        "50% (dense kernel)": rng.random(100) < 0.5,
+        "all one (dense kernel)": np.ones(100, bool),
+    }
+    for name, bits in cases.items():
+        assert roll_up(bits, boundaries).tolist() == loop(bits), name
+
+
 def test_drill_down_golden():
     bits = np.array([1, 1, 0], dtype=bool)
     assert drill_down(bits, np.array([2, 4, 7])).tolist() == [True] * 4 + [False] * 3

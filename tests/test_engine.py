@@ -4,6 +4,8 @@ Expected rows here are frozen by hand from the conftest datasets (the
 oracle suite pins the same values); the engine must also agree with the
 oracle under every valid filter order and with the skip index on.
 """
+import gc
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,9 @@ from quest.oracle import oracle_query
 from quest.query import parse_query
 from quest.schema import parse_schema
 from quest.skiptree import build_skip_tree
-from quest.store import Store, ingest_json, ingest_rows
+from quest.store import Store, ingest_json, ingest_rows, open_store, write_store
 
-from conftest import PEOPLE_MANIFEST, PEOPLE_ROWS
+from conftest import PEOPLE_MANIFEST, PEOPLE_ROWS, PERSON
 
 
 @pytest.fixture
@@ -447,3 +449,144 @@ def test_null_fetch_comes_back_as_none(ads_schema, schemas):
         "fetch": ["ads.Email"],
     }
     assert evaluate(store, q(schemas, doc)).rows == [(None,)]
+
+
+# -- string columns compare dictionary codes -----------------------------------
+
+
+def _reopened(store, tmp_path, reopen: bool):
+    if not reopen:
+        return store
+    write_store(store, tmp_path / "s")
+    return open_store(tmp_path / "s")
+
+
+@pytest.mark.parametrize("reopen", [False, True], ids=["in-memory", "reopened"])
+def test_string_operands_absent_from_the_dictionary(tmp_path, ads_schema, people_schema, reopen):
+    store = _reopened(_join_store(ads_schema, people_schema), tmp_path, reopen)
+    schemas = {"ads": ads_schema, "people": people_schema}
+    person = "ads.Campaign.Clicks.Person"
+    valid = sum(store.data("ads").columns[PERSON].validity)
+    for op, value, count in (
+        ("=", "nope", 0),
+        ("!=", "nope", valid),
+        ("in", ["nope"], 0),
+        ("in", ["nope", "zz", "p2", "also-not"], 2),
+        ("=", "", 0),  # nulls hold "", and match nothing
+        ("!=", "", valid),
+        ("=", "p1", 3),
+        ("!=", "p1", valid - 3),
+    ):
+        doc = {"from": ["ads"], "filters": [{"path": person, "op": op, "value": value}], "fetch": [person]}
+        query = parse_query(schemas, doc)
+        rows = evaluate(store, query).rows
+        assert rows == oracle_query(store, query), (op, value)
+        assert len(rows) == count, (op, value)
+
+
+@pytest.mark.parametrize("reopen", [False, True], ids=["in-memory", "reopened"])
+def test_string_join_with_keys_on_one_side_only(tmp_path, ads_schema, people_schema, reopen):
+    # "zz" and "yy" are clicked but have no people row; "p3".."p7" and "qq"
+    # have a people row nobody clicked
+    docs = [
+        {"Email": "e1", "Campaign": [
+            {"WordSet": {"Word": ["w"]}, "Clicks": [{"Person": ["p1", None, "zz"]}]},
+        ]},
+        {"Email": "e2", "Campaign": [
+            {"WordSet": {"Word": ["w"]}, "Clicks": [{"Person": ["p2", "yy"]}]},
+        ]},
+    ]
+    rows = PEOPLE_ROWS + [{"PID": "qq", "credit_score": 1.0, "balance": 5000.0}]
+    store = Store().add(ingest_json(docs, ads_schema)).add(ingest_rows(rows, people_schema))
+    store = _reopened(store, tmp_path, reopen)
+    schemas = {"ads": ads_schema, "people": people_schema}
+    fetch = {"from": ["ads", "people"], "joins": JOIN_CLAUSE, "fetch": ["ads.Email", "people.PID", "people.balance"]}
+    _, pairs = _checked_join_pairs(store, parse_query(schemas, fetch).joins[0])
+    assert pairs == [(0, 0), (3, 1)]
+    for filters in ([], [{"path": "people.balance", "op": ">", "value": 100.0}]):
+        query = parse_query(schemas, {**fetch, "filters": filters})
+        got = evaluate(store, query).rows
+        assert got == oracle_query(store, query)
+        assert sorted(got) == [("e1", "p1", 1000.0), ("e2", "p2", 250.0)]
+
+
+TYPED_MANIFEST = {
+    "name": "typed",
+    "model": "table",
+    "root": {
+        "name": "typed",
+        "kind": "record",
+        "children": [
+            {"name": "s", "kind": "primitive", "primitive": "string"},
+            {"name": "x", "kind": "primitive", "primitive": "number"},
+            {"name": "b", "kind": "primitive", "primitive": "boolean"},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("reopen", [False, True], ids=["in-memory", "reopened"])
+def test_rows_keep_the_oracles_python_types(tmp_path, reopen):
+    schema = parse_schema(TYPED_MANIFEST)
+    rows = [
+        {"s": "a", "x": 3, "b": True},  # an int comes back as the float it is stored as
+        {"s": None, "x": float("nan"), "b": False},
+        {"s": "", "x": None, "b": None},
+        {"s": "é\x00", "x": -2.5, "b": True},
+    ]
+    store = _reopened(Store().add(ingest_rows(rows, schema)), tmp_path, reopen)
+    fetch = ["typed.s", "typed.x", "typed.b"]
+    results = []
+    for filters in ([], [{"path": "typed.s", "op": "!=", "value": "a"}]):
+        query = parse_query({"typed": schema}, {"from": ["typed"], "filters": filters, "fetch": fetch})
+        got = evaluate(store, query).rows
+        want = oracle_query(store, query)
+        # repr, because NaN != NaN
+        assert [[(type(v), repr(v)) for v in row] for row in got] == [[(type(v), repr(v)) for v in row] for row in want]
+        results.append(got)
+    everything, filtered = results
+    assert [[type(v).__name__ for v in row] for row in everything] == [
+        ["str", "float", "bool"],
+        ["NoneType", "float", "bool"],
+        ["str", "NoneType", "NoneType"],
+        ["str", "float", "bool"],
+    ]
+    assert repr(everything[1][1]) == "nan"
+    assert filtered == [everything[2], everything[3]]  # a null string matches no `!=`
+
+
+def test_row_build_leaves_the_collector_as_it_found_it(multi_store, schemas):
+    doc = {"from": ["ads"], "fetch": ["ads.Campaign.WordSet.Word"]}
+    query = q(schemas, doc)
+    assert gc.isenabled()
+    assert evaluate(multi_store, query).rows
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert evaluate(multi_store, query).rows
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_row_build_starts_no_collections(people_schema):
+    rows = [{"PID": f"p{i}", "credit_score": float(i), "balance": 1.0} for i in range(3000)]
+    store = Store().add(ingest_rows(rows, people_schema))
+    query = parse_query({"people": people_schema}, {"from": ["people"], "fetch": ["people.PID", "people.balance"]})
+    evaluate(store, query)  # first use builds the height-0 tree
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(100)
+    gc.callbacks.append(count)
+    try:
+        assert len(evaluate(store, query).rows) == 3000
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    # building 3000 row tuples unpaused would start about thirty
+    assert len(started) <= 2, started

@@ -1,5 +1,6 @@
 import json
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from quest.engine import run_query
 from quest.errors import IngestError, StoreError
 from quest.schema import parse_schema
 from quest.store import (
+    MCV_KEEP,
     CounterArray,
     Store,
     estimate_selectivity,
     ingest_csv,
     ingest_graph_tables,
     ingest_json,
+    ingest_rows,
     open_store,
     write_store,
 )
@@ -153,6 +156,20 @@ def test_stats_mcv_and_selectivity(ads_data):
     assert estimate_selectivity(stats, "!=", "wA") == pytest.approx(0.75)
 
 
+def test_string_stats_equal_a_counter_tally(people_schema):
+    # 19 distinct values, most of them once: which 16 are kept, and in what
+    # order, is decided by first appearance, as Counter.most_common decides it
+    order = [5, 3, 19, 3, 0, 7, 12, 1, 2, 4, 6, 8, 9, 10, 11, 13, 14, 15, 16, 0]
+    raw = [f"t{i:02d}" for i in order] + [None, None]
+    data = ingest_rows([{"PID": v} for v in raw], people_schema)
+    stats = data.stats[1]
+    valid = [v for v in raw if v is not None]
+    tally = Counter(valid)
+    assert list(stats.mcv.items()) == [(v, c / len(raw)) for v, c in tally.most_common(MCV_KEEP)]
+    assert stats.distinct == len(tally)
+    assert (stats.vmin, stats.vmax) == (min(valid), max(valid))
+
+
 def test_numeric_range_selectivity():
     from quest.store import PrimitiveColumn, build_stats
 
@@ -240,7 +257,7 @@ def test_audit_mode_flags_reads_outside_context(ads_store):
     assert ads_store.io.audit[-1]["violations"] == 1
 
 
-# -- string columns: decoded on first use ------------------------------------
+# -- string columns: a sorted dictionary plus int32 codes --------------------
 
 TEXT_MANIFEST = {
     "name": "text",
@@ -256,14 +273,23 @@ TEXT_MANIFEST = {
     },
 }
 
-# 1- to 4-byte UTF-8 sequences, empty strings and nulls; `never` is always
-# empty, so its column has no values at all
+# 1- to 4-byte UTF-8 sequences, empty strings, nulls, and an embedded and a
+# trailing NUL next to the string they would collapse into as fixed-width
+# bytes; `never` is always empty, so its column has no values at all
 TEXT_DOCS = [
     {"title": "caf\u00e9", "tags": ["\u20ac", "\U0001d11e", ""], "never": []},
     {"title": None, "tags": []},
     {"title": "", "tags": [None, "a\u00e9\u20ac\U0001d11e", "plain"]},
     {"title": "\U0001f600\U0001f600", "tags": ["\u00df" * 40]},
+    {"title": "a\x00b", "tags": ["end\x00", "end", "a\x00b", "plain"]},
 ]
+
+
+def _raw_strings(docs, field: str) -> list:
+    """A field's input values in column order, None for a null."""
+    if field == "title":
+        return [doc.get("title") for doc in docs]
+    return [v for doc in docs for v in doc.get(field, [])]
 
 
 def _walk_unit_size(values) -> float:
@@ -274,19 +300,24 @@ def _walk_unit_size(values) -> float:
 
 @pytest.mark.parametrize("docs", [TEXT_DOCS, []], ids=["mixed", "no-documents"])
 def test_string_columns_round_trip_encoded(tmp_path, docs):
-    data = ingest_json(docs, parse_schema(TEXT_MANIFEST))
+    schema = parse_schema(TEXT_MANIFEST)
+    data = ingest_json(docs, schema)
     write_store(Store().add(data), tmp_path / "a")
     reopened = open_store(tmp_path / "a")
     loaded = reopened.data("text")
     assert len(loaded.columns) == 3
     for nid, col in data.columns.items():
+        want = _raw_strings(docs, schema.node(nid).name)
         other = loaded.columns[nid]
-        assert other.encoded is not None
+        assert other.stored.dtype == np.int32
         assert other.unit_size == col.unit_size
-        assert other.validity.tolist() == col.validity.tolist()
-        assert other.values.dtype == object
-        assert other.values.tolist() == col.values.tolist()
-        assert other.encoded is None
+        for column in (col, other):
+            values = column.values.tolist()
+            assert all(type(v) is str for v in values)
+            assert [v if ok else None for v, ok in zip(values, column.validity.tolist())] == want
+            assert [v for v, w in zip(values, want) if w is None] == [""] * want.count(None)
+            assert column.dictionary.entries() == sorted(set(values))
+            assert column.unit_size == _walk_unit_size(values)
     write_store(reopened, tmp_path / "b")
     for rel in sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file()):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
@@ -300,8 +331,8 @@ def test_opened_unit_size_equals_the_value_walk(tmp_path):
         for col in data.columns.values():
             if col.kind != "string":
                 continue
-            assert col.encoded is not None
-            size = col.unit_size  # computed from the encoded lengths
+            size = col.unit_size  # computed from the codes and entry lengths
+            assert "values" not in col.__dict__ and not col.dictionary._decoded.any()
             assert size == _walk_unit_size(col.values)
             checked += 1
     assert checked >= 10
@@ -320,23 +351,63 @@ def test_query_decodes_only_the_columns_it_reads(tmp_path):
         },
     )
     assert result.rows
-    read = {store.schema("people").path_of(nid) for nid, col in people.columns.items() if col.encoded is None}
-    assert {"people.segment", "people.PID"} <= read
+    path_of = store.schema("people").path_of
+    decoded = {path_of(nid): int(col.dictionary._decoded.sum()) for nid, col in people.columns.items() if col.kind == "string"}
+    # the filter compares codes; the fetch decodes the entries it returns
+    assert decoded["people.segment"] == 0
+    assert decoded["people.PID"] == len({row[0] for row in result.rows})
     for name, data in store.datasets.items():
-        if name == "people":
-            continue
         strings = [col for col in data.columns.values() if col.kind == "string"]
         assert strings, name
-        assert all(col.encoded is not None for col in strings), name
+        assert not any("values" in col.__dict__ for col in strings), name
+        if name != "people":
+            assert not any(col.dictionary._decoded.any() for col in strings), name
 
 
 def test_string_lengths_must_match_the_payload(tmp_path):
     data = ingest_json(TEXT_DOCS, parse_schema(TEXT_MANIFEST))
     write_store(Store().add(data), tmp_path / "s")
     target = tmp_path / "s" / "text" / "doc.title.col"
-    raw = bytearray(target.read_bytes())
-    body = raw[:-4]
-    body[15 + 1] += 1  # first length (after the 1-byte validity bitmap)
-    target.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
-    with pytest.raises(StoreError, match="string lengths"):
+    good = target.read_bytes()
+    n = len(TEXT_DOCS)
+    codes_at = 15 + (n + 7) // 8  # after the header and the validity bitmap
+    for offset, message in (
+        (codes_at + 4 * n + 4, "string lengths"),  # first dictionary entry length
+        (codes_at + 3, "outside the dictionary"),  # high byte of the first code
+    ):
+        body = bytearray(good[:-4])
+        body[offset] += 1
+        target.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
+        with pytest.raises(StoreError, match=message):
+            open_store(tmp_path / "s")
+
+
+def test_other_format_versions_name_the_fix(tmp_path, ads_store):
+    write_store(ads_store, tmp_path / "s")
+    manifest = tmp_path / "s" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["format_version"] = 1
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(StoreError, match="version 1.*quest ingest"):
         open_store(tmp_path / "s")
+    # a column file of another version, under a current manifest
+    write_store(ads_store, tmp_path / "s")
+    target = next((tmp_path / "s" / "ads").glob("*.col"))
+    body = bytearray(target.read_bytes()[:-4])
+    body[4:6] = (1).to_bytes(2, "little")
+    target.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
+    with pytest.raises(StoreError, match="version 1.*quest ingest"):
+        open_store(tmp_path / "s")
+
+
+def test_block_count_of_unsorted_positions(ads_store):
+    io = ads_store.io
+    io.block_size = 16  # Word values are 6 bytes each: 2.67 values per block
+    for positions, blocks in (
+        ([0, 1, 2, 3, 7], 3),  # sorted: blocks 0, 0, 0, 1, 2
+        ([7, 0, 3, 1, 7], 3),  # unsorted, repeated block 2
+        ([2, 5, 1], 2),  # blocks 0, 1, 0
+    ):
+        io.reset()
+        ads_store.scan_values("ads", WORD, positions=np.array(positions))
+        assert io.bytes_read == blocks * 16, positions
