@@ -13,8 +13,6 @@ array each.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DeliveryError
@@ -29,7 +27,6 @@ __all__ = [
     "ones_bits",
     "positions_of",
     "deliver",
-    "DeliveryTrace",
 ]
 
 
@@ -105,15 +102,6 @@ def indicator_scatter(source_bits: np.ndarray, pointers: np.ndarray, target_card
     return out
 
 
-@dataclass
-class DeliveryTrace:
-    src: int
-    dst: int
-    lca: int
-    steps: int = 0
-    path: list = field(default_factory=list)  # (node_id, op) pairs, in order
-
-
 _LINK_SUFFIX = {Link.COUNTER: "#counter", Link.INDICATOR: "#indicator"}
 
 
@@ -136,7 +124,7 @@ def deliver(store, schema_name: str, src: int, dst: int, bits: np.ndarray, index
     The route runs through the two nodes' lowest common ancestor in the
     jumps of `index.find_lca`.  Without `index` it is the schema's
     height-0 Skip-Tree, whose jumps cross one boundary array each.
-    Returns ``(bits, trace)``.
+    Returns the delivered bits; when ``src == dst`` that is `bits` itself.
     """
     data = store.data(schema_name)
     schema = data.schema
@@ -146,14 +134,13 @@ def deliver(store, schema_name: str, src: int, dst: int, bits: np.ndarray, index
             f"{data.cardinality[src]} of {schema.path_of(src)}"
         )
     if src == dst:
-        return bits, DeliveryTrace(src=src, dst=dst, lca=src)
+        return bits
     if index is None:
         from .skiptree import layered_tree  # skiptree imports this module's kernels
 
         index = layered_tree(data)
 
     res = index.find_lca(src, dst)
-    trace = DeliveryTrace(src=src, dst=dst, lca=res.lca, steps=res.steps)
     route = [(jump, "up") for jump in res.src_jumps]
     route += [(jump, "down") for jump in reversed(res.dst_jumps)]
     for (node_id, level, mapping), way in route:
@@ -162,5 +149,4 @@ def deliver(store, schema_name: str, src: int, dst: int, bits: np.ndarray, index
             store.io.record_metadata(f"{schema_name}/{key}", mapping.nbytes)
             store.io.bitset_ops += 1
         bits = mapping.up(bits) if way == "up" else mapping.down(bits)
-        trace.path.append((node_id, f"skip_{way}[{level}]"))
-    return bits, trace
+    return bits

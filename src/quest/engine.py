@@ -210,10 +210,7 @@ class _Evaluation:
         return self.store.data(key[0]).cardinality[key[1]]
 
     def _deliver(self, name: str, src: int, dst: int, bits: np.ndarray) -> np.ndarray:
-        if src == dst:
-            return bits
-        out, _ = deliver(self.store, name, src, dst, bits, index=self.indexes.get(name))
-        return out
+        return deliver(self.store, name, src, dst, bits, index=self.indexes.get(name))
 
     def join_index(self, join: JoinSpec) -> JoinIndex:
         guest = join.right.schema
@@ -463,7 +460,6 @@ def evaluate(
     plan: WanderingSequence | None = None,
     indexes: Mapping | None = None,
     audit: bool = False,
-    reset_io: bool = True,
 ) -> ResultSet:
     """Run a parsed query and return its rows plus the IO it cost.
 
@@ -474,8 +470,7 @@ def evaluate(
     """
     if plan is None:
         plan = plan_query(store, query)
-    if reset_io:
-        store.io.reset()
+    store.io.reset()
     prior = store.io.audit_enabled
     store.io.audit_enabled = audit or prior
     start = time.perf_counter()

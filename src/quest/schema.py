@@ -56,10 +56,6 @@ class SchemaNode:
     model_tag: str = "document"
 
     @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
     def has_values(self) -> bool:
         """True when the node owns a value column (primitives, leaf arrays)."""
         return self.primitive is not None and self.kind in (Kind.PRIMITIVE, Kind.ARRAY)
@@ -144,9 +140,6 @@ class Schema:
                 raise SchemaError(f"no field {part!r} under {self.path_of(cur.id)!r}")
             cur = nxt
         return cur
-
-    def value_nodes(self) -> list[SchemaNode]:
-        return [n for n in self.nodes if n.has_values]
 
     # -- validation and indexing -------------------------------------------
 

@@ -9,15 +9,16 @@ instance mapping from the node's space to that ancestor's space, so a bitset
 can jump several nested layers in one kernel call instead of climbing them
 one boundary array at a time.
 
-The same machinery expresses multi-hop graph traversals: one hop (a counter
-into an edge array plus its pointer array) is a sparse mapping, and composing
-hops yields the skip counter/indicator pair for the whole chain.
+Every mapping is one `Mapping`: a counter, a pointer array, both, or
+neither (the identity).  The same machinery expresses multi-hop graph
+traversals: one hop (a counter into an edge array plus its pointer array) is
+a mapping with both arrays, and composing hops, a boolean sparse product done
+in numpy, yields the skip counter/pointer pair for the whole chain.
 """
 from __future__ import annotations
 
 import json
 import shutil
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,9 +37,7 @@ from .store import (
 )
 
 __all__ = [
-    "IdentityMapping",
-    "ContiguousMapping",
-    "SparseMapping",
+    "Mapping",
     "compose",
     "counter_union",
     "multi_hop",
@@ -60,119 +59,65 @@ __all__ = [
 
 
 class Mapping:
-    lower_cardinality: int
-    upper_cardinality: int
-    nbytes: int = 0
+    """Boolean relation from an upper space (an ancestor's instances) to a
+    lower one (a node's instances), kept as at most two arrays.
 
-    def up(self, bits: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def down(self, bits: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def to_csr(self):
-        """Boolean relation as an (upper x lower) scipy CSR matrix.
-
-        Implementations import scipy here: only index builds and
-        multi-hop composition need it, and a query process that loads a
-        persisted index should not pay for the import.
-        """
-        raise NotImplementedError
-
-
-class IdentityMapping(Mapping):
-    def __init__(self, cardinality: int):
-        self.lower_cardinality = int(cardinality)
-        self.upper_cardinality = int(cardinality)
-        self.nbytes = 0
-
-    def up(self, bits):
-        return bits
-
-    def down(self, bits):
-        return bits
-
-    def to_csr(self):
-        from scipy import sparse
-
-        return sparse.identity(self.lower_cardinality, dtype=bool, format="csr")
-
-    def __repr__(self):
-        return f"IdentityMapping({self.lower_cardinality})"
-
-
-class ContiguousMapping(Mapping):
-    """One-to-many fan-out described by a boundary (counter) array."""
-
-    def __init__(self, boundaries: np.ndarray):
-        self.boundaries = np.asarray(boundaries, dtype=np.int64)
-        self.upper_cardinality = int(self.boundaries.size)
-        self.lower_cardinality = int(self.boundaries[-1]) if self.boundaries.size else 0
-        self.nbytes = int(self.boundaries.size) * 8
-
-    def up(self, bits):
-        return roll_up(bits, self.boundaries)
-
-    def down(self, bits):
-        return drill_down(bits, self.boundaries)
-
-    def to_csr(self):
-        from scipy import sparse
-
-        indptr = np.concatenate(([0], self.boundaries))
-        indices = np.arange(self.lower_cardinality, dtype=np.int64)
-        data = np.ones(self.lower_cardinality, dtype=bool)
-        return sparse.csr_matrix((data, indices, indptr), shape=(self.upper_cardinality, self.lower_cardinality))
-
-    def __repr__(self):
-        return f"ContiguousMapping(n={self.upper_cardinality}->{self.lower_cardinality})"
-
-
-class SparseMapping(Mapping):
-    """General boolean relation: each upper instance points at lower instances.
-
-    With `boundaries`, upper instance ``i`` owns ``pointers[b[i-1]:b[i]]``;
-    without, it owns exactly ``pointers[i]`` (a plain pointer array).
+    ``boundaries`` alone is a counter: upper instance ``i`` owns the lower
+    range ``[b[i-1], b[i])``.  ``pointers`` alone is a pointer array: upper
+    instance ``i`` owns lower instance ``pointers[i]``.  Both together are a
+    composed hop: upper instance ``i`` owns ``pointers[b[i-1]:b[i]]``.  With
+    neither, the mapping is the identity.
     """
 
-    def __init__(self, pointers: np.ndarray, boundaries: np.ndarray | None, lower_cardinality: int):
-        self.pointers = np.asarray(pointers, dtype=np.int64)
-        self.boundaries = None if boundaries is None else np.asarray(boundaries, dtype=np.int64)
+    def __init__(self, lower_cardinality: int, boundaries=None, pointers=None):
         self.lower_cardinality = int(lower_cardinality)
+        self.boundaries = None if boundaries is None else np.asarray(boundaries, dtype=np.int64)
+        self.pointers = None if pointers is None else np.asarray(pointers, dtype=np.int64)
+        # the entries the counter ranges over: the pointers, else the lower instances
+        entries = self.lower_cardinality if self.pointers is None else int(self.pointers.size)
         if self.boundaries is None:
-            self.upper_cardinality = int(self.pointers.size)
+            self.upper_cardinality = entries
         else:
             self.upper_cardinality = int(self.boundaries.size)
-            if self.boundaries.size and int(self.boundaries[-1]) != self.pointers.size:
-                raise DeliveryError("sparse mapping: boundary end != pointer count")
-        if self.pointers.size and (self.pointers.min() < 0 or self.pointers.max() >= self.lower_cardinality):
-            raise DeliveryError("sparse mapping: pointer out of range")
-        self.nbytes = (0 if self.boundaries is None else int(self.boundaries.size) * 8) + int(self.pointers.size) * 8
+            end = int(self.boundaries[-1]) if self.boundaries.size else 0
+            if end != entries:
+                raise DeliveryError(f"mapping: counter end {end} != {entries} entries")
+        if self.pointers is not None and self.pointers.size and (
+            self.pointers.min() < 0 or self.pointers.max() >= self.lower_cardinality
+        ):
+            raise DeliveryError("mapping: pointer out of range")
+        self.nbytes = 8 * sum(int(a.size) for a in (self.boundaries, self.pointers) if a is not None)
 
-    def up(self, bits):
-        gathered = indicator_gather(bits, self.pointers)
+    @property
+    def is_identity(self) -> bool:
+        return self.boundaries is None and self.pointers is None
+
+    def up(self, bits: np.ndarray) -> np.ndarray:
+        if self.pointers is not None:
+            bits = indicator_gather(bits, self.pointers)
+        if self.boundaries is not None:
+            bits = roll_up(bits, self.boundaries)
+        return bits
+
+    def down(self, bits: np.ndarray) -> np.ndarray:
+        if self.boundaries is not None:
+            bits = drill_down(bits, self.boundaries)
+        if self.pointers is not None:
+            bits = indicator_scatter(bits, self.pointers, self.lower_cardinality)
+        return bits
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The relation in CSR form: row starts/ends and lower instance per entry."""
         if self.boundaries is None:
-            return gathered
-        return roll_up(gathered, self.boundaries)
-
-    def down(self, bits):
-        per_pointer = bits if self.boundaries is None else drill_down(bits, self.boundaries)
-        return indicator_scatter(per_pointer, self.pointers, self.lower_cardinality)
-
-    def to_csr(self):
-        from scipy import sparse
-
-        if self.boundaries is None:
-            indptr = np.arange(self.pointers.size + 1, dtype=np.int64)
+            indptr = np.arange(self.upper_cardinality + 1, dtype=np.int64)
         else:
             indptr = np.concatenate(([0], self.boundaries))
-        data = np.ones(self.pointers.size, dtype=bool)
-        return sparse.csr_matrix(
-            (data, self.pointers, indptr), shape=(self.upper_cardinality, self.lower_cardinality)
-        )
+        indices = np.arange(self.lower_cardinality, dtype=np.int64) if self.pointers is None else self.pointers
+        return indptr, indices
 
     def __repr__(self):
-        return f"SparseMapping(n={self.upper_cardinality}->{self.lower_cardinality}, nnz={self.pointers.size})"
+        arrays = [name for name in ("boundaries", "pointers") if getattr(self, name) is not None]
+        return f"Mapping({self.upper_cardinality}->{self.lower_cardinality}, {'+'.join(arrays) or 'identity'})"
 
 
 def counter_union(parent_boundaries: np.ndarray, child_boundaries: np.ndarray) -> np.ndarray:
@@ -200,20 +145,27 @@ def compose(first: Mapping, second: Mapping) -> Mapping:
         raise DeliveryError(
             f"compose: cardinality mismatch {first.upper_cardinality} != {second.lower_cardinality}"
         )
-    if isinstance(first, IdentityMapping):
+    if first.is_identity:
         return second
-    if isinstance(second, IdentityMapping):
+    if second.is_identity:
         return first
-    if isinstance(first, ContiguousMapping) and isinstance(second, ContiguousMapping):
-        return ContiguousMapping(counter_union(second.boundaries, first.boundaries))
-    product = second.to_csr().astype(np.int64) @ first.to_csr().astype(np.int64)
-    product = product.tocsr()
-    product.sort_indices()
-    return SparseMapping(
-        pointers=product.indices.astype(np.int64),
-        boundaries=product.indptr[1:].astype(np.int64),
-        lower_cardinality=first.lower_cardinality,
-    )
+    if first.pointers is None and second.pointers is None:
+        return Mapping(first.lower_cardinality, boundaries=counter_union(second.boundaries, first.boundaries))
+    # boolean CSR product: expand each top's mids into the mids' lower
+    # entries, then keep each distinct (top, lower) pair once, in order
+    top_ptr, mids = second._rows()
+    mid_ptr, lowers = first._rows()
+    # (top, mid) entry k expands to positions mid_ptr[mids[k]] .. + counts[k] of `lowers`
+    counts = np.diff(mid_ptr)[mids]
+    ends = np.cumsum(counts)
+    entry = np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(mid_ptr[mids] - (ends - counts), counts)
+    tops = np.repeat(np.arange(second.upper_cardinality, dtype=np.int64), np.diff(top_ptr))
+    stride = max(first.lower_cardinality, 1)
+    keys = np.sort(np.repeat(tops, counts) * stride + lowers[entry])
+    # np.unique costs ~20x this sort and mask at 33k keys (numpy 2.4)
+    pairs = keys[np.diff(keys, prepend=-1) != 0]
+    boundaries = np.cumsum(np.bincount(pairs // stride, minlength=second.upper_cardinality))
+    return Mapping(first.lower_cardinality, boundaries=boundaries, pointers=pairs % stride)
 
 
 def multi_hop(hops: list[Mapping]) -> Mapping:
@@ -375,13 +327,13 @@ def build_skip_structure(parents: list) -> SkipTree:
 
 
 def _link_mapping(data: SchemaData, node_id: int) -> Mapping:
-    node = data.schema.node(node_id)
-    if node.link is Link.COUNTER:
-        return ContiguousMapping(data.counters[node_id].boundaries)
-    if node.link is Link.INDICATOR:
-        ind = data.indicators[node_id]
-        return SparseMapping(pointers=ind.pointers, boundaries=None, lower_cardinality=data.cardinality[node_id])
-    return IdentityMapping(data.cardinality[node_id])
+    link = data.schema.node(node_id).link
+    lower = data.cardinality[node_id]
+    if link is Link.COUNTER:
+        return Mapping(lower, boundaries=data.counters[node_id].boundaries)
+    if link is Link.INDICATOR:
+        return Mapping(lower, pointers=data.indicators[node_id].pointers)
+    return Mapping(lower)
 
 
 def _data_links(data: SchemaData) -> tuple[list, list, list]:
@@ -400,8 +352,8 @@ def build_skip_tree(data: SchemaData) -> SkipTree:
 def layered_tree(data: SchemaData) -> SkipTree:
     """The height-0 tree of one ingested schema, for delivery without an index.
 
-    Each node's only entry is its own link mapping, so nothing is composed
-    and scipy is not imported.  The tree is built once and kept on `data`;
+    Each node's only entry is its own link mapping, so nothing is composed.
+    The tree is built once and kept on `data`;
     new data for the schema is a new `SchemaData` with no tree yet.
     """
     if data.layered_tree is None:
@@ -417,6 +369,24 @@ def _index_dir(store_path, schema_name: str) -> Path:
     return Path(store_path) / schema_name / "_skiptree"
 
 
+def _kind(m: Mapping) -> str:
+    """The label ``skiptree.json`` gives a mapping; loading does not read it."""
+    if m.pointers is not None:
+        return "sparse"
+    return "identity" if m.boundaries is None else "contiguous"
+
+
+def _read_array(root: Path, e_doc: dict, key: str, kind_code: int) -> np.ndarray | None:
+    """The entry's ``counter`` or ``pointer`` array, or None if it has none."""
+    fname = e_doc.get(key)
+    if fname is None:
+        return None
+    found, _, payload = read_column(root / fname)
+    if found != kind_code:
+        raise StoreError(f"{fname}: expected a {key} payload")
+    return np.frombuffer(payload, dtype="<i8").copy()
+
+
 def write_skiptree(tree: SkipTree, store_path, schema: Schema) -> None:
     """Persist one schema's index under ``<store>/<schema>/_skiptree/``."""
     root = _index_dir(store_path, schema.name)
@@ -426,28 +396,16 @@ def write_skiptree(tree: SkipTree, store_path, schema: Schema) -> None:
         path = schema.path_of(v)
         node_doc: dict = {"height": tree.heights[v], "entries": []}
         for j, entry in enumerate(tree.entries[v]):
-            e_doc: dict = {"ancestor": schema.path_of(entry.ancestor)}
             m = entry.mapping
-            if isinstance(m, IdentityMapping):
-                e_doc["kind"] = "identity"
+            e_doc: dict = {"ancestor": schema.path_of(entry.ancestor), "kind": _kind(m)}
+            if m.boundaries is None or m.pointers is not None:
+                # a counter alone implies its lower cardinality: its last boundary
                 e_doc["lower"] = m.lower_cardinality
-            elif isinstance(m, ContiguousMapping):
-                e_doc["kind"] = "contiguous"
-                fname = f"{path}.{j}.counter.col"
-                write_column(root / fname, K_COUNTER, m.upper_cardinality, m.boundaries.astype("<i8").tobytes())
-                e_doc["counter"] = fname
-            elif isinstance(m, SparseMapping):
-                e_doc["kind"] = "sparse"
-                e_doc["lower"] = m.lower_cardinality
-                pname = f"{path}.{j}.pointer.col"
-                write_column(root / pname, K_INDICATOR, m.pointers.size, m.pointers.astype("<i8").tobytes())
-                e_doc["pointer"] = pname
-                if m.boundaries is not None:
-                    cname = f"{path}.{j}.counter.col"
-                    write_column(root / cname, K_COUNTER, m.upper_cardinality, m.boundaries.astype("<i8").tobytes())
-                    e_doc["counter"] = cname
-            else:
-                raise StoreError(f"cannot persist mapping {m!r}")
+            for key, code, array in (("counter", K_COUNTER, m.boundaries), ("pointer", K_INDICATOR, m.pointers)):
+                if array is not None:
+                    fname = f"{path}.{j}.{key}.col"
+                    write_column(root / fname, code, array.size, array.astype("<i8").tobytes())
+                    e_doc[key] = fname
             node_doc["entries"].append(e_doc)
         doc["nodes"][path] = node_doc
     (root / "skiptree.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
@@ -472,24 +430,10 @@ def load_skiptree(store: Store, schema_name: str) -> SkipTree:
         v = path_to_id[path]
         heights[v] = node_doc["height"]
         for e_doc in node_doc["entries"]:
-            mapping: Mapping
-            if e_doc["kind"] == "identity":
-                mapping = IdentityMapping(e_doc["lower"])
-            elif e_doc["kind"] == "contiguous":
-                kind_code, _, payload = read_column(root / e_doc["counter"])
-                if kind_code != K_COUNTER:
-                    raise StoreError(f"{e_doc['counter']}: expected a counter payload")
-                mapping = ContiguousMapping(np.frombuffer(payload, dtype="<i8").copy())
-            else:
-                kind_code, _, payload = read_column(root / e_doc["pointer"])
-                if kind_code != K_INDICATOR:
-                    raise StoreError(f"{e_doc['pointer']}: expected a pointer payload")
-                pointers = np.frombuffer(payload, dtype="<i8").copy()
-                boundaries = None
-                if "counter" in e_doc:
-                    _, _, cpayload = read_column(root / e_doc["counter"])
-                    boundaries = np.frombuffer(cpayload, dtype="<i8").copy()
-                mapping = SparseMapping(pointers=pointers, boundaries=boundaries, lower_cardinality=e_doc["lower"])
+            boundaries = _read_array(root, e_doc, "counter", K_COUNTER)
+            pointers = _read_array(root, e_doc, "pointer", K_INDICATOR)
+            lower = e_doc["lower"] if "lower" in e_doc else int(boundaries[-1]) if boundaries.size else 0
+            mapping = Mapping(lower, boundaries=boundaries, pointers=pointers)
             entries[v].append(SkipEntry(ancestor=path_to_id[e_doc["ancestor"]], mapping=mapping))
     return SkipTree(parents=parents, depths=depths, H=doc["H"], heights=heights, entries=entries)
 

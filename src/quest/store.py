@@ -539,15 +539,6 @@ class Store:
         self.io.record_metadata(self._key(schema_name, node_id, "#indicator"), ind.nbytes)
         return ind
 
-    # -- persistence ----------------------------------------------------------
-
-    def write(self, path) -> None:
-        write_store(self, path)
-
-    @classmethod
-    def open(cls, path) -> "Store":
-        return open_store(path)
-
 
 # ---------------------------------------------------------------------------
 # ingestion: documents

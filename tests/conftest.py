@@ -4,6 +4,7 @@ The advertiser documents are the reference dataset used across the test suite;
 all expected counters and bitsets below were derived by hand from the nesting
 and are asserted as frozen literals.
 """
+import numpy as np
 import pytest
 
 from quest.schema import expand_graph_schema, parse_schema
@@ -153,3 +154,14 @@ def social_data(social_schema):
 @pytest.fixture
 def multi_store(ads_data, people_data, social_data):
     return Store().add(ads_data).add(people_data).add(social_data)
+
+
+def dense_relation(m):
+    """The (upper x lower) boolean relation of mapping `m`, read through `m.up`
+    on unit bit vectors, so it does not depend on how `m` stores its arrays."""
+    out = np.zeros((m.upper_cardinality, m.lower_cardinality), dtype=bool)
+    for lower in range(m.lower_cardinality):
+        unit = np.zeros(m.lower_cardinality, dtype=bool)
+        unit[lower] = True
+        out[:, lower] = m.up(unit)
+    return out

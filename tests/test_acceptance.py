@@ -33,7 +33,7 @@ from quest.oracle import materialize_records, oracle_query
 from quest.query import parse_query
 from quest.schema import Kind, parse_schema
 from quest.skiptree import (
-    SparseMapping,
+    Mapping,
     build_skip_structure,
     build_skip_tree,
     counter_union,
@@ -42,7 +42,7 @@ from quest.skiptree import (
 )
 from quest.store import Store, ingest_json, open_store, write_store
 
-from conftest import ADVERTISER, CAMPAIGN, EMAIL, PERSON, WORD
+from conftest import ADVERTISER, CAMPAIGN, EMAIL, PERSON, WORD, dense_relation
 
 # the 18-node walkthrough tree (golden LCA example)
 TREE18_PARENTS = [None, 0, 1, 2, 0, 4, 5, 6, 7, 8, 9, 7, 11, 12, 13, 4, 15, 16]
@@ -66,13 +66,13 @@ def test_criterion_01_golden_walkthroughs(ads_store, ads_data):
     assert counter_union(np.array([1, 2, 4]), np.array([2, 4, 5, 7])).tolist() == [2, 4, 7]
 
     word_bits = np.array([1, 0, 0, 1, 0, 0, 0, 0], dtype=bool)
-    campaign_bits, _ = deliver(ads_store, "ads", WORD, CAMPAIGN, word_bits)
+    campaign_bits = deliver(ads_store, "ads", WORD, CAMPAIGN, word_bits)
     assert campaign_bits.tolist() == [True, True, False]
-    person_bits, _ = deliver(ads_store, "ads", CAMPAIGN, PERSON, campaign_bits)
+    person_bits = deliver(ads_store, "ads", CAMPAIGN, PERSON, campaign_bits)
     assert person_bits.tolist() == [True, True, True, True, False, False, False]
     combined = person_bits & new_bits(7, positions=[3])
     assert combined.tolist() == [False, False, False, True, False, False, False]
-    adv_bits, _ = deliver(ads_store, "ads", PERSON, ADVERTISER, combined)
+    adv_bits = deliver(ads_store, "ads", PERSON, ADVERTISER, combined)
     assert adv_bits.tolist() == [True, False]
     emails, valid = ads_store.scan_values("ads", EMAIL, positions_of(adv_bits))
     assert list(emails) == ["e1"] and all(valid)
@@ -203,10 +203,10 @@ def test_criterion_03_skip_transfers_equal_iterated():
         for node in range(len(schema)):
             for anc in schema.ancestors(node):
                 bits = nprng.random(data.cardinality[node]) < 0.5
-                up, _ = deliver(store, "t", node, anc, bits, index=tree)
+                up = deliver(store, "t", node, anc, bits, index=tree)
                 assert np.array_equal(up, _iterated_up(data, node, anc, bits))
                 abits = nprng.random(data.cardinality[anc]) < 0.5
-                down, _ = deliver(store, "t", anc, node, abits, index=tree)
+                down = deliver(store, "t", anc, node, abits, index=tree)
                 assert np.array_equal(down, _iterated_down(data, node, anc, abits))
                 pair_checks += 1
 
@@ -220,11 +220,11 @@ def test_criterion_03_skip_transfers_equal_iterated():
             if boundaries[-1]
             else np.array([], dtype=np.int64)
         )
-        hop = SparseMapping(pointers=pointers, boundaries=boundaries, lower_cardinality=n)
+        hop = Mapping(n, boundaries=boundaries, pointers=pointers)
         k = int(nprng.integers(1, 5))
         condensed = multi_hop([hop] * k)
-        dense = np.linalg.matrix_power(adj.astype(np.int64), k) > 0
-        assert np.array_equal(condensed.to_csr().toarray().astype(bool), dense)
+        power = np.linalg.matrix_power(adj.astype(np.int64), k) > 0
+        assert np.array_equal(dense_relation(condensed), power)
         graphs += 1
 
     elapsed = time.perf_counter() - t0

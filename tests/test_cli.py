@@ -164,14 +164,19 @@ def _cli_code(*args) -> str:
     )
 
 
-def test_query_with_persisted_indexes_never_imports_scipy(store_dir, tmp_path):
+def test_no_quest_command_imports_scipy(store_dir, tmp_path):
     assert not _imported("import quest.cli")
     assert not _imported(_cli_code("query", "--store", store_dir, WORD_QUERY))
     assert not _imported(_cli_code("query", "--store", store_dir, "--no-skiptree", WORD_QUERY))
-    # the probe does see the import where an index is built
     copy = tmp_path / "store"
     shutil.copytree(store_dir, copy)
-    assert _imported(_cli_code("index", "--store", copy))
+    assert not _imported(_cli_code("index", "--store", copy))
+    # ingest drops the persisted indexes, so the query builds them in memory
+    assert not _imported(_cli_code("ingest", "--store", copy))
+    assert not any(copy.glob("*/_skiptree"))
+    assert not _imported(_cli_code("query", "--store", copy, WORD_QUERY))
+    # the probe does see a module that quest imports
+    assert _imported("import quest.cli", "numpy")
 
 
 def test_cli_import_leaves_bench_and_datagen_out():

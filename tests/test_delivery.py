@@ -82,30 +82,30 @@ def test_bit_helpers():
     assert ones_bits(3).all()
 
 
-def test_golden_walk_layered(ads_store):
+def test_golden_walk_layered(ads_store, ads_data):
     word_bits = np.array([1, 0, 0, 1, 0, 0, 0, 0], dtype=bool)
-    campaign_bits, trace = deliver(ads_store, "ads", WORD, CAMPAIGN, word_bits)
+    campaign_bits = deliver(ads_store, "ads", WORD, CAMPAIGN, word_bits)
     assert campaign_bits.tolist() == [True, True, False]
-    assert trace.lca == CAMPAIGN
+    assert layered_tree(ads_data).find_lca(WORD, CAMPAIGN).lca == CAMPAIGN
 
-    person_bits, _ = deliver(ads_store, "ads", CAMPAIGN, PERSON, campaign_bits)
+    person_bits = deliver(ads_store, "ads", CAMPAIGN, PERSON, campaign_bits)
     assert person_bits.tolist() == [True, True, True, True, False, False, False]
 
     person_filter = new_bits(7, positions=[3])
     combined = person_bits & person_filter
     assert combined.tolist() == [False, False, False, True, False, False, False]
 
-    adv_bits, _ = deliver(ads_store, "ads", PERSON, ADVERTISER, combined)
+    adv_bits = deliver(ads_store, "ads", PERSON, ADVERTISER, combined)
     assert adv_bits.tolist() == [True, False]
 
 
 def test_golden_walk_skip_equals_layered(ads_store, ads_data):
     index = build_skip_tree(ads_data)
     word_bits = np.array([1, 0, 0, 1, 0, 0, 0, 0], dtype=bool)
-    layered, _ = deliver(ads_store, "ads", WORD, PERSON, word_bits)
-    skipped, trace = deliver(ads_store, "ads", WORD, PERSON, word_bits, index=index)
+    layered = deliver(ads_store, "ads", WORD, PERSON, word_bits)
+    skipped = deliver(ads_store, "ads", WORD, PERSON, word_bits, index=index)
     assert np.array_equal(layered, skipped)
-    assert trace.lca == CAMPAIGN
+    assert index.find_lca(WORD, PERSON).lca == CAMPAIGN
 
 
 def test_deliver_counts_metadata(ads_store):
@@ -140,7 +140,7 @@ def test_layered_deliver_records_each_array_it_crosses(multi_store):
 
 def test_layered_deliver_records_empty_arrays(ads_schema):
     store = Store().add(ingest_json([{"Email": "e", "Campaign": []}], ads_schema))
-    out, _ = deliver(store, "ads", WORD, ADVERTISER, new_bits(0))
+    out = deliver(store, "ads", WORD, ADVERTISER, new_bits(0))
     assert out.tolist() == [False]
     assert _log(store) == {
         "ads/Advertiser.Campaign.WordSet.Word#counter": (1, 0),
@@ -184,8 +184,8 @@ def test_skip_deliver_reads_fewer_arrays(ads_store, ads_data):
 
 def test_deliver_same_node(ads_store):
     bits = ones_bits(7)
-    out, trace = deliver(ads_store, "ads", PERSON, PERSON, bits)
-    assert out is bits and trace.steps == 0
+    out = deliver(ads_store, "ads", PERSON, PERSON, bits)
+    assert out is bits
 
 
 def test_deliver_rejects_bad_length(ads_store):
@@ -193,22 +193,22 @@ def test_deliver_rejects_bad_length(ads_store):
         deliver(ads_store, "ads", PERSON, ADVERTISER, ones_bits(6))
 
 
-def test_deliver_sibling_route(ads_store):
+def test_deliver_sibling_route(ads_store, ads_data):
     # Email <- Advertiser -> deepest Person: identity up, counters down
     email_bits = np.array([True, False])
-    person_bits, trace = deliver(ads_store, "ads", EMAIL, PERSON, email_bits)
+    person_bits = deliver(ads_store, "ads", EMAIL, PERSON, email_bits)
     assert person_bits.tolist() == [True, True, True, True, False, False, False]
-    assert trace.lca == ADVERTISER
+    assert layered_tree(ads_data).find_lca(EMAIL, PERSON).lca == ADVERTISER
 
 
 def test_graph_delivery(multi_store, social_data):
     # which persons liked a message tagged "x" (message m1)?
     msg_bits = np.array([True, False])
-    person_bits, _ = deliver(multi_store, "social", 6, 0, msg_bits)
+    person_bits = deliver(multi_store, "social", 6, 0, msg_bits)
     assert person_bits.tolist() == [True, True, False]
     # and which messages did p3 like?
     p_bits = np.array([False, False, True])
-    m_bits, _ = deliver(multi_store, "social", 0, 6, p_bits)
+    m_bits = deliver(multi_store, "social", 0, 6, p_bits)
     assert m_bits.tolist() == [False, True]
 
 
@@ -217,8 +217,8 @@ def test_graph_delivery_skip_matches(multi_store, social_data):
     rng = np.random.default_rng(5)
     for src, dst in [(6, 0), (0, 6), (7, 0), (0, 7), (4, 0)]:
         bits = rng.random(social_data.cardinality[src]) < 0.5
-        layered, _ = deliver(multi_store, "social", src, dst, bits)
-        skipped, _ = deliver(multi_store, "social", src, dst, bits, index=index)
+        layered = deliver(multi_store, "social", src, dst, bits)
+        skipped = deliver(multi_store, "social", src, dst, bits, index=index)
         assert np.array_equal(layered, skipped), (src, dst)
 
 
@@ -252,6 +252,6 @@ def test_random_nested_skip_equals_layered(ads_schema):
             if src == dst:
                 continue
             bits = rng.random(data.cardinality[src]) < 0.3
-            layered, _ = deliver(store, "ads", src, dst, bits)
-            skipped, _ = deliver(store, "ads", src, dst, bits, index=index)
+            layered = deliver(store, "ads", src, dst, bits)
+            skipped = deliver(store, "ads", src, dst, bits, index=index)
             assert np.array_equal(layered, skipped), (src, dst)

@@ -7,9 +7,7 @@ import pytest
 from quest.delivery import deliver
 from quest.errors import DeliveryError
 from quest.skiptree import (
-    ContiguousMapping,
-    IdentityMapping,
-    SparseMapping,
+    Mapping,
     build_skip_structure,
     build_skip_tree,
     compose,
@@ -23,7 +21,7 @@ from quest.skiptree import (
 )
 from quest.store import write_store, open_store
 
-from conftest import ADVERTISER, CAMPAIGN, CLICKS, PERSON, WORD, WORDSET
+from conftest import ADVERTISER, CAMPAIGN, CLICKS, PERSON, WORD, WORDSET, dense_relation
 
 # An 18-node tree: one long spine with two side branches hanging off node 4
 # and node 7.  Node 14 sits at depth 8, node 17 at depth 4.
@@ -124,11 +122,11 @@ def test_chain_step_bound():
 
 
 def test_contiguous_mapping_golden_walk():
-    word = ContiguousMapping(np.array([3, 5, 8]))
+    word = Mapping(8, boundaries=np.array([3, 5, 8]))
     bits = np.array([1, 0, 0, 1, 0, 0, 0, 0], dtype=bool)
     assert word.up(bits).tolist() == [True, True, False]
 
-    campaign_to_person = ContiguousMapping(counter_union(np.array([1, 2, 4]), np.array([2, 4, 5, 7])))
+    campaign_to_person = Mapping(7, boundaries=counter_union(np.array([1, 2, 4]), np.array([2, 4, 5, 7])))
     down = campaign_to_person.down(np.array([1, 1, 0], dtype=bool))
     assert down.tolist() == [True, True, True, True, False, False, False]
 
@@ -140,7 +138,7 @@ def test_sparse_mapping_against_dense():
         degree = rng.integers(0, 4, size=upper)
         boundaries = np.cumsum(degree)
         pointers = rng.integers(0, lower, size=int(boundaries[-1])) if boundaries.size else np.array([], dtype=np.int64)
-        m = SparseMapping(pointers=pointers, boundaries=boundaries, lower_cardinality=int(lower))
+        m = Mapping(int(lower), boundaries=boundaries, pointers=pointers)
         dense = np.zeros((upper, lower), dtype=bool)
         for u in range(upper):
             lo = 0 if u == 0 else boundaries[u - 1]
@@ -153,10 +151,10 @@ def test_sparse_mapping_against_dense():
 
 
 def test_compose_contiguous_equals_counter_union(ads_data):
-    person = ContiguousMapping(ads_data.counters[PERSON].boundaries)
-    clicks = ContiguousMapping(ads_data.counters[CLICKS].boundaries)
+    person = Mapping(ads_data.cardinality[PERSON], boundaries=ads_data.counters[PERSON].boundaries)
+    clicks = Mapping(ads_data.cardinality[CLICKS], boundaries=ads_data.counters[CLICKS].boundaries)
     composite = compose(person, clicks)
-    assert isinstance(composite, ContiguousMapping)
+    assert composite.pointers is None
     assert composite.boundaries.tolist() == [2, 4, 7]
 
 
@@ -167,30 +165,88 @@ def test_compose_mixed_against_dense():
         first = _random_mapping(rng, lower=int(n0), upper=int(n1))
         second = _random_mapping(rng, lower=int(n1), upper=int(n2))
         composite = compose(first, second)
-        dense = second.to_csr().toarray().astype(bool) @ first.to_csr().toarray().astype(bool)
-        assert np.array_equal(composite.to_csr().toarray().astype(bool), dense)
+        expected = dense_relation(second) @ dense_relation(first)
+        assert np.array_equal(dense_relation(composite), expected)
         bits = rng.random(int(n0)) < 0.5
-        assert np.array_equal(composite.up(bits), dense @ bits)
+        assert np.array_equal(composite.up(bits), expected @ bits)
 
 
 def _random_mapping(rng, lower, upper):
     which = rng.integers(0, 3)
     if which == 0 and lower == upper:
-        return IdentityMapping(lower)
+        return Mapping(lower)
     if which == 1:
         cuts = np.sort(rng.integers(0, lower + 1, size=upper - 1)) if upper > 1 else np.array([], dtype=np.int64)
         boundaries = np.concatenate((cuts, [lower])).astype(np.int64)
-        return ContiguousMapping(boundaries)
+        return Mapping(lower, boundaries=boundaries)
     degree = rng.integers(0, 3, size=upper)
     boundaries = np.cumsum(degree)
     count = int(boundaries[-1]) if boundaries.size else 0
     pointers = rng.integers(0, lower, size=count)
-    return SparseMapping(pointers=pointers, boundaries=boundaries, lower_cardinality=lower)
+    return Mapping(lower, boundaries=boundaries, pointers=pointers)
+
+
+def _check_compose(first, second):
+    composite = compose(first, second)
+    assert (composite.upper_cardinality, composite.lower_cardinality) == (
+        second.upper_cardinality,
+        first.lower_cardinality,
+    )
+    assert np.array_equal(dense_relation(composite), dense_relation(second) @ dense_relation(first))
+    return composite
+
+
+def test_compose_empty_spaces():
+    none = np.array([], dtype=np.int64)
+    counter = Mapping(3, boundaries=[1, 3])  # 2 mids over 3 lower instances
+    # zero upper instances
+    for second in (Mapping(2, pointers=none), Mapping(2, boundaries=none, pointers=none)):
+        assert _check_compose(counter, second).upper_cardinality == 0
+    # zero entries: every top owns nothing
+    empty = _check_compose(Mapping(4, pointers=[1, 3]), Mapping(2, boundaries=[0, 0], pointers=none))
+    assert empty.boundaries.tolist() == [0, 0] and empty.pointers.tolist() == []
+    # a lower cardinality of 0, through the general product and through counter_union
+    nothing_below = Mapping(0, boundaries=[0, 0])
+    zero = _check_compose(nothing_below, Mapping(2, boundaries=[1, 1], pointers=[1]))
+    assert zero.boundaries.tolist() == [0, 0] and zero.pointers.tolist() == []
+    assert _check_compose(nothing_below, Mapping(2, boundaries=[2])).boundaries.tolist() == [0]
+
+
+def test_compose_identity_on_either_side():
+    counter = Mapping(5, boundaries=[2, 5])
+    hop = Mapping(3, boundaries=[1, 3], pointers=[2, 0, 1])
+    assert compose(Mapping(5), counter) is counter
+    assert compose(counter, Mapping(2)) is counter
+    assert compose(Mapping(3), hop) is hop
+    assert compose(hop, Mapping(2)) is hop
+    with pytest.raises(DeliveryError):
+        compose(Mapping(4), counter)
+
+
+def test_compose_pointers_with_counters():
+    pointer = Mapping(4, pointers=[3, 0, 0])  # 3 mids, each one lower instance
+    counter = Mapping(3, boundaries=[2, 3])  # 2 tops over 3 mids
+    up = _check_compose(pointer, counter)
+    assert up.boundaries.tolist() == [2, 3] and up.pointers.tolist() == [0, 3, 0]
+    # the reverse: a counter under a pointer array
+    below = Mapping(5, boundaries=[2, 2, 5])  # 3 mids over 5 lower instances
+    above = Mapping(3, pointers=[2, 0])  # 2 tops, each one mid
+    down = _check_compose(below, above)
+    assert down.boundaries.tolist() == [3, 5] and down.pointers.tolist() == [2, 3, 4, 0, 1]
+
+
+def test_compose_collapses_mids_reaching_the_same_node():
+    # top 0 reaches lower 1 through mid 0 and mid 1; top 1 reaches it once
+    first = Mapping(3, boundaries=[2, 4, 5], pointers=[1, 2, 1, 0, 1])
+    second = Mapping(3, boundaries=[2, 3], pointers=[0, 1, 2])
+    composite = _check_compose(first, second)
+    assert composite.boundaries.tolist() == [3, 4]
+    assert composite.pointers.tolist() == [0, 1, 2, 1]
 
 
 def test_multi_hop_golden():
     # two vertices chained 0 -> 1 -> 2; one hop per edge set
-    hop = SparseMapping(pointers=np.array([1, 2]), boundaries=np.array([1, 2, 2]), lower_cardinality=3)
+    hop = Mapping(3, boundaries=np.array([1, 2, 2]), pointers=np.array([1, 2]))
     two = multi_hop([hop, hop])
     assert two.boundaries.tolist() == [1, 1, 1]
     assert two.pointers.tolist() == [2]
@@ -204,11 +260,11 @@ def test_multi_hop_against_matrix_power():
         degree = adj.sum(axis=1)
         boundaries = np.cumsum(degree)
         pointers = np.concatenate([np.flatnonzero(adj[u]) for u in range(n)]) if boundaries[-1] else np.array([], dtype=np.int64)
-        hop = SparseMapping(pointers=pointers, boundaries=boundaries, lower_cardinality=n)
+        hop = Mapping(n, boundaries=boundaries, pointers=pointers)
         k = int(rng.integers(1, 4))
         condensed = multi_hop([hop] * k)
-        dense = np.linalg.matrix_power(adj.astype(np.int64), k) > 0
-        assert np.array_equal(condensed.to_csr().toarray().astype(bool), dense)
+        power = np.linalg.matrix_power(adj.astype(np.int64), k) > 0
+        assert np.array_equal(dense_relation(condensed), power)
 
 
 # -- index over real data ----------------------------------------------------
@@ -222,7 +278,7 @@ def test_ads_skiptree_entries(ads_data):
     assert tree.skip_ancestors(CLICKS) == [CAMPAIGN, ADVERTISER]
     # the composite over Clicks' second entry folds Campaign's counter in
     top = tree.entries[CLICKS][1].mapping
-    assert isinstance(top, ContiguousMapping) and top.boundaries.tolist() == [2, 4]
+    assert top.pointers is None and top.boundaries.tolist() == [2, 4]
 
 
 def test_skip_up_down_equal_iterated(ads_data, ads_store):
@@ -242,14 +298,14 @@ def test_skip_up_down_equal_iterated(ads_data, ads_store):
             for m in chain:
                 iterated = m.up(iterated)
             for index in (tree, None):
-                up, _ = deliver(ads_store, "ads", node, anc, bits, index=index)
+                up = deliver(ads_store, "ads", node, anc, bits, index=index)
                 assert np.array_equal(up, iterated), (node, anc, index is None)
             abits = rng.random(ads_data.cardinality[anc]) < 0.5
             iterated = abits
             for m in reversed(chain):
                 iterated = m.down(iterated)
             for index in (tree, None):
-                down, _ = deliver(ads_store, "ads", anc, node, abits, index=index)
+                down = deliver(ads_store, "ads", anc, node, abits, index=index)
                 assert np.array_equal(down, iterated), (node, anc, index is None)
 
 
@@ -263,7 +319,13 @@ def test_skiptree_round_trip(tmp_path, ads_data, ads_store):
     for v in range(len(tree)):
         assert loaded.skip_ancestors(v) == tree.skip_ancestors(v)
         for mine, other in zip(tree.entries[v], loaded.entries[v]):
-            assert type(mine.mapping) is type(other.mapping)
+            m, o = mine.mapping, other.mapping
+            assert m.lower_cardinality == o.lower_cardinality
+            for name in ("boundaries", "pointers"):
+                mine_array, other_array = getattr(m, name), getattr(o, name)
+                assert (mine_array is None) == (other_array is None), (v, name)
+                if mine_array is not None:
+                    assert np.array_equal(mine_array, other_array), (v, name)
     res = loaded.find_lca(WORD, PERSON)
     assert res.lca == CAMPAIGN
     bits = np.array([1, 0, 0, 1, 0, 0, 0, 0], dtype=bool)
