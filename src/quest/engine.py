@@ -15,7 +15,6 @@ deepest fetched node.
 
 from __future__ import annotations
 
-import gc
 import operator
 import time
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from .errors import QueryError
 from .optimizer import WanderingSequence, plan_query
 from .query import JoinSpec, Key, Predicate, Query, parse_query
 from .schema import Kind, Link
-from .store import PrimitiveColumn, Store
+from .store import PrimitiveColumn, Store, collector_paused
 
 _OPS = {
     "=": operator.eq,
@@ -60,13 +59,8 @@ def _row_tuples(columns: list[list]) -> list[tuple]:
     moves the query's live objects toward the oldest generation, and
     full collections come several times as often.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         return list(zip(*columns))
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 @dataclass
@@ -95,7 +89,7 @@ def _right_keys(left: PrimitiveColumn, right: PrimitiveColumn) -> np.ndarray:
     code (-1 where the left never holds it), a number as it is."""
     if right.dictionary is None:
         return right.stored
-    return left.dictionary.codes_of(right.dictionary.entries())[right.stored]
+    return left.dictionary.translate(right.dictionary)[right.stored]
 
 
 def _build_match_relation(lvals, lvalid, rvals, rvalid):
@@ -422,10 +416,7 @@ class _Evaluation:
                 ctx = self._move(bits, dkey, fkey)
                 idxs = self._map_positions(positions, dkey, fkey)
             vals, valid = self.store.scan_values(fkey[0], fkey[1], idxs, context_bits=ctx)
-            values = vals.tolist()
-            for i in np.flatnonzero(~valid).tolist():
-                values[i] = None
-            columns.append(values)
+            columns.append((vals if valid.all() else np.where(valid, vals, None)).tolist())
         return _row_tuples(columns)
 
     def _map_positions(self, positions: np.ndarray, src: Key, dst: Key) -> np.ndarray:

@@ -20,14 +20,17 @@ from __future__ import annotations
 
 import bisect
 import csv as _csv
+import gc
 import json
 import math
 import struct
 import zlib
 from collections import Counter as _TallyCounter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +48,6 @@ K_ARRAY_NUMBER, K_ARRAY_STRING, K_ARRAY_BOOLEAN = 6, 7, 8
 
 _ARRAY_KIND_BY_PRIM = {"number": K_ARRAY_NUMBER, "string": K_ARRAY_STRING, "boolean": K_ARRAY_BOOLEAN}
 _VALUE_KIND_BY_PRIM = {"number": K_NUMBER, "string": K_STRING, "boolean": K_BOOLEAN, "null": K_NUMBER}
-
-_MISSING = object()
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +142,10 @@ class StringDictionary:
 
     @classmethod
     def from_sorted(cls, ordered: list[str]) -> "StringDictionary":
-        encoded = [s.encode("utf-8") for s in ordered]
-        out = cls(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)), b"".join(encoded))
+        joined = "".join(ordered)
+        # an ASCII entry's UTF-8 length is its length
+        sizes = map(len, ordered if joined.isascii() else map(str.encode, ordered))
+        out = cls(np.fromiter(sizes, dtype=np.int64, count=len(ordered)), joined.encode("utf-8"))
         out._entries[:] = ordered
         out._decoded[:] = True
         return out
@@ -176,13 +179,44 @@ class StringDictionary:
             self._decoded[todo] = True
         return self._entries[codes]
 
-    def entries(self) -> list[str]:
-        return self.decode(np.arange(len(self))).tolist()
+    def translate(self, other: "StringDictionary") -> np.ndarray:
+        """The code here of each of `other`'s entries, -1 for one this
+        dictionary lacks.  Nothing is decoded: entries compare as UTF-8.
 
-    def codes_of(self, values: list[str]) -> np.ndarray:
-        """The code of each of `values`, -1 for one the column never holds."""
-        lookup = dict(zip(self.entries(), range(len(self))))
-        return np.fromiter(map(lookup.get, values, repeat(-1)), dtype=np.int32, count=len(values))
+        Only entries of one length can be equal, so each length is matched
+        on its own.  A dictionary's entries of one length are still in
+        order, and as fixed-width byte strings of that length they compare
+        as their bytes do, so one `searchsorted` finds `other`'s among
+        this dictionary's.  Nothing is padded: the strings hold only the
+        entries' own bytes.
+        """
+        codes = np.full(len(other), -1, dtype=np.int32)
+        mine = self._by_length()
+        for length, theirs_at in other._by_length().items():
+            mine_at = mine.get(length)
+            if mine_at is None:
+                continue
+            if length == 0:  # "", the first entry of both
+                codes[0] = 0
+                continue
+            keys, wanted = self._fixed(mine_at, length), other._fixed(theirs_at, length)
+            at = np.searchsorted(keys, wanted)
+            np.minimum(at, len(keys) - 1, out=at)
+            hit = keys[at] == wanted
+            codes[theirs_at[hit]] = mine_at[at[hit]]
+        return codes
+
+    def _by_length(self) -> dict[int, np.ndarray]:
+        """The indexes of the entries of each length, in increasing order."""
+        order = np.argsort(self.lengths, kind="stable")
+        lengths, first = np.unique(self.lengths[order], return_index=True)
+        return dict(zip(lengths.tolist(), np.split(order, first[1:])))
+
+    def _fixed(self, at: np.ndarray, length: int) -> np.ndarray:
+        """The entries at `at`, each `length` bytes long, as `S{length}` strings."""
+        # a view holding the `length` bytes from every blob position
+        windows = np.ndarray(len(self.blob) - length + 1, dtype=f"S{length}", buffer=self.blob, strides=(1,))
+        return windows[self.offsets[at]]
 
 
 class PrimitiveColumn:
@@ -415,6 +449,10 @@ class IOStats:
     """Counters for everything a query run pulled out of the store."""
 
     def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE):
+        # `record_column` divides by multiplying with the reciprocal, which
+        # is exact only for a power of two
+        if block_size < 1 or block_size & (block_size - 1):
+            raise StoreError(f"block size {block_size} is not a power of two")
         self.block_size = block_size
         self.audit_enabled = False
         self.reset()
@@ -435,10 +473,13 @@ class IOStats:
         elif len(positions) == 0:
             nblocks = 0
         else:
-            starts = (positions * unit_size // self.block_size).astype(np.int64)
-            steps = np.diff(starts)
-            if (steps >= 0).all():  # sorted, as every scan's positions are
-                nblocks = 1 + int(np.count_nonzero(steps))
+            # the block size is a power of two, so this floor() equals //
+            starts = positions * unit_size
+            starts *= 1.0 / self.block_size
+            np.floor(starts, out=starts)
+            head, tail = starts[:-1], starts[1:]
+            if (tail >= head).all():  # sorted, as every scan's positions are
+                nblocks = 1 + int(np.count_nonzero(tail != head))
             else:  # positions mapped through pointers or a join
                 nblocks = int(np.unique(starts).size)
         self.bytes_read += nblocks * self.block_size
@@ -541,14 +582,41 @@ class Store:
 
 
 # ---------------------------------------------------------------------------
-# ingestion: documents
+# ingestion: one column at a time
+#
+# Every input family is shredded into columns of cells (Python values,
+# None for null), and each column is type-checked and built as a whole.
+# Ingest holds all its input's parsed values at once, so it runs with the
+# cyclic collector paused (see `collector_paused`).
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector (a context manager or decorator).
+
+    For code that builds many containers holding no reference cycles:
+    the collector could free none of them, yet their allocation starts
+    collections, and each full one walks every live object.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+_NONE = type(None)
+# the cell types a column of each kind takes without a per-cell check
+_PLAIN_TYPES = {"number": {int, float}, "string": {str}, "boolean": {bool}, "null": set()}
+_NULL_VALUES = {"number": 0.0, "string": "", "boolean": False, "null": 0.0}
 
 
 def _coerce(value, prim_kind: str, path: str, ordinal: int):
     """Type-check one scalar; returns (value, valid). None means null."""
-    if value is None or value is _MISSING:
-        defaults = {"number": 0.0, "string": "", "boolean": False, "null": 0.0}
-        return defaults[prim_kind], False
+    if value is None:
+        return _NULL_VALUES[prim_kind], False
     if prim_kind == "number":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise IngestError(f"expected a number, got {value!r}", path=path, ordinal=ordinal)
@@ -566,118 +634,140 @@ def _coerce(value, prim_kind: str, path: str, ordinal: int):
     raise IngestError(f"unknown primitive kind {prim_kind!r}", path=path)
 
 
-def _column_from_buffers(nid, prim_kind, raw, valid) -> PrimitiveColumn:
+def _coerce_column(cells, prim_kind: str, path: str, ordinals):
+    """Type-check a whole column of cells; returns (raw values, validity).
+
+    `ordinals[i]` is the input unit (row, document or edge) cell `i` came
+    from.  The set of cell types is checked once; only a column holding
+    another type is walked with `_coerce`, which raises at its first bad
+    cell (or converts a subclass, as it does a single value).
+    """
+    types = set(map(type, cells))
+    nulls = _NONE in types
+    types.discard(_NONE)
+    if not types <= _PLAIN_TYPES.get(prim_kind, set()):
+        checked = [_coerce(v, prim_kind, path, int(o)) for v, o in zip(cells, ordinals)]
+        return [v for v, _ in checked], [ok for _, ok in checked]
+    if not nulls:
+        return cells, np.ones(len(cells), dtype=bool)
+    null = _NULL_VALUES[prim_kind]
+    return [null if v is None else v for v in cells], [v is not None for v in cells]
+
+
+def _column(node, cells, path: str, ordinals) -> PrimitiveColumn:
+    """`node`'s value column built from its cells (see `_coerce_column`)."""
+    raw, valid = _coerce_column(cells, node.primitive, path, ordinals)
     validity = np.asarray(valid, dtype=bool)
-    if prim_kind == "string":
-        # nulls hold "", so "" is in the dictionary whenever a null is
-        ordered = sorted(set(raw))
-        code_of = dict(zip(ordered, range(len(ordered))))
+    if node.primitive == "string":
+        # nulls hold "", so "" is in the dictionary whenever a null is;
+        # first-seen order makes the sort a single pass on sorted input
+        code_of = dict.fromkeys(raw)
+        ordered = sorted(code_of)
+        code_of.update(zip(ordered, range(len(ordered))))
         codes = np.fromiter(map(code_of.__getitem__, raw), dtype=np.int32, count=len(raw))
-        return PrimitiveColumn(nid, prim_kind, codes, validity, StringDictionary.from_sorted(ordered))
-    dtype = bool if prim_kind == "boolean" else np.float64
-    return PrimitiveColumn(node=nid, kind=prim_kind, values=np.asarray(raw, dtype=dtype), validity=validity)
+        return PrimitiveColumn(node.id, "string", codes, validity, StringDictionary.from_sorted(ordered))
+    dtype = bool if node.primitive == "boolean" else np.float64
+    return PrimitiveColumn(node.id, node.primitive, np.asarray(raw, dtype=dtype), validity)
 
 
+# ---------------------------------------------------------------------------
+# ingestion: documents
+
+
+@collector_paused()
 def ingest_json(source, schema: Schema) -> SchemaData:
-    """Shred a stream of documents (dicts, JSON lines, or a file path)."""
-    docs = _document_iter(source)
-    vals: dict[int, list] = {n.id: [] for n in schema.nodes if n.has_values}
-    valid: dict[int, list] = {nid: [] for nid in vals}
-    bounds: dict[int, list] = {n.id: [] for n in schema.nodes if n.link is Link.COUNTER}
-    counts: dict[int, int] = {nid: 0 for nid in bounds}
+    """Shred a stream of documents (dicts, JSON lines, or a file path).
 
-    def shred(node, value, ordinal):
-        path = schema.path_of(node.id)
-        if node.kind is Kind.RECORD:
-            if value is _MISSING or value is None:
-                value = {}
-            if not isinstance(value, dict):
-                raise IngestError(f"expected an object, got {value!r}", path=path, ordinal=ordinal)
-            known = {schema.node(c).name for c in node.children}
-            unknown = set(value) - known
-            if unknown:
-                raise IngestError(f"unknown fields {sorted(unknown)}", path=path, ordinal=ordinal)
-            for cid in node.children:
-                child = schema.node(cid)
-                shred(child, value.get(child.name, _MISSING), ordinal)
-        elif node.kind is Kind.ARRAY:
-            if value is _MISSING or value is None:
-                value = []
-            if not isinstance(value, list):
-                raise IngestError(f"expected an array, got {value!r}", path=path, ordinal=ordinal)
-            counts[node.id] += len(value)
-            bounds[node.id].append(counts[node.id])
-            if node.has_values:
-                for item in value:
-                    v, ok = _coerce(item, node.primitive, path, ordinal)
-                    vals[node.id].append(v)
-                    valid[node.id].append(ok)
-            else:
-                for item in value:
-                    if not isinstance(item, dict):
-                        raise IngestError(
-                            f"array elements must be objects, got {item!r}", path=path, ordinal=ordinal
-                        )
-                    known = {schema.node(c).name for c in node.children}
-                    unknown = set(item) - known
-                    if unknown:
-                        raise IngestError(f"unknown fields {sorted(unknown)}", path=path, ordinal=ordinal)
-                    for cid in node.children:
-                        child = schema.node(cid)
-                        shred(child, item.get(child.name, _MISSING), ordinal)
-        elif node.kind is Kind.PRIMITIVE:
-            v, ok = _coerce(value, node.primitive, path, ordinal)
-            vals[node.id].append(v)
-            valid[node.id].append(ok)
-        else:
-            raise IngestError("indicator fields cannot be ingested from documents", path=path, ordinal=ordinal)
-
-    n_docs = 0
-    for ordinal, doc in enumerate(docs):
-        shred(schema.root, doc, ordinal)
-        n_docs += 1
-
+    Shredding goes one schema node at a time, in preorder, over all the
+    documents.  Input with one fault raises the `IngestError` a
+    document-by-document walk would; input with faults in several
+    documents may name another of them, since faults are found node by
+    node.  Every fault named is a real one, with the ordinal of its
+    document.
+    """
+    docs = _documents(source)
     data = SchemaData(schema)
-    data.cardinality[schema.root.id] = n_docs
-    for nid, blist in bounds.items():
-        data.counters[nid] = CounterArray(node=nid, boundaries=np.asarray(blist, dtype=np.int64))
-    for nid in vals:
-        node = schema.node(nid)
-        data.columns[nid] = _column_from_buffers(nid, node.primitive, vals[nid], valid[nid])
+    data.cardinality[schema.root.id] = len(docs)
+    _shred(schema, schema.root, docs, np.arange(len(docs)), data)
     return data.finalize()
 
 
-def _document_iter(source):
+def _shred(schema: Schema, node, values: list, ordinals: np.ndarray, data: SchemaData) -> None:
+    """Shred `node` and its subtree, given its value in each of its
+    instances (None where absent); instance `i` is in document `ordinals[i]`."""
+    path = schema.path_of(node.id)
+    if node.kind is Kind.INDICATOR:
+        if values:
+            raise IngestError(
+                "indicator fields cannot be ingested from documents", path=path, ordinal=int(ordinals[0])
+            )
+        return
+    if node.kind is Kind.PRIMITIVE:
+        data.columns[node.id] = _column(node, values, path, ordinals)
+        return
+    if node.kind is Kind.ARRAY:
+        values = _nested(values, list, [], "expected an array", path, ordinals)
+        lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+        data.counters[node.id] = CounterArray(node=node.id, boundaries=np.cumsum(lengths))
+        values = list(chain.from_iterable(values))
+        ordinals = np.repeat(ordinals, lengths)
+        if node.has_values:
+            data.columns[node.id] = _column(node, values, path, ordinals)
+            return
+        values = _nested(values, dict, None, "array elements must be objects", path, ordinals)
+    else:
+        values = _nested(values, dict, {}, "expected an object", path, ordinals)
+    children = [schema.node(cid) for cid in node.children]
+    known = {child.name for child in children}
+    if not all(map(known.issuperset, values)):
+        for value, ordinal in zip(values, ordinals):
+            if not value.keys() <= known:
+                raise IngestError(f"unknown fields {sorted(value.keys() - known)}", path=path, ordinal=int(ordinal))
+    for child in children:
+        _shred(schema, child, list(map(dict.get, values, repeat(child.name))), ordinals, data)
+
+
+def _nested(values: list, kind: type, null, message: str, path: str, ordinals) -> list:
+    """`values`, each checked to be a `kind`, with None replaced by `null`
+    unless `null` is None."""
+    types = set(map(type, values))
+    if null is not None and _NONE in types:
+        values = [null if v is None else v for v in values]
+        types.discard(_NONE)
+    if not types <= {kind}:
+        for value, ordinal in zip(values, ordinals):
+            if not isinstance(value, kind):
+                raise IngestError(f"{message}, got {value!r}", path=path, ordinal=int(ordinal))
+    return values
+
+
+def _documents(source) -> list:
+    """The documents of a JSON-lines file, or of an iterable of documents
+    and JSON texts."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
-        return
-    for item in source:
-        if isinstance(item, (str, bytes)):
-            item = json.loads(item)
-        yield item
+            return [json.loads(line) for line in map(str.strip, fh) if line]
+    return [json.loads(item) if isinstance(item, (str, bytes)) else item for item in source]
 
 
 # ---------------------------------------------------------------------------
 # ingestion: tables
 
 
+@collector_paused()
 def ingest_rows(rows: list[dict], schema: Schema) -> SchemaData:
     """Ingest an already-parsed table: one dict per row, keys = column names."""
     _require_flat(schema)
+    names = [schema.node(cid).name for cid in schema.root.children]
+    return _table_data(schema, len(rows), {name: [row.get(name) for row in rows] for name in names})
+
+
+def _table_data(schema: Schema, n_rows: int, cells: dict[str, list]) -> SchemaData:
     data = SchemaData(schema)
-    data.cardinality[schema.root.id] = len(rows)
+    data.cardinality[schema.root.id] = n_rows
     for cid in schema.root.children:
         child = schema.node(cid)
-        raw, ok = [], []
-        for i, row in enumerate(rows):
-            v, valid = _coerce(row.get(child.name), child.primitive, schema.path_of(cid), i)
-            raw.append(v)
-            ok.append(valid)
-        data.columns[cid] = _column_from_buffers(cid, child.primitive, raw, ok)
+        data.columns[cid] = _column(child, cells[child.name], schema.path_of(cid), range(n_rows))
     return data.finalize()
 
 
@@ -685,6 +775,9 @@ def _require_flat(schema: Schema) -> None:
     for cid in schema.root.children:
         if schema.node(cid).kind is not Kind.PRIMITIVE:
             raise SchemaError(f"table schema {schema.name!r} must be a record of primitives")
+
+
+_BOOLEAN_CELLS = {"true": True, "1": True, "false": False, "0": False}
 
 
 def _parse_cell(cell: str, prim_kind: str, colname: str, row_idx: int):
@@ -696,55 +789,78 @@ def _parse_cell(cell: str, prim_kind: str, colname: str, row_idx: int):
         except ValueError:
             raise IngestError(f"non-numeric value {cell!r} in column {colname!r}", ordinal=row_idx) from None
     if prim_kind == "boolean":
-        low = cell.lower()
-        if low in ("true", "1"):
-            return True
-        if low in ("false", "0"):
-            return False
-        raise IngestError(f"non-boolean value {cell!r} in column {colname!r}", ordinal=row_idx)
+        try:
+            return _BOOLEAN_CELLS[cell.lower()]
+        except KeyError:
+            raise IngestError(f"non-boolean value {cell!r} in column {colname!r}", ordinal=row_idx) from None
     return cell
 
 
-def ingest_csv(source, schema: Schema) -> SchemaData:
-    """Ingest an RFC-4180 CSV file with a header row matching the schema columns."""
-    _require_flat(schema)
-    close = False
-    if isinstance(source, (str, Path)):
-        fh = open(source, "r", encoding="utf-8", newline="")
-        close = True
-    else:
-        fh = source
+def _parse_column(cells, prim_kind: str, colname: str) -> list:
+    """One CSV column's cells parsed by kind; an empty cell is None."""
+    try:
+        if prim_kind == "number":
+            return [float(c) if c else None for c in cells]
+        if prim_kind == "boolean":
+            return [_BOOLEAN_CELLS[c.lower()] if c else None for c in cells]
+    except (ValueError, KeyError):
+        # `_parse_cell` raises at the first cell that does not parse
+        return [_parse_cell(c, prim_kind, colname, i) for i, c in enumerate(cells)]
+    return [c or None for c in cells]
+
+
+def _read_csv(source, no_header: str) -> tuple[list[str], list[list[str]]]:
+    """The header row and the other records of a CSV file or text stream."""
+    close = isinstance(source, (str, Path))
+    fh = open(source, "r", encoding="utf-8", newline="") if close else source
     try:
         reader = _csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"table {schema.name!r}: input has no header row") from None
-        declared = {schema.node(c).name: schema.node(c) for c in schema.root.children}
-        missing = set(declared) - set(header)
-        extra = set(header) - set(declared)
-        if missing or extra:
-            raise IngestError(
-                f"table {schema.name!r}: header mismatch (missing {sorted(missing)}, extra {sorted(extra)})"
-            )
-        rows = []
-        for idx, rec in enumerate(reader):
-            if len(rec) != len(header):
-                raise IngestError(f"row has {len(rec)} fields, header has {len(header)}", ordinal=idx)
-            row = {}
-            for colname, cell in zip(header, rec):
-                row[colname] = _parse_cell(cell, declared[colname].primitive, colname, idx)
-            rows.append(row)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(no_header)
+        return header, list(reader)
     finally:
         if close:
             fh.close()
-    return ingest_rows(rows, schema)
+
+
+def _transpose(recs: list[list[str]], width: int, what: str) -> list:
+    """The columns of `recs`, each of which must have `width` fields."""
+    if set(map(len, recs)) - {width}:
+        i = next(i for i, rec in enumerate(recs) if len(rec) != width)
+        raise IngestError(f"{what} has {len(recs[i])} fields, header has {width}", ordinal=i)
+    return [list(map(itemgetter(k), recs)) for k in range(width)]
+
+
+@collector_paused()
+def ingest_csv(source, schema: Schema) -> SchemaData:
+    """Ingest an RFC-4180 CSV file with a header row matching the schema columns.
+
+    Every row's length is checked first, then each column is parsed and
+    type-checked whole.  Input with one fault raises the `IngestError` a
+    row-by-row parse would; input with faults in several rows may name
+    another of them (the first in the first column that has one).  Every
+    fault named is a real one, with its row's ordinal.
+    """
+    _require_flat(schema)
+    header, recs = _read_csv(source, f"table {schema.name!r}: input has no header row")
+    declared = {schema.node(c).name: schema.node(c).primitive for c in schema.root.children}
+    missing = set(declared) - set(header)
+    extra = set(header) - set(declared)
+    if missing or extra:
+        raise IngestError(
+            f"table {schema.name!r}: header mismatch (missing {sorted(missing)}, extra {sorted(extra)})"
+        )
+    columns = _transpose(recs, len(header), "row")
+    cells = {name: _parse_column(col, declared[name], name) for name, col in zip(header, columns)}
+    return _table_data(schema, len(recs), cells)
 
 
 # ---------------------------------------------------------------------------
 # ingestion: graphs
 
 
+@collector_paused()
 def ingest_graph_tables(vertices: dict[str, list[dict]], edges: dict[str, list], schema: Schema) -> SchemaData:
     """Ingest a property graph from in-memory tables.
 
@@ -753,45 +869,89 @@ def ingest_graph_tables(vertices: dict[str, list[dict]], edges: dict[str, list],
     ``(src_id, dst_id, props)`` tuples.  Vertex order in the input defines the
     column order; edges are grouped by source vertex (stable within a source).
     """
-    data = SchemaData(schema)
-    record_of: dict[str, int] = {}
-    for n in schema.nodes:
-        if n.kind is Kind.RECORD and (n.parent is None or n.name.startswith("#")):
-            record_of[n.name.lstrip("#")] = n.id
-
-    offsets: dict[str, dict] = {}
-    for label, rid in record_of.items():
+    vertex_cells = {}
+    for label in _vertex_records(schema):
         rows = vertices.get(label)
         if rows is None:
+            continue  # `_graph_data` names the missing table
+        try:
+            ids = [row["id"] for row in rows]
+        except KeyError:
+            i = next(i for i, row in enumerate(rows) if "id" not in row)
+            raise IngestError(f"vertex table {label!r} row {i} has no 'id'", ordinal=i) from None
+        names = _graph_prop_kinds(schema, label)
+        vertex_cells[label] = (ids, {name: [row.get(name) for row in rows] for name in names})
+    edge_cells = {}
+    for label, recs in edges.items():
+        props = [rec[2] if len(rec) > 2 else {} for rec in recs]
+        names = _graph_edge_prop_kinds(schema, label)
+        cells = {name: [p.get(name) for p in props] for name in names}
+        edge_cells[label] = ([rec[0] for rec in recs], [rec[1] for rec in recs], cells)
+    return _graph_data(schema, vertex_cells, edge_cells)
+
+
+@collector_paused()
+def ingest_graph(vertex_files: dict[str, object], edge_files: dict[str, object], schema: Schema) -> SchemaData:
+    """Ingest a property graph from CSV files.
+
+    Vertex files: first column is the vertex id, remaining columns are
+    properties matched by name.  Edge files: first two columns are source and
+    destination vertex ids, remaining columns are edge properties.  Files
+    are read column by column, with the fault rule of `ingest_csv`.
+    """
+    vertex_cells = {}
+    for label, path in vertex_files.items():
+        header, recs = _read_csv(path, f"vertex file for {label!r} has no header")
+        columns = _transpose(recs, len(header), "vertex row")
+        ids = columns[0] if columns else ()
+        props = _parse_props(header[1:], columns[1:], _graph_prop_kinds(schema, label))
+        vertex_cells[label] = (ids, props)
+
+    edge_cells = {}
+    for label, path in edge_files.items():
+        header, recs = _read_csv(path, f"edge file for {label!r} has no header")
+        lengths = set(map(len, recs))
+        if lengths and min(lengths) < 2:
+            i = next(i for i, rec in enumerate(recs) if len(rec) < 2)
+            raise IngestError("edge row needs at least src and dst", ordinal=i)
+        width = max(len(header), 2)
+        if lengths - {width}:  # a short row lacks its last properties; a long row's extra cells are ignored
+            recs = [rec[:width] + [""] * (width - len(rec)) for rec in recs]
+        srcs, dsts, *columns = _transpose(recs, width, "edge row")
+        edge_cells[label] = (srcs, dsts, _parse_props(header[2:], columns, _graph_edge_prop_kinds(schema, label)))
+
+    return _graph_data(schema, vertex_cells, edge_cells)
+
+
+def _parse_props(names: list[str], columns: list, kinds: dict[str, str]) -> dict[str, list]:
+    """The parsed cells of each declared property column (by name, the last
+    column of a repeated name winning)."""
+    return {name: _parse_column(col, kinds[name], name) for name, col in zip(names, columns) if name in kinds}
+
+
+def _graph_data(schema: Schema, vertex_cells: dict, edge_cells: dict) -> SchemaData:
+    """A graph's arrays from ``vertex_cells[label] = (ids, {property: cells})``
+    and ``edge_cells[label] = (sources, destinations, {property: cells})``."""
+    data = SchemaData(schema)
+    record_of = _vertex_records(schema)
+    offsets: dict[str, dict] = {}
+    for label, rid in record_of.items():
+        if label not in vertex_cells:
             raise IngestError(f"no vertex table for label {label!r}")
-        idx = {}
-        for i, row in enumerate(rows):
-            if "id" not in row:
-                raise IngestError(f"vertex table {label!r} row {i} has no 'id'", ordinal=i)
-            if row["id"] in idx:
-                raise IngestError(f"duplicate vertex id {row['id']!r} for label {label!r}", ordinal=i)
-            idx[row["id"]] = i
-        offsets[label] = idx
-        data.cardinality[rid] = len(rows)
-        node = schema.node(rid)
-        for cid in node.children:
+        ids, props = vertex_cells[label]
+        offsets[label] = _id_offsets(ids, label)
+        count = data.cardinality[rid] = len(ids)
+        for cid in schema.node(rid).children:
             child = schema.node(cid)
-            if child.kind is not Kind.PRIMITIVE:
-                continue
-            raw, ok = [], []
-            for i, row in enumerate(rows):
-                v, valid = _coerce(row.get(child.name), child.primitive, schema.path_of(cid), i)
-                raw.append(v)
-                ok.append(valid)
-            data.columns[cid] = _column_from_buffers(cid, child.primitive, raw, ok)
+            if child.kind is Kind.PRIMITIVE:
+                cells = props.get(child.name) or [None] * count
+                data.columns[cid] = _column(child, cells, schema.path_of(cid), range(count))
 
     for n in schema.nodes:
         if n.kind is not Kind.ARRAY or not n.name.endswith("#"):
             continue
         label = n.name[:-1]
         src_label = schema.node(n.parent).name.lstrip("#")
-        rows = edges.get(label, [])
-        src_idx, dst_idx, props = [], [], []
         # target label comes from the single child that carries the pointers
         tgt_child = next(
             (schema.node(c) for c in n.children if schema.node(c).kind in (Kind.RECORD, Kind.INDICATOR)),
@@ -800,90 +960,54 @@ def ingest_graph_tables(vertices: dict[str, list[dict]], edges: dict[str, list],
         if tgt_child is None:
             raise SchemaError(f"edge node {n.name!r} has no target child")
         tgt_label = tgt_child.name.lstrip("#")
-        for i, rec in enumerate(rows):
-            src, dst = rec[0], rec[1]
-            extra = rec[2] if len(rec) > 2 else {}
-            if src not in offsets[src_label]:
-                raise IngestError(f"edge {label!r} references unknown {src_label!r} id {src!r}", ordinal=i)
-            if dst not in offsets[tgt_label]:
-                raise IngestError(f"edge {label!r} references unknown {tgt_label!r} id {dst!r}", ordinal=i)
-            src_idx.append(offsets[src_label][src])
-            dst_idx.append(offsets[tgt_label][dst])
-            props.append(extra)
-        order = np.argsort(np.asarray(src_idx, dtype=np.int64), kind="stable") if src_idx else np.array([], dtype=np.int64)
-        src_sorted = np.asarray(src_idx, dtype=np.int64)[order]
-        dst_sorted = np.asarray(dst_idx, dtype=np.int64)[order]
+        srcs, dsts, props = edge_cells.get(label, ((), (), {}))
+        src_idx = np.fromiter(map(offsets[src_label].get, srcs, repeat(-1)), dtype=np.int64, count=len(srcs))
+        dst_idx = np.fromiter(map(offsets[tgt_label].get, dsts, repeat(-1)), dtype=np.int64, count=len(dsts))
+        unknown = np.flatnonzero((src_idx < 0) | (dst_idx < 0))
+        if unknown.size:
+            i = int(unknown[0])
+            side, vid = (src_label, srcs[i]) if src_idx[i] < 0 else (tgt_label, dsts[i])
+            raise IngestError(f"edge {label!r} references unknown {side!r} id {vid!r}", ordinal=i)
+        order = np.argsort(src_idx, kind="stable")
         n_src = data.cardinality[record_of[src_label]]
-        degree = np.bincount(src_sorted, minlength=n_src) if len(src_sorted) else np.zeros(n_src, dtype=np.int64)
-        data.counters[n.id] = CounterArray(node=n.id, boundaries=np.cumsum(degree).astype(np.int64))
+        data.counters[n.id] = CounterArray(node=n.id, boundaries=np.cumsum(np.bincount(src_idx, minlength=n_src)))
         tgt_record = record_of[tgt_label]
-        pointers = IndicatorArray(
+        data.indicators[tgt_child.id] = IndicatorArray(
             node=tgt_child.id,
-            pointers=dst_sorted,
+            pointers=dst_idx[order],
             target=tgt_record,
             target_cardinality=data.cardinality[tgt_record],
         )
-        data.indicators[tgt_child.id] = pointers
         for cid in n.children:
             child = schema.node(cid)
             if child.kind is not Kind.PRIMITIVE:
                 continue
-            raw, ok = [], []
-            for j in order.tolist():
-                v, valid = _coerce(props[j].get(child.name), child.primitive, schema.path_of(cid), j)
-                raw.append(v)
-                ok.append(valid)
-            data.columns[cid] = _column_from_buffers(cid, child.primitive, raw, ok)
+            cells = props.get(child.name)
+            cells = [None] * order.size if cells is None else list(map(cells.__getitem__, order.tolist()))
+            data.columns[cid] = _column(child, cells, schema.path_of(cid), order)
 
     return data.finalize()
 
 
-def ingest_graph(vertex_files: dict[str, object], edge_files: dict[str, object], schema: Schema) -> SchemaData:
-    """Ingest a property graph from CSV files.
+def _vertex_records(schema: Schema) -> dict[str, int]:
+    """Each vertex label's record node."""
+    return {
+        n.name.lstrip("#"): n.id
+        for n in schema.nodes
+        if n.kind is Kind.RECORD and (n.parent is None or n.name.startswith("#"))
+    }
 
-    Vertex files: first column is the vertex id, remaining columns are
-    properties matched by name.  Edge files: first two columns are source and
-    destination vertex ids, remaining columns are edge properties.
-    """
-    vertices: dict[str, list[dict]] = {}
-    for label, path in vertex_files.items():
-        rows = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise IngestError(f"vertex file for {label!r} has no header")
-            prop_kinds = _graph_prop_kinds(schema, label)
-            for idx, rec in enumerate(reader):
-                if len(rec) != len(header):
-                    raise IngestError(f"vertex row has {len(rec)} fields, header has {len(header)}", ordinal=idx)
-                row = {"id": rec[0]}
-                for colname, cell in zip(header[1:], rec[1:]):
-                    kind = prop_kinds.get(colname, "string")
-                    row[colname] = _parse_cell(cell, kind, colname, idx)
-                rows.append(row)
-        vertices[label] = rows
 
-    edges: dict[str, list] = {}
-    for label, path in edge_files.items():
-        recs = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise IngestError(f"edge file for {label!r} has no header")
-            prop_kinds = _graph_edge_prop_kinds(schema, label)
-            for idx, rec in enumerate(reader):
-                if len(rec) < 2:
-                    raise IngestError(f"edge row needs at least src and dst", ordinal=idx)
-                props = {}
-                for colname, cell in zip(header[2:], rec[2:]):
-                    kind = prop_kinds.get(colname, "string")
-                    props[colname] = _parse_cell(cell, kind, colname, idx)
-                recs.append((rec[0], rec[1], props))
-        edges[label] = recs
-
-    return ingest_graph_tables(vertices, edges, schema)
+def _id_offsets(ids, label: str) -> dict:
+    """Each vertex id's offset in its label's vertex order."""
+    offsets = dict(zip(ids, range(len(ids))))
+    if len(offsets) < len(ids):
+        seen = set()
+        for i, vid in enumerate(ids):
+            if vid in seen:
+                raise IngestError(f"duplicate vertex id {vid!r} for label {label!r}", ordinal=i)
+            seen.add(vid)
+    return offsets
 
 
 def _graph_prop_kinds(schema: Schema, label: str) -> dict[str, str]:

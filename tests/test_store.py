@@ -1,20 +1,27 @@
+import csv
+import hashlib
+import io
 import json
+import random
 import zlib
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quest.datagen import generate
+from quest.datagen import generate, random_corpus
 from quest.engine import run_query
 from quest.errors import IngestError, StoreError
-from quest.schema import parse_schema
+from quest.schema import Kind, expand_graph_schema, parse_schema
 from quest.store import (
     MCV_KEEP,
     CounterArray,
     Store,
+    StringDictionary,
     estimate_selectivity,
     ingest_csv,
+    ingest_graph,
     ingest_graph_tables,
     ingest_json,
     ingest_rows,
@@ -27,9 +34,12 @@ from conftest import (
     CAMPAIGN,
     CLICKS,
     EMAIL,
+    PEOPLE_MANIFEST,
     PERSON,
     SOCIAL_EDGE_ROWS,
+    SOCIAL_EDGES,
     SOCIAL_VERTEX_ROWS,
+    SOCIAL_VERTICES,
     WORD,
     WORDSET,
 )
@@ -316,7 +326,7 @@ def test_string_columns_round_trip_encoded(tmp_path, docs):
             assert all(type(v) is str for v in values)
             assert [v if ok else None for v, ok in zip(values, column.validity.tolist())] == want
             assert [v for v, w in zip(values, want) if w is None] == [""] * want.count(None)
-            assert column.dictionary.entries() == sorted(set(values))
+            assert column.dictionary.decode(np.arange(len(column.dictionary))).tolist() == sorted(set(values))
             assert column.unit_size == _walk_unit_size(values)
     write_store(reopened, tmp_path / "b")
     for rel in sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file()):
@@ -411,3 +421,522 @@ def test_block_count_of_unsorted_positions(ads_store):
         io.reset()
         ads_store.scan_values("ads", WORD, positions=np.array(positions))
         assert io.bytes_read == blocks * 16, positions
+
+
+
+# ---------------------------------------------------------------------------
+# column-at-a-time ingest: fault messages, agreeing paths, unchanged bytes
+
+FLAGS_MANIFEST = {
+    "name": "flags",
+    "model": "table",
+    "root": {
+        "name": "flags",
+        "kind": "record",
+        "children": [
+            {"name": "id", "kind": "primitive", "primitive": "string"},
+            {"name": "on", "kind": "primitive", "primitive": "boolean"},
+            {"name": "score", "kind": "primitive", "primitive": "number"},
+        ],
+    },
+}
+
+NESTED_MANIFEST = {
+    "name": "nested",
+    "root": {
+        "name": "Doc",
+        "kind": "record",
+        "children": [
+            {"name": "name", "kind": "primitive", "primitive": "string"},
+            {"name": "scores", "kind": "array", "primitive": "number"},
+            {
+                "name": "items",
+                "kind": "array",
+                "children": [
+                    {"name": "k", "kind": "primitive", "primitive": "number"},
+                    {"name": "flags", "kind": "array", "primitive": "boolean"},
+                    {
+                        "name": "sub",
+                        "kind": "array",
+                        "children": [{"name": "word", "kind": "primitive", "primitive": "string"}],
+                    },
+                ],
+            },
+            {
+                "name": "meta",
+                "kind": "record",
+                "children": [
+                    {"name": "tag", "kind": "primitive", "primitive": "string"},
+                    {"name": "on", "kind": "primitive", "primitive": "boolean"},
+                ],
+            },
+        ],
+    },
+}
+
+LINKED_MANIFEST = {
+    "name": "linked",
+    "root": {
+        "name": "Doc",
+        "kind": "record",
+        "children": [
+            {"name": "name", "kind": "primitive", "primitive": "string"},
+            {"name": "ref", "kind": "indicator", "target": "Doc"},
+        ],
+    },
+}
+
+GOOD_DOC = {"name": "a", "scores": [1, 2.5], "items": [{"k": 1}], "meta": {"tag": "t"}}
+
+
+def _csv(manifest, text):
+    return ingest_csv(io.StringIO(text), parse_schema(manifest))
+
+
+def _docs(manifest, *docs):
+    return ingest_json(list(docs), parse_schema(manifest))
+
+
+def _social(vertices=SOCIAL_VERTEX_ROWS, edges=SOCIAL_EDGE_ROWS):
+    return ingest_graph_tables(vertices, edges, expand_graph_schema(SOCIAL_VERTICES, SOCIAL_EDGES, "Person"))
+
+
+# Each input has exactly one fault.  The messages, paths and ordinals were
+# recorded from the document-at-a-time, row-at-a-time ingest.
+SINGLE_FAULTS = {
+    "csv-bad-number": (
+        lambda: _csv(PEOPLE_MANIFEST, "PID,credit_score,balance\na,700,10\nb,seven,20\n"),
+        "non-numeric value 'seven' in column 'credit_score' [input #1]", None, 1,
+    ),
+    "csv-bad-boolean": (
+        lambda: _csv(FLAGS_MANIFEST, "id,on,score\na,true,1\nb,maybe,2\n"),
+        "non-boolean value 'maybe' in column 'on' [input #1]", None, 1,
+    ),
+    "csv-short-row": (
+        lambda: _csv(PEOPLE_MANIFEST, "PID,credit_score,balance\na,700,10\nb,20\n"),
+        "row has 2 fields, header has 3 [input #1]", None, 1,
+    ),
+    "csv-header-mismatch": (
+        lambda: _csv(PEOPLE_MANIFEST, "PID,score,balance\na,700,10\n"),
+        "table 'people': header mismatch (missing ['credit_score'], extra ['score'])", None, None,
+    ),
+    "doc-number-in-string": (
+        lambda: _docs(NESTED_MANIFEST, GOOD_DOC, {**GOOD_DOC, "name": 5}),
+        "expected a string, got 5 (at Doc.name) [input #1]", "Doc.name", 1,
+    ),
+    "doc-string-in-number-array": (
+        lambda: _docs(NESTED_MANIFEST, GOOD_DOC, {**GOOD_DOC, "scores": [1, "x"]}),
+        "expected a number, got 'x' (at Doc.scores) [input #1]", "Doc.scores", 1,
+    ),
+    "doc-unknown-field-in-element": (
+        lambda: _docs(NESTED_MANIFEST, GOOD_DOC, {**GOOD_DOC, "items": [{"k": 1}, {"k": 2, "z": 3}]}),
+        "unknown fields ['z'] (at Doc.items) [input #1]", "Doc.items", 1,
+    ),
+    "doc-scalar-element": (
+        lambda: _docs(NESTED_MANIFEST, GOOD_DOC, {**GOOD_DOC, "items": [{"k": 1}, 7]}),
+        "array elements must be objects, got 7 (at Doc.items) [input #1]", "Doc.items", 1,
+    ),
+    "doc-object-for-array": (
+        lambda: _docs(NESTED_MANIFEST, GOOD_DOC, {**GOOD_DOC, "scores": {"a": 1}}),
+        "expected an array, got {'a': 1} (at Doc.scores) [input #1]", "Doc.scores", 1,
+    ),
+    "doc-object-for-array-after-missing": (
+        lambda: _docs(NESTED_MANIFEST, {"name": "a"}, {**GOOD_DOC, "scores": {"a": 1}}),
+        "expected an array, got {'a': 1} (at Doc.scores) [input #1]", "Doc.scores", 1,
+    ),
+    "doc-object-for-array-after-null": (
+        lambda: _docs(NESTED_MANIFEST, {**GOOD_DOC, "scores": None}, {**GOOD_DOC, "scores": {"a": 1}}),
+        "expected an array, got {'a': 1} (at Doc.scores) [input #1]", "Doc.scores", 1,
+    ),
+    "doc-scalar-for-record": (
+        lambda: _docs(NESTED_MANIFEST, GOOD_DOC, {**GOOD_DOC, "meta": "t"}),
+        "expected an object, got 't' (at Doc.meta) [input #1]", "Doc.meta", 1,
+    ),
+    "doc-unknown-field": (
+        lambda: _docs(NESTED_MANIFEST, GOOD_DOC, {**GOOD_DOC, "extra": 1}),
+        "unknown fields ['extra'] (at Doc) [input #1]", "Doc", 1,
+    ),
+    "doc-indicator": (
+        lambda: _docs(LINKED_MANIFEST, {"name": "a"}, {"name": "b"}),
+        "indicator fields cannot be ingested from documents (at Doc.ref) [input #0]", "Doc.ref", 0,
+    ),
+    "graph-unknown-source": (
+        lambda: _social(edges={**SOCIAL_EDGE_ROWS, "know": [("p1", "p2"), ("zz", "p1")]}),
+        "edge 'know' references unknown 'Person' id 'zz' [input #1]", None, 1,
+    ),
+    "graph-unknown-destination": (
+        lambda: _social(edges={**SOCIAL_EDGE_ROWS, "like": [("p1", "m1"), ("p2", "m9")]}),
+        "edge 'like' references unknown 'Message' id 'm9' [input #1]", None, 1,
+    ),
+    "graph-duplicate-id": (
+        lambda: _social({**SOCIAL_VERTEX_ROWS, "Message": [{"id": "m1"}, {"id": "m2"}, {"id": "m1", "tag": "z"}]}),
+        "duplicate vertex id 'm1' for label 'Message' [input #2]", None, 2,
+    ),
+    "graph-no-id": (
+        lambda: _social({**SOCIAL_VERTEX_ROWS, "Person": [{"id": "p1"}, {"id": "p2"}, {"name": "cy"}]}),
+        "vertex table 'Person' row 2 has no 'id' [input #2]", None, 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGLE_FAULTS))
+def test_ingest_errors_name_the_fault(case):
+    ingest, message, path, ordinal = SINGLE_FAULTS[case]
+    with pytest.raises(IngestError) as err:
+        ingest()
+    assert (str(err.value), err.value.path, err.value.ordinal) == (message, path, ordinal)
+
+
+def test_list_and_dict_subclasses_shred_like_their_bases():
+    class Items(list):
+        pass
+
+    class Fields(dict):
+        pass
+
+    plain = [{"scores": None, "meta": None}, {**GOOD_DOC, "scores": [3, 4], "meta": {"tag": "x"}}]
+    subclassed = [plain[0], {**plain[1], "scores": Items([3, 4]), "meta": Fields(tag="x")}]
+    _assert_same_data(_docs(NESTED_MANIFEST, *subclassed), _docs(NESTED_MANIFEST, *plain))
+
+
+def test_several_faults_name_a_real_one():
+    """Faults are found column by column (node by node for documents), so
+    with several the first in input order need not be the one named."""
+    with pytest.raises(IngestError) as err:
+        _docs(NESTED_MANIFEST, GOOD_DOC, {**GOOD_DOC, "scores": [1, "x"]}, {**GOOD_DOC, "name": 7}, {**GOOD_DOC, "meta": 2})
+    assert (str(err.value), err.value.ordinal) in {
+        ("expected a number, got 'x' (at Doc.scores) [input #1]", 1),
+        ("expected a string, got 7 (at Doc.name) [input #2]", 2),
+        ("expected an object, got 2 (at Doc.meta) [input #3]", 3),
+    }
+    with pytest.raises(IngestError) as err:
+        _csv(PEOPLE_MANIFEST, "PID,credit_score,balance\na,700,10\nb,1,x\nc,y,3\n")
+    assert (str(err.value), err.value.ordinal) in {
+        ("non-numeric value 'x' in column 'balance' [input #1]", 1),
+        ("non-numeric value 'y' in column 'credit_score' [input #2]", 2),
+    }
+
+
+def _assert_same_data(a, b):
+    """Every column, validity bitmap, counter, indicator and stats entry equal."""
+    assert a.cardinality == b.cardinality
+    assert a.counters.keys() == b.counters.keys()
+    for nid, ctr in a.counters.items():
+        assert ctr.boundaries.tolist() == b.counters[nid].boundaries.tolist(), nid
+    assert a.indicators.keys() == b.indicators.keys()
+    for nid, ind in a.indicators.items():
+        other = b.indicators[nid]
+        assert (ind.target, ind.target_cardinality) == (other.target, other.target_cardinality)
+        assert ind.pointers.tolist() == other.pointers.tolist(), nid
+    assert a.columns.keys() == b.columns.keys()
+    for nid, col in a.columns.items():
+        other = b.columns[nid]
+        assert (col.kind, col.stored.dtype) == (other.kind, other.stored.dtype), nid
+        assert col.stored.tolist() == other.stored.tolist(), nid
+        assert col.validity.tolist() == other.validity.tolist(), nid
+        if col.dictionary is not None:
+            assert col.dictionary.lengths.tolist() == other.dictionary.lengths.tolist(), nid
+            assert col.dictionary.blob == other.dictionary.blob, nid
+    assert {k: s.to_json() for k, s in a.stats.items()} == {k: s.to_json() for k, s in b.stats.items()}
+
+
+def _cells(row: dict, names) -> list[str]:
+    # as `quest gen` writes a cell; an empty cell reads back as a null
+    return ["" if row.get(n) is None else str(row[n]).lower() if isinstance(row[n], bool) else str(row[n]) for n in names]
+
+
+# an empty CSV cell is a null, so the rows hold None where the CSV is empty
+TABLE_ROWS = [
+    {"id": "a", "on": True, "score": 1},
+    {"id": None, "on": False, "score": 2.5},
+    {"id": "zürich 日本 \U0001f600", "on": None, "score": None},
+    {"id": "a", "score": -0.0},
+    {"id": 'x,"quoted"\nline', "on": True, "score": 1e300},
+]
+
+
+@pytest.mark.parametrize("rows", [TABLE_ROWS, []], ids=["rows", "empty"])
+def test_csv_and_rows_ingest_agree(rows):
+    schema = parse_schema(FLAGS_MANIFEST)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["id", "on", "score"])
+    writer.writerows(_cells(row, ["id", "on", "score"]) for row in rows)
+    from_csv = ingest_csv(io.StringIO(buf.getvalue()), schema)
+    _assert_same_data(from_csv, ingest_rows(rows, schema))
+    ids = from_csv.columns[1]
+    assert [v if ok else None for v, ok in zip(ids.values.tolist(), ids.validity.tolist())] == [r.get("id") for r in rows]
+
+
+def _graph_schema():
+    vertices = [
+        {"label": "Person", "properties": [{"name": "name", "primitive": "string"}, {"name": "age", "primitive": "number"}]},
+        {"label": "Message", "properties": [{"name": "tag", "primitive": "string"}]},
+    ]
+    edges = [
+        {
+            "label": "know",
+            "from": "Person",
+            "to": "Person",
+            "properties": [{"name": "since", "primitive": "number"}, {"name": "note", "primitive": "string"}],
+        },
+        {"label": "like", "from": "Person", "to": "Message"},
+    ]
+    return expand_graph_schema(vertices, edges, "Person", name="g")
+
+
+GRAPH_VERTICES = {
+    "Person": [
+        {"id": "p1", "name": "ann", "age": 30},
+        {"id": "p2", "name": None, "age": 41.5},
+        {"id": "p3", "name": "zürich 日本 \U0001f600"},
+    ],
+    "Message": [{"id": "m1", "tag": "x"}, {"id": "m2", "tag": None}],
+}
+GRAPH_EDGES = {
+    "know": [
+        ("p3", "p1", {"since": 2001, "note": "été"}),
+        ("p1", "p2", {"since": None}),
+        ("p1", "p3"),  # written as a row with no property cells
+        ("p3", "p2", {"note": "b"}),
+    ],
+    "like": [("p2", "m2"), ("p1", "m1")],
+}
+GRAPH_PROPS = {"Person": ["name", "age"], "Message": ["tag"], "know": ["since", "note"], "like": []}
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["graph", "empty"])
+def test_graph_files_and_tables_agree(tmp_path, empty):
+    vertices = {label: [] for label in GRAPH_VERTICES} if empty else GRAPH_VERTICES
+    edges = {label: [] for label in GRAPH_EDGES} if empty else GRAPH_EDGES
+    vertex_files, edge_files = {}, {}
+    for label, rows in vertices.items():
+        vertex_files[label] = tmp_path / f"v_{label}.csv"
+        with open(vertex_files[label], "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", *GRAPH_PROPS[label]])
+            writer.writerows([row["id"], *_cells(row, GRAPH_PROPS[label])] for row in rows)
+    for label, recs in edges.items():
+        edge_files[label] = tmp_path / f"e_{label}.csv"
+        with open(edge_files[label], "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["src", "dst", *GRAPH_PROPS[label]])
+            writer.writerows([*rec[:2], *(_cells(rec[2], GRAPH_PROPS[label]) if len(rec) > 2 else [])] for rec in recs)
+    schema = _graph_schema()
+    from_files = ingest_graph(vertex_files, edge_files, schema)
+    _assert_same_data(from_files, ingest_graph_tables(vertices, edges, schema))
+    if not empty:  # know edges grouped by source: p1->p2, p1->p3, p3->p1, p3->p2
+        since = from_files.columns[schema.resolve(["know#", "since"]).id]
+        assert since.values.tolist() == [0.0, 0.0, 2001.0, 0.0]
+        assert since.validity.tolist() == [False, False, True, False]
+        assert from_files.columns[schema.resolve(["name"]).id].values.tolist()[2] == "zürich 日本 \U0001f600"
+
+
+def _walk_documents(docs, schema):
+    """A document-at-a-time walk: each value node's cells, each array's boundaries."""
+    cells = {n.id: [] for n in schema.nodes if n.has_values}
+    bounds = {n.id: [] for n in schema.nodes if n.kind is Kind.ARRAY}
+
+    def walk(node, value):
+        if node.kind is Kind.PRIMITIVE:
+            cells[node.id].append(value)
+        elif node.kind is Kind.ARRAY:
+            items = value or []
+            bounds[node.id].append((bounds[node.id] or [0])[-1] + len(items))
+            for item in items:
+                if node.has_values:
+                    cells[node.id].append(item)
+                else:
+                    fields(node, item)
+        else:
+            fields(node, value or {})
+
+    def fields(node, obj):
+        for cid in node.children:
+            walk(schema.node(cid), obj.get(schema.node(cid).name))
+
+    for doc in docs:
+        walk(schema.root, doc)
+    return cells, bounds
+
+
+_WORDS = ["", "a", "a\x00", "\u00e9", "\u65e5\u672c", "\U0001f600", "zz"]
+
+
+def _random_documents(seed: int) -> list[dict]:
+    """Documents for `NESTED_MANIFEST`; any field may be absent or null."""
+    rng = np.random.default_rng(seed)
+
+    def fields(**makers):
+        obj = {}
+        for name, make in makers.items():
+            roll = rng.random()
+            if roll < 0.7:
+                obj[name] = make()
+            elif roll < 0.85:
+                obj[name] = None
+        return obj
+
+    def listing(make, most):
+        return [make() for _ in range(rng.integers(0, most + 1))]
+
+    def nullable(make):
+        return lambda: None if rng.random() < 0.2 else make()
+
+    def number():
+        return int(rng.integers(-3, 4)) if rng.random() < 0.5 else float(rng.normal())
+
+    def word():
+        return _WORDS[rng.integers(len(_WORDS))]
+
+    def boolean():
+        return bool(rng.integers(2))
+
+    def item():
+        return fields(
+            k=number,
+            flags=lambda: listing(nullable(boolean), 3),
+            sub=lambda: listing(lambda: fields(word=word), 3),
+        )
+
+    def document():
+        return fields(
+            name=word,
+            scores=lambda: listing(nullable(number), 4),
+            items=lambda: listing(item, 3),
+            meta=lambda: fields(tag=word, on=boolean),
+        )
+
+    return [document() for _ in range(rng.integers(0, 8))]
+
+
+NESTED_DOCUMENTS = {
+    "empty": [],
+    "null-and-missing": [{}, {"items": None, "meta": None, "scores": None}, {"items": [{"sub": None}, {}], "meta": {}}],
+    "empty-strings": [{"name": "", "scores": []}, {"name": "a\x00", "items": [{"sub": [{}, {"word": ""}]}]}],
+    **{f"seed-{seed}": _random_documents(seed) for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("case", list(NESTED_DOCUMENTS))
+def test_documents_shred_as_a_document_walk(case):
+    docs = NESTED_DOCUMENTS[case]
+    schema = parse_schema(NESTED_MANIFEST)
+    data = ingest_json(docs, schema)
+    cells, bounds = _walk_documents(docs, schema)
+    for nid, want in cells.items():
+        col = data.columns[nid]
+        assert [v if ok else None for v, ok in zip(col.values.tolist(), col.validity.tolist())] == want, nid
+    for nid, want in bounds.items():
+        assert data.counters[nid].boundaries.tolist() == want, nid
+    assert data.cardinality[0] == len(docs)
+
+
+def test_document_files_and_objects_agree(tmp_path):
+    path = tmp_path / "docs.ndjson"
+    path.write_text("\n".join(json.dumps(doc) for doc in TEXT_DOCS) + "\n\n", encoding="utf-8")
+    schema = parse_schema(TEXT_MANIFEST)
+    from_objects = ingest_json(TEXT_DOCS, schema)
+    _assert_same_data(ingest_json(path, schema), from_objects)
+    _assert_same_data(ingest_json([json.dumps(doc) for doc in TEXT_DOCS], schema), from_objects)
+
+
+@pytest.mark.parametrize("config", ["tiny-3", "random-8"])
+def test_store_files_match_recorded_digests(tmp_path, config):
+    """`ingest` and `index` write the same bytes as the document-at-a-time
+    ingest did; the digests were recorded from it.  `tiny-3` is `quest gen
+    --scale tiny --seed 3`.  At `tiny` the seed reaches only the people
+    table, so `random-8` adds the raw files of `random_corpus` (ragged and
+    empty arrays, missing fields, empty CSV cells) at seed 8."""
+    from click.testing import CliRunner
+
+    from quest.cli import _write_raw, main
+
+    want = json.loads((Path(__file__).parent / "data" / "store_sha256.json").read_text())[config]
+    kind, seed = config.split("-")
+    root = tmp_path / "store"
+    steps = [["ingest", "--store", root], ["index", "--store", root]]
+    if kind == "tiny":
+        steps.insert(0, ["gen", "--store", root, "--scale", "tiny", "--seed", seed])
+    else:
+        raw = root / "raw"
+        raw.mkdir(parents=True)
+        files = _write_raw(random_corpus(random.Random(int(seed))), raw)
+        (raw / "gen.json").write_text(json.dumps({"files": files}), encoding="utf-8")
+    for step in steps:
+        result = CliRunner().invoke(main, [str(a) for a in step])
+        assert result.exit_code == 0, result.output
+    got = {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in root.rglob("*") if p.is_file()}
+    assert got == want
+
+
+DICTIONARY_LEFT = ["", "a", "a\x00", "a\x00\x00", "a\x00b", "ab", "é", "€", "\U0001d11e", "\U0010ffff", "left", "z\x00"]
+DICTIONARY_RIGHT = ["a", "a\x00", "a\x00b", "a\x01", "b", "é", "€\x00", "\U0001d11e", "right", "z", "z\x00", ""]
+
+
+def test_dictionary_translation_matches_entries_by_bytes():
+    def undecoded(values):
+        d = StringDictionary.from_sorted(sorted(set(values)))
+        return StringDictionary(d.lengths, d.blob)
+
+    rng = random.Random(5)
+    # entries of many lengths over a few letters, NUL and multi-byte ones, and one long entry
+    drawn = [["".join(rng.choices("a\x00é€\U0001d11e", k=rng.randint(0, 6))) for _ in range(300)] + ["a" * 5000] for _ in range(2)]
+    cases = [(DICTIONARY_LEFT, DICTIONARY_RIGHT), (DICTIONARY_RIGHT, DICTIONARY_LEFT), ([], DICTIONARY_LEFT), (DICTIONARY_LEFT, []), drawn]
+    for mine, theirs in cases:
+        ordered = sorted(set(mine))
+        want = [ordered.index(v) if v in ordered else -1 for v in sorted(set(theirs))]
+        left, right = undecoded(mine), undecoded(theirs)
+        codes = left.translate(right)
+        assert codes.dtype == np.int32 and codes.tolist() == want
+        assert not left._decoded.any() and not right._decoded.any()
+
+
+@pytest.mark.parametrize("block_size", [16, 4096])
+def test_block_count_equals_the_float_formula(ads_store, block_size):
+    rng = np.random.default_rng(7)
+    io_stats = ads_store.io
+    io_stats.block_size = block_size
+    for unit_size in (1.0, 6.0, 8.0, 11.37, 0.3, 0.7):
+        for positions in (np.sort(rng.choice(100_000, 500, replace=False)), rng.integers(0, 100_000, 500), np.array([5])):
+            io_stats.reset()
+            io_stats.record_column("k", positions, unit_size, 100_000)
+            blocks = np.unique((positions * unit_size // block_size).astype(np.int64)).size
+            assert io_stats.bytes_read == blocks * block_size
+
+
+@pytest.mark.parametrize("block_size", [0, 1000])
+def test_block_size_must_be_a_power_of_two(block_size):
+    with pytest.raises(StoreError, match="power of two"):
+        Store(block_size=block_size)
+
+
+@pytest.mark.parametrize("was_enabled", [True, False], ids=["enabled", "disabled"])
+def test_ingest_pauses_the_collector_and_restores_it(people_schema, was_enabled):
+    import gc
+
+    rows = [{"PID": f"p{i}", "credit_score": float(i), "balance": None} for i in range(3000)]
+    text = "PID,credit_score,balance\n" + "".join(f"p{i},{i},\n" for i in range(3000))
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(100)
+    gc.callbacks.append(count)
+    if not was_enabled:
+        gc.disable()
+    try:
+        ingested = [ingest_csv(io.StringIO(text), people_schema), ingest_json(rows, people_schema)]
+        assert gc.isenabled() == was_enabled
+    finally:
+        gc.enable()
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    # unpaused, the 3000-row inputs start dozens; paused, at most the first
+    # allocation after each call starts a young collection
+    assert len(started) <= 2 and set(started) <= {0}, started
+    for data in ingested:
+        _assert_same_data(data, ingest_rows(rows, people_schema))
