@@ -15,7 +15,6 @@ from .errors import (
     SchemaError,
     StoreError,
 )
-from .oracle import oracle_evaluate, oracle_query
 from .query import parse_query
 from .schema import Kind, Link, Schema, SchemaNode, expand_graph_schema, parse_schema, serialize_schema
 from .store import (
@@ -24,16 +23,30 @@ from .store import (
     PrimitiveColumn,
     SchemaData,
     Store,
-    ingest_csv,
-    ingest_graph,
-    ingest_graph_tables,
-    ingest_json,
-    ingest_rows,
     open_store,
     write_store,
 )
 
 __version__ = "0.1.0"
+
+# names whose modules a query never needs: each is imported on first use
+_LAZY = {
+    "ingest_csv": "ingest",
+    "ingest_graph": "ingest",
+    "ingest_graph_tables": "ingest",
+    "ingest_json": "ingest",
+    "ingest_rows": "ingest",
+    "oracle_evaluate": "oracle",
+    "oracle_query": "oracle",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "QuestError",

@@ -31,10 +31,9 @@ from .errors import (
     StoreError,
 )
 from .optimizer import CostParams, explain_plan, plan_query
-from .oracle import oracle_query
 from .query import parse_query
 from .skiptree import build_skip_tree, load_skiptree, remove_skiptree, write_skiptree
-from .store import Store, ingest_csv, ingest_graph, ingest_json, open_store, write_store
+from .store import Store, open_store, write_store
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -175,6 +174,7 @@ def gen(store_dir, seed, scale, high, low):
 def ingest(store_dir):
     """Load the raw files into the columnar store layout."""
     from . import datagen
+    from .ingest import ingest_csv, ingest_graph, ingest_json  # imported here: queries do not need them
 
     family_schemas = {
         "ads": datagen.ads_schema,
@@ -259,10 +259,11 @@ def _load_indexes(store: Store, names) -> tuple[dict, list[str]]:
 
 def _emit_rows(columns: list[str], rows, fmt: str) -> None:
     if fmt == "json":
-        click.echo(json.dumps({"columns": columns, "rows": [list(r) for r in rows]}))
+        # json writes a tuple as an array
+        click.echo(json.dumps({"columns": columns, "rows": rows}))
     elif fmt == "ndjson":
         for r in rows:
-            click.echo(json.dumps(list(r)))
+            click.echo(json.dumps(r))
     else:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -305,6 +306,8 @@ def query(store_dir, no_skiptree, use_oracle, fmt, timeout, query_doc):
     q = _parse(store, doc)
     columns = [f.path for f in q.fetch]
     if use_oracle:
+        from .oracle import oracle_query  # imported here: the engine does not need it
+
         rows = oracle_query(store, q)
         stats = {"evaluator": "oracle"}
     else:

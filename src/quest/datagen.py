@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .schema import Schema, expand_graph_schema, parse_schema
-from .store import SchemaData, Store, ingest_graph_tables, ingest_json, ingest_rows
+from .ingest import ingest_graph_tables, ingest_json, ingest_rows
+from .store import SchemaData, Store
 
 PRESETS = {"tiny": 1_000, "small": 100_000, "medium": 1_000_000}
 

@@ -79,8 +79,9 @@ class CostParams:
             schema_name, node_id = key
             data = store.data(schema_name)
             params.G[key] = float(data.cardinality[node_id])
-            column = data.columns.get(node_id)
-            params.S[key] = column.unit_size if column is not None else 0.0
+            # the manifest's statistics, so that planning reads no column file
+            stats = data.stats.get(node_id)
+            params.S[key] = stats.unit_size if stats is not None else 0.0
         return params
 
 

@@ -13,13 +13,10 @@ everything else is one-to-one with its parent.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import SchemaError
-
-log = logging.getLogger(__name__)
 
 PRIMITIVE_KINDS = ("string", "number", "boolean", "null")
 
@@ -102,13 +99,6 @@ class Schema:
     def subtree_interval(self, node_id: int) -> SubtreeInterval:
         lo, hi = self._intervals[node_id]
         return SubtreeInterval(node_id, lo, hi)
-
-    def is_ancestor(self, anc: int, desc: int) -> bool:
-        """True when `anc` is an ancestor of `desc` (a node is not its own ancestor)."""
-        if anc == desc:
-            return False
-        lo, hi = self._intervals[anc]
-        return lo < self._preorder[desc] <= hi
 
     def ancestors(self, node_id: int) -> list[int]:
         """Proper ancestors from parent up to the root."""
@@ -375,6 +365,10 @@ def expand_graph_schema(
 
     skipped = [e["label"] for e in edges if e["from"] not in placed]
     if skipped:
-        log.warning("graph expansion from %r leaves edge labels unreachable: %s", root_label, skipped)
+        import logging  # its only use: importing it costs every command
+
+        logging.getLogger(__name__).warning(
+            "graph expansion from %r leaves edge labels unreachable: %s", root_label, skipped
+        )
 
     return Schema(name, nodes, model_tag="graph")

@@ -13,30 +13,29 @@ Every instance-bearing node owns exactly one column file:
   target node's instance space.
 
 Files carry a fixed header (magic ``QSTC``, version, kind, cardinality) and a
-CRC32 trailer; offsets are 64-bit little-endian.  All reads go through the
-owning `Store` so that I/O counters reflect what a query actually touched.
+CRC32 trailer; offsets are 64-bit little-endian.  An opened store reads a
+schema's files on the first use of its arrays (see `open_store`).  All reads
+go through the owning `Store` so that I/O counters reflect what a query
+actually touched.
 """
 from __future__ import annotations
 
 import bisect
-import csv as _csv
 import gc
 import json
 import math
+import os
 import struct
 import zlib
-from collections import Counter as _TallyCounter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, repeat
-from operator import itemgetter
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IngestError, SchemaError, StoreError
-from .schema import Kind, Link, Schema, parse_schema, serialize_schema
+from .errors import StoreError
+from .schema import Link, Schema, parse_schema, serialize_schema
 
 MAGIC = b"QSTC"
 FORMAT_VERSION = 2
@@ -278,10 +277,8 @@ class PrimitiveColumn:
 
 
 # ---------------------------------------------------------------------------
-# per-column statistics (used by the optimizer's selectivity estimates)
-
-HISTOGRAM_BUCKETS = 64
-MCV_KEEP = 16
+# per-column statistics (used by the optimizer's selectivity estimates;
+# `ingest.build_stats` builds them)
 
 
 @dataclass
@@ -318,47 +315,6 @@ class ColumnStats:
         )
 
 
-def build_stats(column: PrimitiveColumn) -> ColumnStats:
-    stats = ColumnStats(cardinality=column.cardinality, unit_size=round(column.unit_size, 4))
-    if column.dictionary is not None:
-        return _string_stats(column, stats)
-    valid = column.values[column.validity]
-    n = len(valid)
-    if n == 0:
-        stats.distinct = 0
-        return stats
-    tally = _TallyCounter(valid.tolist())
-    stats.distinct = len(tally)
-    ordered = sorted(tally)
-    stats.vmin, stats.vmax = ordered[0], ordered[-1]
-    total = column.cardinality
-    stats.mcv = {v: c / total for v, c in tally.most_common(MCV_KEEP)}
-    if column.kind == "number":
-        svals = np.sort(np.asarray(valid, dtype=np.float64))
-        cuts = np.linspace(0, n - 1, HISTOGRAM_BUCKETS + 1).astype(np.int64)
-        stats.bounds = [float(svals[i]) for i in cuts]
-    return stats
-
-
-def _string_stats(column: PrimitiveColumn, stats: ColumnStats) -> ColumnStats:
-    """String statistics from the codes; the dictionary is already sorted."""
-    codes = column.stored[column.validity]
-    if codes.size == 0:
-        stats.distinct = 0
-        return stats
-    counts = np.bincount(codes, minlength=len(column.dictionary))
-    present = np.flatnonzero(counts)
-    stats.distinct = int(present.size)
-    stats.vmin, stats.vmax = column.dictionary.decode(present[[0, -1]]).tolist()
-    # most common first, ties to the value seen first (as Counter.most_common)
-    first = np.full(len(column.dictionary), codes.size)
-    np.minimum.at(first, codes, np.arange(codes.size))
-    top = present[np.lexsort((first[present], -counts[present]))[:MCV_KEEP]]
-    shares = (counts[top] / column.cardinality).tolist()
-    stats.mcv = dict(zip(column.dictionary.decode(top).tolist(), shares))
-    return stats
-
-
 def estimate_selectivity(stats: ColumnStats, op: str, operand) -> float:
     """Fraction of instances expected to pass ``value <op> operand``."""
     if stats.cardinality == 0 or stats.distinct in (0, None):
@@ -386,39 +342,53 @@ def estimate_selectivity(stats: ColumnStats, op: str, operand) -> float:
 
 
 class SchemaData:
-    """All columns, counters, and indicators for one schema."""
+    """All columns, counters, and indicators for one schema.
 
-    def __init__(self, schema: Schema):
+    Data opened from disk is given `load`, which reads its arrays: the
+    first use of `columns`, `counters` or `indicators` calls it and
+    validates what it returns (see `open_store`).  A load that fails
+    keeps no arrays, and every later use raises its error again.
+    """
+
+    def __init__(self, schema: Schema, load=None):
         self.schema = schema
-        self.columns: dict[int, PrimitiveColumn] = {}
-        self.counters: dict[int, CounterArray] = {}
-        self.indicators: dict[int, IndicatorArray] = {}
         self.cardinality: dict[int, int] = {}
         self.stats: dict[int, ColumnStats] = {}
         # height-0 Skip-Tree for delivery without an index
         # (`skiptree.layered_tree` builds it on first use)
         self.layered_tree = None
+        self._load = load
+        self._arrays = None if load else ({}, {}, {})
+        self._failure: str | None = None
 
     @property
     def name(self) -> str:
         return self.schema.name
 
-    def finalize(self) -> "SchemaData":
-        """Derive identity-link cardinalities, build stats, and validate."""
-        for nid in self.schema.preorder:
-            node = self.schema.node(nid)
-            if node.link is Link.ROOT:
-                self.cardinality.setdefault(nid, 0)
-            elif node.link is Link.COUNTER:
-                self.cardinality[nid] = self.counters[nid].child_cardinality
-            elif node.link is Link.INDICATOR:
-                pass  # set explicitly at ingest (vertex count)
-            else:
-                self.cardinality[nid] = self.cardinality[node.parent]
-        for nid, col in self.columns.items():
-            self.stats[nid] = build_stats(col)
-        self.validate()
-        return self
+    @property
+    def columns(self) -> dict[int, PrimitiveColumn]:
+        return self._loaded()[0]
+
+    @property
+    def counters(self) -> dict[int, CounterArray]:
+        return self._loaded()[1]
+
+    @property
+    def indicators(self) -> dict[int, IndicatorArray]:
+        return self._loaded()[2]
+
+    def _loaded(self) -> tuple[dict, dict, dict]:
+        if self._arrays is None:
+            if self._failure is not None:
+                raise StoreError(self._failure)
+            try:
+                self._arrays = self._load()
+                self.validate()
+            except (StoreError, OSError) as exc:
+                self._arrays = None
+                self._failure = str(exc)
+                raise StoreError(self._failure) from exc
+        return self._arrays
 
     def validate(self) -> None:
         sch = self.schema
@@ -582,12 +552,7 @@ class Store:
 
 
 # ---------------------------------------------------------------------------
-# ingestion: one column at a time
-#
-# Every input family is shredded into columns of cells (Python values,
-# None for null), and each column is type-checked and built as a whole.
-# Ingest holds all its input's parsed values at once, so it runs with the
-# cyclic collector paused (see `collector_paused`).
+# bulk building: ingest and row regeneration
 
 
 @contextmanager
@@ -607,429 +572,14 @@ def collector_paused():
             gc.enable()
 
 
-_NONE = type(None)
-# the cell types a column of each kind takes without a per-cell check
-_PLAIN_TYPES = {"number": {int, float}, "string": {str}, "boolean": {bool}, "null": set()}
-_NULL_VALUES = {"number": 0.0, "string": "", "boolean": False, "null": 0.0}
+def __getattr__(name: str):
+    """The `ingest_*` functions, which live in `quest.ingest`; it is
+    imported on first use, so opening and querying a store never loads it."""
+    if name.startswith("ingest_"):
+        from . import ingest
 
-
-def _coerce(value, prim_kind: str, path: str, ordinal: int):
-    """Type-check one scalar; returns (value, valid). None means null."""
-    if value is None:
-        return _NULL_VALUES[prim_kind], False
-    if prim_kind == "number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise IngestError(f"expected a number, got {value!r}", path=path, ordinal=ordinal)
-        return float(value), True
-    if prim_kind == "string":
-        if not isinstance(value, str):
-            raise IngestError(f"expected a string, got {value!r}", path=path, ordinal=ordinal)
-        return value, True
-    if prim_kind == "boolean":
-        if not isinstance(value, bool):
-            raise IngestError(f"expected a boolean, got {value!r}", path=path, ordinal=ordinal)
-        return value, True
-    if prim_kind == "null":
-        raise IngestError(f"null-kind field cannot hold {value!r}", path=path, ordinal=ordinal)
-    raise IngestError(f"unknown primitive kind {prim_kind!r}", path=path)
-
-
-def _coerce_column(cells, prim_kind: str, path: str, ordinals):
-    """Type-check a whole column of cells; returns (raw values, validity).
-
-    `ordinals[i]` is the input unit (row, document or edge) cell `i` came
-    from.  The set of cell types is checked once; only a column holding
-    another type is walked with `_coerce`, which raises at its first bad
-    cell (or converts a subclass, as it does a single value).
-    """
-    types = set(map(type, cells))
-    nulls = _NONE in types
-    types.discard(_NONE)
-    if not types <= _PLAIN_TYPES.get(prim_kind, set()):
-        checked = [_coerce(v, prim_kind, path, int(o)) for v, o in zip(cells, ordinals)]
-        return [v for v, _ in checked], [ok for _, ok in checked]
-    if not nulls:
-        return cells, np.ones(len(cells), dtype=bool)
-    null = _NULL_VALUES[prim_kind]
-    return [null if v is None else v for v in cells], [v is not None for v in cells]
-
-
-def _column(node, cells, path: str, ordinals) -> PrimitiveColumn:
-    """`node`'s value column built from its cells (see `_coerce_column`)."""
-    raw, valid = _coerce_column(cells, node.primitive, path, ordinals)
-    validity = np.asarray(valid, dtype=bool)
-    if node.primitive == "string":
-        # nulls hold "", so "" is in the dictionary whenever a null is;
-        # first-seen order makes the sort a single pass on sorted input
-        code_of = dict.fromkeys(raw)
-        ordered = sorted(code_of)
-        code_of.update(zip(ordered, range(len(ordered))))
-        codes = np.fromiter(map(code_of.__getitem__, raw), dtype=np.int32, count=len(raw))
-        return PrimitiveColumn(node.id, "string", codes, validity, StringDictionary.from_sorted(ordered))
-    dtype = bool if node.primitive == "boolean" else np.float64
-    return PrimitiveColumn(node.id, node.primitive, np.asarray(raw, dtype=dtype), validity)
-
-
-# ---------------------------------------------------------------------------
-# ingestion: documents
-
-
-@collector_paused()
-def ingest_json(source, schema: Schema) -> SchemaData:
-    """Shred a stream of documents (dicts, JSON lines, or a file path).
-
-    Shredding goes one schema node at a time, in preorder, over all the
-    documents.  Input with one fault raises the `IngestError` a
-    document-by-document walk would; input with faults in several
-    documents may name another of them, since faults are found node by
-    node.  Every fault named is a real one, with the ordinal of its
-    document.
-    """
-    docs = _documents(source)
-    data = SchemaData(schema)
-    data.cardinality[schema.root.id] = len(docs)
-    _shred(schema, schema.root, docs, np.arange(len(docs)), data)
-    return data.finalize()
-
-
-def _shred(schema: Schema, node, values: list, ordinals: np.ndarray, data: SchemaData) -> None:
-    """Shred `node` and its subtree, given its value in each of its
-    instances (None where absent); instance `i` is in document `ordinals[i]`."""
-    path = schema.path_of(node.id)
-    if node.kind is Kind.INDICATOR:
-        if values:
-            raise IngestError(
-                "indicator fields cannot be ingested from documents", path=path, ordinal=int(ordinals[0])
-            )
-        return
-    if node.kind is Kind.PRIMITIVE:
-        data.columns[node.id] = _column(node, values, path, ordinals)
-        return
-    if node.kind is Kind.ARRAY:
-        values = _nested(values, list, [], "expected an array", path, ordinals)
-        lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
-        data.counters[node.id] = CounterArray(node=node.id, boundaries=np.cumsum(lengths))
-        values = list(chain.from_iterable(values))
-        ordinals = np.repeat(ordinals, lengths)
-        if node.has_values:
-            data.columns[node.id] = _column(node, values, path, ordinals)
-            return
-        values = _nested(values, dict, None, "array elements must be objects", path, ordinals)
-    else:
-        values = _nested(values, dict, {}, "expected an object", path, ordinals)
-    children = [schema.node(cid) for cid in node.children]
-    known = {child.name for child in children}
-    if not all(map(known.issuperset, values)):
-        for value, ordinal in zip(values, ordinals):
-            if not value.keys() <= known:
-                raise IngestError(f"unknown fields {sorted(value.keys() - known)}", path=path, ordinal=int(ordinal))
-    for child in children:
-        _shred(schema, child, list(map(dict.get, values, repeat(child.name))), ordinals, data)
-
-
-def _nested(values: list, kind: type, null, message: str, path: str, ordinals) -> list:
-    """`values`, each checked to be a `kind`, with None replaced by `null`
-    unless `null` is None."""
-    types = set(map(type, values))
-    if null is not None and _NONE in types:
-        values = [null if v is None else v for v in values]
-        types.discard(_NONE)
-    if not types <= {kind}:
-        for value, ordinal in zip(values, ordinals):
-            if not isinstance(value, kind):
-                raise IngestError(f"{message}, got {value!r}", path=path, ordinal=int(ordinal))
-    return values
-
-
-def _documents(source) -> list:
-    """The documents of a JSON-lines file, or of an iterable of documents
-    and JSON texts."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return [json.loads(line) for line in map(str.strip, fh) if line]
-    return [json.loads(item) if isinstance(item, (str, bytes)) else item for item in source]
-
-
-# ---------------------------------------------------------------------------
-# ingestion: tables
-
-
-@collector_paused()
-def ingest_rows(rows: list[dict], schema: Schema) -> SchemaData:
-    """Ingest an already-parsed table: one dict per row, keys = column names."""
-    _require_flat(schema)
-    names = [schema.node(cid).name for cid in schema.root.children]
-    return _table_data(schema, len(rows), {name: [row.get(name) for row in rows] for name in names})
-
-
-def _table_data(schema: Schema, n_rows: int, cells: dict[str, list]) -> SchemaData:
-    data = SchemaData(schema)
-    data.cardinality[schema.root.id] = n_rows
-    for cid in schema.root.children:
-        child = schema.node(cid)
-        data.columns[cid] = _column(child, cells[child.name], schema.path_of(cid), range(n_rows))
-    return data.finalize()
-
-
-def _require_flat(schema: Schema) -> None:
-    for cid in schema.root.children:
-        if schema.node(cid).kind is not Kind.PRIMITIVE:
-            raise SchemaError(f"table schema {schema.name!r} must be a record of primitives")
-
-
-_BOOLEAN_CELLS = {"true": True, "1": True, "false": False, "0": False}
-
-
-def _parse_cell(cell: str, prim_kind: str, colname: str, row_idx: int):
-    if cell == "":
-        return None
-    if prim_kind == "number":
-        try:
-            return float(cell)
-        except ValueError:
-            raise IngestError(f"non-numeric value {cell!r} in column {colname!r}", ordinal=row_idx) from None
-    if prim_kind == "boolean":
-        try:
-            return _BOOLEAN_CELLS[cell.lower()]
-        except KeyError:
-            raise IngestError(f"non-boolean value {cell!r} in column {colname!r}", ordinal=row_idx) from None
-    return cell
-
-
-def _parse_column(cells, prim_kind: str, colname: str) -> list:
-    """One CSV column's cells parsed by kind; an empty cell is None."""
-    try:
-        if prim_kind == "number":
-            return [float(c) if c else None for c in cells]
-        if prim_kind == "boolean":
-            return [_BOOLEAN_CELLS[c.lower()] if c else None for c in cells]
-    except (ValueError, KeyError):
-        # `_parse_cell` raises at the first cell that does not parse
-        return [_parse_cell(c, prim_kind, colname, i) for i, c in enumerate(cells)]
-    return [c or None for c in cells]
-
-
-def _read_csv(source, no_header: str) -> tuple[list[str], list[list[str]]]:
-    """The header row and the other records of a CSV file or text stream."""
-    close = isinstance(source, (str, Path))
-    fh = open(source, "r", encoding="utf-8", newline="") if close else source
-    try:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError(no_header)
-        return header, list(reader)
-    finally:
-        if close:
-            fh.close()
-
-
-def _transpose(recs: list[list[str]], width: int, what: str) -> list:
-    """The columns of `recs`, each of which must have `width` fields."""
-    if set(map(len, recs)) - {width}:
-        i = next(i for i, rec in enumerate(recs) if len(rec) != width)
-        raise IngestError(f"{what} has {len(recs[i])} fields, header has {width}", ordinal=i)
-    return [list(map(itemgetter(k), recs)) for k in range(width)]
-
-
-@collector_paused()
-def ingest_csv(source, schema: Schema) -> SchemaData:
-    """Ingest an RFC-4180 CSV file with a header row matching the schema columns.
-
-    Every row's length is checked first, then each column is parsed and
-    type-checked whole.  Input with one fault raises the `IngestError` a
-    row-by-row parse would; input with faults in several rows may name
-    another of them (the first in the first column that has one).  Every
-    fault named is a real one, with its row's ordinal.
-    """
-    _require_flat(schema)
-    header, recs = _read_csv(source, f"table {schema.name!r}: input has no header row")
-    declared = {schema.node(c).name: schema.node(c).primitive for c in schema.root.children}
-    missing = set(declared) - set(header)
-    extra = set(header) - set(declared)
-    if missing or extra:
-        raise IngestError(
-            f"table {schema.name!r}: header mismatch (missing {sorted(missing)}, extra {sorted(extra)})"
-        )
-    columns = _transpose(recs, len(header), "row")
-    cells = {name: _parse_column(col, declared[name], name) for name, col in zip(header, columns)}
-    return _table_data(schema, len(recs), cells)
-
-
-# ---------------------------------------------------------------------------
-# ingestion: graphs
-
-
-@collector_paused()
-def ingest_graph_tables(vertices: dict[str, list[dict]], edges: dict[str, list], schema: Schema) -> SchemaData:
-    """Ingest a property graph from in-memory tables.
-
-    ``vertices[label]`` is a list of dicts, each with an ``"id"`` key plus the
-    declared properties.  ``edges[label]`` is a list of ``(src_id, dst_id)`` or
-    ``(src_id, dst_id, props)`` tuples.  Vertex order in the input defines the
-    column order; edges are grouped by source vertex (stable within a source).
-    """
-    vertex_cells = {}
-    for label in _vertex_records(schema):
-        rows = vertices.get(label)
-        if rows is None:
-            continue  # `_graph_data` names the missing table
-        try:
-            ids = [row["id"] for row in rows]
-        except KeyError:
-            i = next(i for i, row in enumerate(rows) if "id" not in row)
-            raise IngestError(f"vertex table {label!r} row {i} has no 'id'", ordinal=i) from None
-        names = _graph_prop_kinds(schema, label)
-        vertex_cells[label] = (ids, {name: [row.get(name) for row in rows] for name in names})
-    edge_cells = {}
-    for label, recs in edges.items():
-        props = [rec[2] if len(rec) > 2 else {} for rec in recs]
-        names = _graph_edge_prop_kinds(schema, label)
-        cells = {name: [p.get(name) for p in props] for name in names}
-        edge_cells[label] = ([rec[0] for rec in recs], [rec[1] for rec in recs], cells)
-    return _graph_data(schema, vertex_cells, edge_cells)
-
-
-@collector_paused()
-def ingest_graph(vertex_files: dict[str, object], edge_files: dict[str, object], schema: Schema) -> SchemaData:
-    """Ingest a property graph from CSV files.
-
-    Vertex files: first column is the vertex id, remaining columns are
-    properties matched by name.  Edge files: first two columns are source and
-    destination vertex ids, remaining columns are edge properties.  Files
-    are read column by column, with the fault rule of `ingest_csv`.
-    """
-    vertex_cells = {}
-    for label, path in vertex_files.items():
-        header, recs = _read_csv(path, f"vertex file for {label!r} has no header")
-        columns = _transpose(recs, len(header), "vertex row")
-        ids = columns[0] if columns else ()
-        props = _parse_props(header[1:], columns[1:], _graph_prop_kinds(schema, label))
-        vertex_cells[label] = (ids, props)
-
-    edge_cells = {}
-    for label, path in edge_files.items():
-        header, recs = _read_csv(path, f"edge file for {label!r} has no header")
-        lengths = set(map(len, recs))
-        if lengths and min(lengths) < 2:
-            i = next(i for i, rec in enumerate(recs) if len(rec) < 2)
-            raise IngestError("edge row needs at least src and dst", ordinal=i)
-        width = max(len(header), 2)
-        if lengths - {width}:  # a short row lacks its last properties; a long row's extra cells are ignored
-            recs = [rec[:width] + [""] * (width - len(rec)) for rec in recs]
-        srcs, dsts, *columns = _transpose(recs, width, "edge row")
-        edge_cells[label] = (srcs, dsts, _parse_props(header[2:], columns, _graph_edge_prop_kinds(schema, label)))
-
-    return _graph_data(schema, vertex_cells, edge_cells)
-
-
-def _parse_props(names: list[str], columns: list, kinds: dict[str, str]) -> dict[str, list]:
-    """The parsed cells of each declared property column (by name, the last
-    column of a repeated name winning)."""
-    return {name: _parse_column(col, kinds[name], name) for name, col in zip(names, columns) if name in kinds}
-
-
-def _graph_data(schema: Schema, vertex_cells: dict, edge_cells: dict) -> SchemaData:
-    """A graph's arrays from ``vertex_cells[label] = (ids, {property: cells})``
-    and ``edge_cells[label] = (sources, destinations, {property: cells})``."""
-    data = SchemaData(schema)
-    record_of = _vertex_records(schema)
-    offsets: dict[str, dict] = {}
-    for label, rid in record_of.items():
-        if label not in vertex_cells:
-            raise IngestError(f"no vertex table for label {label!r}")
-        ids, props = vertex_cells[label]
-        offsets[label] = _id_offsets(ids, label)
-        count = data.cardinality[rid] = len(ids)
-        for cid in schema.node(rid).children:
-            child = schema.node(cid)
-            if child.kind is Kind.PRIMITIVE:
-                cells = props.get(child.name) or [None] * count
-                data.columns[cid] = _column(child, cells, schema.path_of(cid), range(count))
-
-    for n in schema.nodes:
-        if n.kind is not Kind.ARRAY or not n.name.endswith("#"):
-            continue
-        label = n.name[:-1]
-        src_label = schema.node(n.parent).name.lstrip("#")
-        # target label comes from the single child that carries the pointers
-        tgt_child = next(
-            (schema.node(c) for c in n.children if schema.node(c).kind in (Kind.RECORD, Kind.INDICATOR)),
-            None,
-        )
-        if tgt_child is None:
-            raise SchemaError(f"edge node {n.name!r} has no target child")
-        tgt_label = tgt_child.name.lstrip("#")
-        srcs, dsts, props = edge_cells.get(label, ((), (), {}))
-        src_idx = np.fromiter(map(offsets[src_label].get, srcs, repeat(-1)), dtype=np.int64, count=len(srcs))
-        dst_idx = np.fromiter(map(offsets[tgt_label].get, dsts, repeat(-1)), dtype=np.int64, count=len(dsts))
-        unknown = np.flatnonzero((src_idx < 0) | (dst_idx < 0))
-        if unknown.size:
-            i = int(unknown[0])
-            side, vid = (src_label, srcs[i]) if src_idx[i] < 0 else (tgt_label, dsts[i])
-            raise IngestError(f"edge {label!r} references unknown {side!r} id {vid!r}", ordinal=i)
-        order = np.argsort(src_idx, kind="stable")
-        n_src = data.cardinality[record_of[src_label]]
-        data.counters[n.id] = CounterArray(node=n.id, boundaries=np.cumsum(np.bincount(src_idx, minlength=n_src)))
-        tgt_record = record_of[tgt_label]
-        data.indicators[tgt_child.id] = IndicatorArray(
-            node=tgt_child.id,
-            pointers=dst_idx[order],
-            target=tgt_record,
-            target_cardinality=data.cardinality[tgt_record],
-        )
-        for cid in n.children:
-            child = schema.node(cid)
-            if child.kind is not Kind.PRIMITIVE:
-                continue
-            cells = props.get(child.name)
-            cells = [None] * order.size if cells is None else list(map(cells.__getitem__, order.tolist()))
-            data.columns[cid] = _column(child, cells, schema.path_of(cid), order)
-
-    return data.finalize()
-
-
-def _vertex_records(schema: Schema) -> dict[str, int]:
-    """Each vertex label's record node."""
-    return {
-        n.name.lstrip("#"): n.id
-        for n in schema.nodes
-        if n.kind is Kind.RECORD and (n.parent is None or n.name.startswith("#"))
-    }
-
-
-def _id_offsets(ids, label: str) -> dict:
-    """Each vertex id's offset in its label's vertex order."""
-    offsets = dict(zip(ids, range(len(ids))))
-    if len(offsets) < len(ids):
-        seen = set()
-        for i, vid in enumerate(ids):
-            if vid in seen:
-                raise IngestError(f"duplicate vertex id {vid!r} for label {label!r}", ordinal=i)
-            seen.add(vid)
-    return offsets
-
-
-def _graph_prop_kinds(schema: Schema, label: str) -> dict[str, str]:
-    for n in schema.nodes:
-        if n.kind is Kind.RECORD and n.name.lstrip("#") == label:
-            return {
-                schema.node(c).name: schema.node(c).primitive
-                for c in n.children
-                if schema.node(c).kind is Kind.PRIMITIVE
-            }
-    raise SchemaError(f"schema has no record for vertex label {label!r}")
-
-
-def _graph_edge_prop_kinds(schema: Schema, label: str) -> dict[str, str]:
-    for n in schema.nodes:
-        if n.kind is Kind.ARRAY and n.name == f"{label}#":
-            return {
-                schema.node(c).name: schema.node(c).primitive
-                for c in n.children
-                if schema.node(c).kind is Kind.PRIMITIVE
-            }
-    return {}
+        return getattr(ingest, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1095,19 +645,34 @@ def write_column(path, kind_code: int, cardinality: int, payload: bytes) -> None
 _REINGEST = "rewrite the store with `quest ingest`"
 
 
-def read_column(path) -> tuple[int, int, memoryview]:
-    """Read and checksum one column file; returns (kind_code, cardinality, payload)."""
-    raw = Path(path).read_bytes()
+def _stamp(path) -> tuple[int, int]:
+    """A file's size and modification time in ns, from one `stat`."""
+    st = os.stat(path)
+    return st.st_size, st.st_mtime_ns
+
+
+def read_column(path, stamp: tuple[int, int] | None = None) -> tuple[int, int, memoryview]:
+    """Read and checksum one column file; returns (kind_code, cardinality, payload).
+
+    With `stamp` (see `_stamp`), a file whose size or modification time
+    differs from it raises `StoreError`.
+    """
+    with open(path, "rb") as fh:
+        if stamp is not None:
+            st = os.fstat(fh.fileno())
+            if (st.st_size, st.st_mtime_ns) != stamp:
+                raise StoreError(f"{path}: changed after the store was opened; reopen it, or {_REINGEST}")
+        raw = fh.read()
     if len(raw) < 19 or raw[:4] != MAGIC:
         raise StoreError(f"{path}: not a column file")
-    body, trailer = raw[:-4], raw[-4:]
-    (crc,) = struct.unpack("<I", trailer)
+    body = memoryview(raw)[:-4]
+    (crc,) = struct.unpack("<I", raw[-4:])
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
         raise StoreError(f"{path}: checksum mismatch")
     version, kind_code, cardinality = struct.unpack("<HBQ", body[4:15])
     if version != FORMAT_VERSION:
         raise StoreError(f"{path}: format version {version}, not {FORMAT_VERSION}; {_REINGEST}")
-    return kind_code, int(cardinality), memoryview(body)[15:]
+    return kind_code, int(cardinality), body[15:]
 
 
 def _node_file_payload(data: SchemaData, node) -> tuple[int, int, bytes] | None:
@@ -1174,11 +739,16 @@ def write_store(store: Store, path) -> None:
 def open_store(path) -> Store:
     """Open a store written by `write_store`.
 
-    Every column file is read and CRC-checked here, so a corrupt file
-    raises `StoreError` at open.  Counters, pointers, values, string
-    codes and dictionaries and every validity bitmap are decoded here
-    too; a dictionary entry is decoded to `str` on first use.  A store
-    of another format version raises `StoreError`.
+    Only ``manifest.json`` is read here: the schemas, cardinalities and
+    column statistics, which are all that parsing, planning and loading
+    a skip index need.  Each column file is only stat'ed.  A schema's
+    files are read, CRC-checked and decoded together on the first use of
+    its arrays (see `SchemaData`), so a query reads only the schemas it
+    touches.  That load raises `StoreError` for a corrupt file, one of
+    another format version, one whose header disagrees with the
+    manifest, or one changed since the open.  A dictionary entry is
+    decoded to `str` on first use.  A store of another format version
+    raises `StoreError` here.
     """
     root = Path(path)
     mpath = root / "manifest.json"
@@ -1195,42 +765,65 @@ def open_store(path) -> Store:
     )
     for name, sdoc in manifest.get("schemas", {}).items():
         schema = parse_schema(sdoc["manifest"])
-        data = SchemaData(schema)
         path_to_id = {schema.path_of(n.id): n.id for n in schema.nodes}
-        for npath, card in sdoc.get("cardinalities", {}).items():
-            data.cardinality[path_to_id[npath]] = card
+        cardinality = {path_to_id[npath]: card for npath, card in sdoc.get("cardinalities", {}).items()}
+        files = []
+        stats = {}
         for npath, ndoc in sdoc.get("nodes", {}).items():
             nid = path_to_id[npath]
             if "stats" in ndoc:
-                data.stats[nid] = ColumnStats.from_json(ndoc["stats"])
-            if "file" not in ndoc:
-                continue
-            kind_code, cardinality, payload = read_column(root / name / ndoc["file"])
-            node = schema.node(nid)
-            if kind_code == K_COUNTER:
-                data.counters[nid] = CounterArray(
-                    node=nid, boundaries=np.frombuffer(payload, dtype="<i8").copy()
-                )
-            elif kind_code == K_INDICATOR:
-                ptrs = np.frombuffer(payload, dtype="<i8").copy()
-                target = node.target if node.target is not None else nid
-                data.indicators[nid] = IndicatorArray(
-                    node=nid,
-                    pointers=ptrs,
-                    target=target,
-                    target_cardinality=sdoc["cardinalities"][schema.path_of(target)],
-                )
-            elif kind_code in (K_ARRAY_NUMBER, K_ARRAY_STRING, K_ARRAY_BOOLEAN):
-                (ctr_len,) = struct.unpack("<Q", payload[:8])
-                boundaries = np.frombuffer(payload[8 : 8 + 8 * ctr_len], dtype="<i8").copy()
-                data.counters[nid] = CounterArray(node=nid, boundaries=boundaries)
-                prim = {K_ARRAY_NUMBER: "number", K_ARRAY_STRING: "string", K_ARRAY_BOOLEAN: "boolean"}[kind_code]
-                data.columns[nid] = _decode_column(nid, prim, payload[8 + 8 * ctr_len :], cardinality)
-            else:
-                prim = {K_NUMBER: "number", K_STRING: "string", K_BOOLEAN: "boolean"}[kind_code]
-                if node.primitive == "null":
-                    prim = "null"
-                data.columns[nid] = _decode_column(nid, prim, payload, cardinality)
-        data.validate()
+                stats[nid] = ColumnStats.from_json(ndoc["stats"])
+            if "file" in ndoc:
+                fpath = root / name / ndoc["file"]
+                files.append((nid, fpath, ndoc["kind_code"], ndoc["cardinality"], _stamp(fpath)))
+        data = SchemaData(schema, load=partial(_read_schema_files, schema, cardinality, files))
+        data.cardinality, data.stats = cardinality, stats
         store.add(data)
     return store
+
+
+_PRIMITIVE_OF_KIND = {
+    K_NUMBER: "number",
+    K_STRING: "string",
+    K_BOOLEAN: "boolean",
+    K_ARRAY_NUMBER: "number",
+    K_ARRAY_STRING: "string",
+    K_ARRAY_BOOLEAN: "boolean",
+}
+
+
+def _read_schema_files(schema: Schema, cardinality: dict, files: list) -> tuple[dict, dict, dict]:
+    """The columns, counters and indicators in one schema's files.
+
+    `files` holds (node, path, kind code, cardinality, stamp) per file,
+    the middle two as the manifest gives them.
+    """
+    columns, counters, indicators = {}, {}, {}
+    for nid, fpath, kind_code, count, stamp in files:
+        found = read_column(fpath, stamp)
+        if found[:2] != (kind_code, count):
+            raise StoreError(
+                f"{fpath}: the header gives kind {found[0]} and cardinality {found[1]}, the manifest "
+                f"kind {kind_code} and cardinality {count}; {_REINGEST}"
+            )
+        payload = found[2]
+        node = schema.node(nid)
+        if kind_code == K_COUNTER:
+            counters[nid] = CounterArray(node=nid, boundaries=np.frombuffer(payload, dtype="<i8").copy())
+        elif kind_code == K_INDICATOR:
+            target = node.target if node.target is not None else nid
+            indicators[nid] = IndicatorArray(
+                node=nid,
+                pointers=np.frombuffer(payload, dtype="<i8").copy(),
+                target=target,
+                target_cardinality=cardinality[target],
+            )
+        elif kind_code in (K_ARRAY_NUMBER, K_ARRAY_STRING, K_ARRAY_BOOLEAN):
+            (ctr_len,) = struct.unpack("<Q", payload[:8])
+            boundaries = np.frombuffer(payload[8 : 8 + 8 * ctr_len], dtype="<i8").copy()
+            counters[nid] = CounterArray(node=nid, boundaries=boundaries)
+            columns[nid] = _decode_column(nid, _PRIMITIVE_OF_KIND[kind_code], payload[8 + 8 * ctr_len :], count)
+        else:
+            prim = "null" if node.primitive == "null" else _PRIMITIVE_OF_KIND[kind_code]
+            columns[nid] = _decode_column(nid, prim, payload, count)
+    return columns, counters, indicators

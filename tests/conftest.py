@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from quest.schema import expand_graph_schema, parse_schema
-from quest.store import Store, ingest_graph_tables, ingest_json, ingest_rows
+from quest.ingest import ingest_graph_tables, ingest_json, ingest_rows
+from quest.store import Store
 
 ADS_MANIFEST = {
     "name": "ads",

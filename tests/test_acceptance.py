@@ -40,7 +40,8 @@ from quest.skiptree import (
     multi_hop,
     naive_lca,
 )
-from quest.store import Store, ingest_json, open_store, write_store
+from quest.ingest import ingest_json
+from quest.store import Store, open_store, write_store
 
 from conftest import ADVERTISER, CAMPAIGN, EMAIL, PERSON, WORD, dense_relation
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the ``quest`` command line."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -179,11 +180,49 @@ def test_no_quest_command_imports_scipy(store_dir, tmp_path):
     assert _imported("import quest.cli", "numpy")
 
 
-def test_cli_import_leaves_bench_and_datagen_out():
-    assert not _imported("import quest.cli", "quest.bench")
-    assert not _imported("import quest.cli", "quest.datagen")
+def test_cli_import_leaves_bench_and_datagen_out(store_dir):
+    for module in ("quest.bench", "quest.datagen", "quest.oracle", "quest.ingest", "logging"):
+        assert not _imported("import quest.cli", module), module
+    # a query imports neither the oracle nor the ingest code
+    for module in ("quest.oracle", "quest.ingest", "logging"):
+        assert not _imported(_cli_code("query", "--store", store_dir, WORD_QUERY), module), module
     # the probe does see them where a command needs them
     assert _imported("import quest.cli, quest.datagen", "quest.datagen")
+    assert _imported(_cli_code("query", "--store", store_dir, "--oracle", WORD_QUERY), "quest.oracle")
+    # the package still offers them, imported on first use
+    assert _imported("from quest import oracle_query, ingest_json", "quest.ingest")
+    assert _imported("from quest.store import ingest_csv", "quest.ingest")
+
+
+def test_a_corrupt_column_fails_only_the_queries_that_read_it(store_dir, tmp_path):
+    copy = tmp_path / "store"
+    shutil.copytree(store_dir, copy)
+    target = copy / "people" / "people.segment.col"
+    raw = bytearray(target.read_bytes())
+    raw[20] ^= 0xFF
+    target.write_bytes(bytes(raw))
+    q01 = json.dumps(WORKLOAD[0].doc)
+    assert WORKLOAD[0].name.startswith("Q01")
+    for args in ([], ["--no-skiptree"], ["--oracle"]):
+        result = invoke("query", "--store", copy, *args, q01)
+        assert result.exit_code == 3, result.output
+        assert "checksum" in result.stderr
+    assert invoke("query", "--store", copy, WORD_QUERY).exit_code == 0
+    assert invoke("explain", "--store", copy, q01).exit_code == 0
+
+
+def test_query_stdout_matches_recorded_digests(store_dir):
+    """Every format writes the bytes it wrote when rows were copied to
+    lists before `json.dumps`; the digests were recorded from that code
+    on this module's store (`gen --scale tiny --seed 3`, ingest, index)."""
+    want = json.loads((Path(__file__).parent / "data" / "query_stdout_sha256.json").read_text())
+    got = {}
+    for wq in WORKLOAD:
+        for fmt in ("json", "ndjson", "csv"):
+            result = invoke("query", "--store", store_dir, "--format", fmt, json.dumps(wq.doc))
+            assert result.exit_code == 0, result.output
+            got[f"{wq.name}/{fmt}"] = hashlib.sha256(result.stdout_bytes).hexdigest()
+    assert got == want
 
 
 def test_query_on_a_version_1_store_names_quest_ingest(store_dir, tmp_path):

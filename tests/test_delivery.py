@@ -15,7 +15,8 @@ from quest.engine import evaluate
 from quest.errors import DeliveryError
 from quest.query import parse_query
 from quest.skiptree import build_skip_tree, layered_tree
-from quest.store import Store, ingest_json
+from quest.ingest import ingest_json
+from quest.store import Store
 
 from conftest import ADS_DOCS, ADVERTISER, CAMPAIGN, EMAIL, PERSON, WORD
 
@@ -224,8 +225,6 @@ def test_graph_delivery_skip_matches(multi_store, social_data):
 
 def test_random_nested_skip_equals_layered(ads_schema):
     # randomized documents over the ads schema; all (node, ancestor) routes
-    from quest.store import Store, ingest_json
-
     rng = np.random.default_rng(31)
 
     def rand_doc():

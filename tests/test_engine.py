@@ -16,7 +16,8 @@ from quest.oracle import oracle_query
 from quest.query import parse_query
 from quest.schema import parse_schema
 from quest.skiptree import build_skip_tree
-from quest.store import Store, ingest_json, ingest_rows, open_store, write_store
+from quest.ingest import ingest_json, ingest_rows
+from quest.store import Store, open_store, write_store
 
 from conftest import PEOPLE_MANIFEST, PEOPLE_ROWS, PERSON
 

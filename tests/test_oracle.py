@@ -10,7 +10,8 @@ from quest.errors import QueryError
 from quest.oracle import materialize_records, oracle_evaluate, oracle_query
 from quest.query import parse_query
 from quest.schema import parse_schema
-from quest.store import Store, ingest_json
+from quest.ingest import ingest_json
+from quest.store import Store
 
 from conftest import ADS_DOCS, PEOPLE_ROWS, SOCIAL_EDGE_ROWS, SOCIAL_VERTEX_ROWS
 
@@ -210,7 +211,7 @@ def test_ambiguous_join_fetch_raises(ads_schema, people_schema):
             ],
         }
     ]
-    from quest.store import ingest_rows
+    from quest.ingest import ingest_rows
 
     store = (
         Store()

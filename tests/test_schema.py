@@ -36,10 +36,13 @@ def test_campaign_interval_covers_its_subtree(ads_schema):
 
 
 def test_ancestor_queries(ads_schema):
-    assert ads_schema.is_ancestor(ADVERTISER, PERSON)
-    assert ads_schema.is_ancestor(CAMPAIGN, WORD)
-    assert not ads_schema.is_ancestor(WORDSET, PERSON)
-    assert not ads_schema.is_ancestor(PERSON, PERSON)
+    def in_subtree(top, node):
+        return ads_schema.subtree_interval(top).contains(ads_schema.preorder_index(node))
+
+    assert in_subtree(ADVERTISER, PERSON)
+    assert in_subtree(CAMPAIGN, WORD)
+    assert not in_subtree(WORDSET, PERSON)
+    assert in_subtree(PERSON, PERSON)  # a subtree holds its own root
     assert ads_schema.ancestors(PERSON) == [CLICKS, CAMPAIGN, ADVERTISER]
 
 
@@ -148,6 +151,8 @@ def test_intervals_agree_with_parent_walk_on_random_trees():
         for node in schema.nodes:
             walked = set(schema.ancestors(node.id))
             via_intervals = {
-                a.id for a in schema.nodes if a.id != node.id and schema.is_ancestor(a.id, node.id)
+                a.id
+                for a in schema.nodes
+                if a.id != node.id and schema.subtree_interval(a.id).contains(schema.preorder_index(node.id))
             }
             assert walked == via_intervals

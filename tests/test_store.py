@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 import zlib
 from collections import Counter
@@ -14,22 +15,27 @@ from quest.datagen import generate, random_corpus
 from quest.engine import run_query
 from quest.errors import IngestError, StoreError
 from quest.schema import Kind, expand_graph_schema, parse_schema
-from quest.store import (
+from quest.ingest import (
     MCV_KEEP,
-    CounterArray,
-    Store,
-    StringDictionary,
-    estimate_selectivity,
+    build_stats,
     ingest_csv,
     ingest_graph,
     ingest_graph_tables,
     ingest_json,
     ingest_rows,
+)
+from quest.store import (
+    CounterArray,
+    PrimitiveColumn,
+    Store,
+    StringDictionary,
+    estimate_selectivity,
     open_store,
     write_store,
 )
 
 from conftest import (
+    ADS_DOCS,
     ADVERTISER,
     CAMPAIGN,
     CLICKS,
@@ -180,9 +186,46 @@ def test_string_stats_equal_a_counter_tally(people_schema):
     assert (stats.vmin, stats.vmax) == (min(valid), max(valid))
 
 
-def test_numeric_range_selectivity():
-    from quest.store import PrimitiveColumn, build_stats
+def _counter_tally(column):
+    """What `build_stats` recorded when it tallied every number and boolean
+    column with a `Counter`: distinct count, min, max and common values."""
+    tally = Counter(column.values[column.validity].tolist())
+    ordered = sorted(tally)
+    return len(tally), ordered[0], ordered[-1], [(v, c / column.cardinality) for v, c in tally.most_common(MCV_KEEP)]
 
+
+_TIED = [float(v) for v in random.Random(4).choices(range(40), k=90)]
+NAN = float("nan")
+_rng = random.Random(0)
+# -0.0 first, then 0.0 among 4000 values: `np.unique` sorts a 0.0 ahead of it
+_ZERO_LATE = [-0.0] + [0.0 if _rng.random() < 0.05 else float(_rng.randrange(400)) for _ in range(4000)]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _TIED,  # 40 values, many tied in count: the first seen of a tie wins
+        [True, False, None, False, True, True, None],
+        [1.0, NAN, 2.0, NAN, 1.0, None],  # a Counter keeps each NaN apart
+        [0.0, -0.0, 1.0, -0.0, None],  # and both zeros under the first one's sign
+        [-0.0, 2.0, 0.0, 0.0],
+        [-0.0, 3.0, -0.0],
+        _ZERO_LATE,
+        [5.0, None],
+    ],
+    ids=["ties", "booleans", "nan", "zero-first", "minus-zero-first", "minus-zero-only", "zero-late", "one"],
+)
+def test_number_stats_equal_a_counter_tally(values):
+    kind = "boolean" if isinstance(values[0], bool) else "number"
+    cells = np.array([False if kind == "boolean" else 0.0 if v is None else v for v in values])
+    column = PrimitiveColumn(0, kind, cells, [v is not None for v in values])
+    stats = build_stats(column)
+    # repr tells NaN and the sign of zero apart, and NaN equals itself there
+    got = (stats.distinct, stats.vmin, stats.vmax, list(stats.mcv.items()))
+    assert repr(got) == repr(_counter_tally(column))
+
+
+def test_numeric_range_selectivity():
     values = np.arange(1000, dtype=np.float64)
     col = PrimitiveColumn(node=0, kind="number", values=values, validity=np.ones(1000, bool))
     stats = build_stats(col)
@@ -231,8 +274,83 @@ def test_corrupt_column_detected(tmp_path, ads_store):
     raw = bytearray(target.read_bytes())
     raw[20] ^= 0xFF
     target.write_bytes(bytes(raw))
+    # the open reads only the manifest; the schema's first use reads its files
+    store = open_store(tmp_path / "s")
     with pytest.raises(StoreError, match="checksum"):
-        open_store(tmp_path / "s")
+        store.data("ads").columns
+
+
+def test_a_failed_load_raises_again_and_keeps_no_arrays(tmp_path, ads_store):
+    write_store(ads_store, tmp_path / "s")
+    target = tmp_path / "s" / "ads" / "Advertiser.Email.col"
+    raw = bytearray(target.read_bytes())
+    raw[-1] ^= 0xFF  # the checksum itself
+    target.write_bytes(bytes(raw))
+    data = open_store(tmp_path / "s").data("ads")
+    with pytest.raises(StoreError, match="checksum") as first:
+        data.counters
+    for use in ("columns", "counters", "indicators", "counters"):
+        with pytest.raises(StoreError) as again:
+            getattr(data, use)
+        assert str(again.value) == str(first.value)
+    assert data._arrays is None
+
+
+@pytest.mark.parametrize("change", ["rewritten", "touched"])
+def test_a_file_changed_after_the_open_is_not_read(tmp_path, ads_store, change):
+    write_store(ads_store, tmp_path / "s")
+    target = tmp_path / "s" / "ads" / "Advertiser.Campaign.col"
+    store = open_store(tmp_path / "s")
+    if change == "rewritten":  # by another ingest, to the same size
+        write_store(Store().add(ingest_json(ADS_DOCS[::-1], ads_store.schema("ads"))), tmp_path / "t")
+        other = (tmp_path / "t" / "ads" / target.name).read_bytes()
+        assert len(other) == len(target.read_bytes()) and other != target.read_bytes()
+        target.write_bytes(other)
+    else:  # the same bytes, with a later modification time
+        st = target.stat()
+        os.utime(target, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000))
+    with pytest.raises(StoreError, match="changed after the store was opened.*quest ingest"):
+        store.data("ads").columns
+    # opened afresh, the store reads what is there now
+    assert open_store(tmp_path / "s").data("ads").counters[CAMPAIGN].cardinality == 2
+
+
+def test_file_headers_must_match_the_manifest(tmp_path, ads_store):
+    write_store(ads_store, tmp_path / "s")
+    manifest = tmp_path / "s" / "manifest.json"
+    good = manifest.read_text()
+    for key, value in (("kind_code", 5), ("cardinality", 4)):
+        doc = json.loads(good)
+        doc["schemas"]["ads"]["nodes"]["Advertiser.Campaign"][key] = value
+        manifest.write_text(json.dumps(doc))
+        store = open_store(tmp_path / "s")
+        with pytest.raises(StoreError, match="the header gives kind 4 and cardinality 2.*quest ingest"):
+            store.data("ads").indicators
+
+
+def test_planning_and_index_load_read_no_column_file(tmp_path):
+    from quest.optimizer import CostParams, plan_query
+    from quest.query import parse_query
+    from quest.skiptree import build_skip_tree, load_skiptree, write_skiptree
+
+    write_store(generate("tiny", seed=5).store(), tmp_path / "s")
+    built = open_store(tmp_path / "s")
+    for name in built.datasets:
+        write_skiptree(build_skip_tree(built.data(name)), tmp_path / "s", built.schema(name))
+    store = open_store(tmp_path / "s")
+    for col in (tmp_path / "s").glob("*/*.col"):
+        col.write_bytes(b"not a column file")
+    doc = {
+        "from": "people",
+        "filters": [{"path": "people.segment", "op": "=", "value": "vip"}],
+        "fetch": ["people.PID"],
+    }
+    schemas = {name: store.schema(name) for name in store.datasets}
+    q = parse_query(schemas, doc)
+    plan = plan_query(store, q, params=CostParams.from_store(store, q.composite))
+    indexes = {name: load_skiptree(store, name) for name in store.datasets}
+    with pytest.raises(StoreError, match="changed after the store was opened"):
+        run_query(store, doc, plan=plan, indexes=indexes)
 
 
 def test_open_store_requires_manifest(tmp_path):
@@ -388,8 +506,9 @@ def test_string_lengths_must_match_the_payload(tmp_path):
         body = bytearray(good[:-4])
         body[offset] += 1
         target.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
+        store = open_store(tmp_path / "s")
         with pytest.raises(StoreError, match=message):
-            open_store(tmp_path / "s")
+            store.data("text").columns
 
 
 def test_other_format_versions_name_the_fix(tmp_path, ads_store):
@@ -406,8 +525,9 @@ def test_other_format_versions_name_the_fix(tmp_path, ads_store):
     body = bytearray(target.read_bytes()[:-4])
     body[4:6] = (1).to_bytes(2, "little")
     target.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
+    store = open_store(tmp_path / "s")
     with pytest.raises(StoreError, match="version 1.*quest ingest"):
-        open_store(tmp_path / "s")
+        store.data("ads").counters
 
 
 def test_block_count_of_unsorted_positions(ads_store):
