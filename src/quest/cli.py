@@ -32,7 +32,7 @@ from .errors import (
 )
 from .optimizer import CostParams, explain_plan, plan_query
 from .query import parse_query
-from .skiptree import build_skip_tree, load_skiptree, remove_skiptree, write_skiptree
+from .skiptree import build_skip_tree, load_skiptree, write_skiptree
 from .store import Store, open_store, write_store
 
 EXIT_USAGE = 2
@@ -198,8 +198,6 @@ def ingest(store_dir):
             vertex_files = {label: raw / f for label, f in entry["vertex_files"].items()}
             edge_files = {label: raw / f for label, f in entry["edge_files"].items()}
             store.add(ingest_graph(vertex_files, edge_files, schema))
-    for name in store.datasets:
-        remove_skiptree(store_dir, name)
     write_store(store, store_dir)
     click.echo(f"ingested {', '.join(sorted(store.datasets))} into {store_dir}")
 

@@ -1,10 +1,17 @@
 """Payload delivery: moving bitsets between nested layers.
 
 Bitsets are plain numpy boolean arrays, one bit per instance of a node.  The
-four kernels below are the only ways bits ever change address space:
+four moves below are the only ways bits ever change address space:
 
 * `roll_up` / `drill_down` cross a one-to-many boundary (a counter),
 * `indicator_gather` / `indicator_scatter` cross a many-to-one pointer array.
+
+A counter move is one gather through the counter's owner index, the upper
+instance of every entry (`owner_index`): a roll-up scatters the owners of
+the set entries, a drill-down reads each entry's owner bit.  The owner
+depends on the store alone, so a Skip-Tree `Mapping` builds it on its first
+move and keeps it, and a warm query repeats none of that work.
+`roll_up` / `drill_down` take a bare counter and build the owner per call.
 
 `deliver` routes a bitset from one node to another through their lowest
 common ancestor in the jumps of a Skip-Tree: a skip index whose jumps cross
@@ -19,6 +26,9 @@ from .errors import DeliveryError
 from .schema import Link, Schema
 
 __all__ = [
+    "owner_index",
+    "owner_roll_up",
+    "owner_drill_down",
     "roll_up",
     "drill_down",
     "indicator_gather",
@@ -45,11 +55,33 @@ def positions_of(bits: np.ndarray) -> np.ndarray:
     return np.flatnonzero(bits)
 
 
-# `roll_up` marks the parents of the set children when fewer than one
-# child in this many is set, and takes a prefix count over every child
-# otherwise.  Measured on a 2-vCPU x86 VM (numpy 2.4, 20k-950k children,
-# 1-50 children per parent): the two cost the same at 10-15% density.
-_SPARSE_ROLL_UP = 10
+def owner_index(boundaries: np.ndarray) -> np.ndarray:
+    """Counter entry -> the upper instance whose range holds it.
+
+    `boundaries[i]` is the exclusive end of upper instance i's range, so
+    an empty range owns no entry.  The result is read-only: a `Mapping`
+    builds it once and every later move through the counter shares it.
+    """
+    boundaries = np.asarray(boundaries, dtype=np.int64)
+    owner = np.repeat(np.arange(boundaries.size, dtype=np.intp), np.diff(boundaries, prepend=0))
+    owner.flags.writeable = False
+    return owner
+
+
+def owner_roll_up(bits: np.ndarray, owner: np.ndarray, n_upper: int) -> np.ndarray:
+    """Entry bits -> upper bits through `owner_index`: set iff some entry is."""
+    if bits.shape[0] != owner.size:
+        raise DeliveryError(f"roll_up: bitset length {bits.shape[0]} != counter end {owner.size}")
+    out = np.zeros(int(n_upper), dtype=bool)
+    out[owner[np.flatnonzero(bits)]] = True
+    return out
+
+
+def owner_drill_down(bits: np.ndarray, owner: np.ndarray, n_upper: int) -> np.ndarray:
+    """Upper bits -> entry bits through `owner_index`: each entry takes its owner's bit."""
+    if bits.shape[0] != n_upper:
+        raise DeliveryError(f"drill_down: bitset length {bits.shape[0]} != counter length {n_upper}")
+    return bits[owner]
 
 
 def roll_up(bits: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
@@ -59,30 +91,13 @@ def roll_up(bits: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     with empty ranges come out unset.
     """
     boundaries = np.asarray(boundaries, dtype=np.int64)
-    if boundaries.size == 0:
-        return np.zeros(0, dtype=bool)
-    if bits.shape[0] != int(boundaries[-1]):
-        raise DeliveryError(
-            f"roll_up: bitset length {bits.shape[0]} != counter end {int(boundaries[-1])}"
-        )
-    if np.count_nonzero(bits) * _SPARSE_ROLL_UP < bits.shape[0]:
-        out = np.zeros(boundaries.size, dtype=bool)
-        out[np.searchsorted(boundaries, np.flatnonzero(bits), side="right")] = True
-        return out
-    cum = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
-    starts = np.concatenate(([0], boundaries[:-1]))
-    return (cum[boundaries] - cum[starts]) > 0
+    return owner_roll_up(bits, owner_index(boundaries), boundaries.size)
 
 
 def drill_down(bits: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     """Parent bits -> child bits: every child inherits its parent's bit."""
     boundaries = np.asarray(boundaries, dtype=np.int64)
-    if bits.shape[0] != boundaries.size:
-        raise DeliveryError(
-            f"drill_down: bitset length {bits.shape[0]} != counter length {boundaries.size}"
-        )
-    counts = np.diff(boundaries, prepend=0)
-    return np.repeat(bits, counts)
+    return owner_drill_down(bits, owner_index(boundaries), boundaries.size)
 
 
 def indicator_gather(target_bits: np.ndarray, pointers: np.ndarray) -> np.ndarray:

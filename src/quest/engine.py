@@ -305,13 +305,13 @@ class _Evaluation:
     # -- filter stops ---------------------------------------------------------
 
     def _scan_mask(self, name: str, node: int, ctx: np.ndarray, preds: list[Predicate]) -> np.ndarray:
-        positions = positions_of(ctx)
-        if positions.size == 0:
+        count = np.count_nonzero(ctx)
+        if count == 0:
             return np.zeros_like(ctx)
-        whole = positions.size == ctx.size
-        vals, valid = self.store.scan_values(
-            name, node, None if whole else positions, context_bits=ctx, decode=False
-        )
+        # a full context scans the whole column and needs no positions
+        whole = count == ctx.size
+        positions = None if whole else positions_of(ctx)
+        vals, valid = self.store.scan_values(name, node, positions, context_bits=ctx, decode=False)
         column = self.store.column(name, node)
         mask = valid.copy()
         for pred in preds:

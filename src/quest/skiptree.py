@@ -18,18 +18,25 @@ in numpy, yields the skip counter/pointer pair for the whole chain.
 from __future__ import annotations
 
 import json
-import shutil
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DeliveryError, StoreError
-from .delivery import drill_down, indicator_gather, indicator_scatter, roll_up
+from .delivery import (
+    indicator_gather,
+    indicator_scatter,
+    owner_drill_down,
+    owner_index,
+    owner_roll_up,
+)
 from .schema import Link, Schema
 from .store import (
     K_COUNTER,
     K_INDICATOR,
+    SKIPTREE_DIR,
     SchemaData,
     Store,
     read_column,
@@ -49,7 +56,6 @@ __all__ = [
     "layered_tree",
     "write_skiptree",
     "load_skiptree",
-    "remove_skiptree",
     "naive_lca",
 ]
 
@@ -67,6 +73,10 @@ class Mapping:
     instance ``i`` owns lower instance ``pointers[i]``.  Both together are a
     composed hop: upper instance ``i`` owns ``pointers[b[i-1]:b[i]]``.  With
     neither, the mapping is the identity.
+
+    A counter's moves go through its `owner` index, built on the first
+    move and kept for the mapping's life: the loaded index, or the
+    schema's `layered_tree`.
     """
 
     def __init__(self, lower_cardinality: int, boundaries=None, pointers=None):
@@ -92,16 +102,21 @@ class Mapping:
     def is_identity(self) -> bool:
         return self.boundaries is None and self.pointers is None
 
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """Read-only: the upper instance of each counter entry (`owner_index`)."""
+        return owner_index(self.boundaries)
+
     def up(self, bits: np.ndarray) -> np.ndarray:
         if self.pointers is not None:
             bits = indicator_gather(bits, self.pointers)
         if self.boundaries is not None:
-            bits = roll_up(bits, self.boundaries)
+            bits = owner_roll_up(bits, self.owner, self.upper_cardinality)
         return bits
 
     def down(self, bits: np.ndarray) -> np.ndarray:
         if self.boundaries is not None:
-            bits = drill_down(bits, self.boundaries)
+            bits = owner_drill_down(bits, self.owner, self.upper_cardinality)
         if self.pointers is not None:
             bits = indicator_scatter(bits, self.pointers, self.lower_cardinality)
         return bits
@@ -366,7 +381,7 @@ def layered_tree(data: SchemaData) -> SkipTree:
 
 
 def _index_dir(store_path, schema_name: str) -> Path:
-    return Path(store_path) / schema_name / "_skiptree"
+    return Path(store_path) / schema_name / SKIPTREE_DIR
 
 
 def _kind(m: Mapping) -> str:
@@ -437,13 +452,3 @@ def load_skiptree(store: Store, schema_name: str) -> SkipTree:
             entries[v].append(SkipEntry(ancestor=path_to_id[e_doc["ancestor"]], mapping=mapping))
     return SkipTree(parents=parents, depths=depths, H=doc["H"], heights=heights, entries=entries)
 
-
-def remove_skiptree(store_path, schema_name: str) -> None:
-    """Delete one schema's persisted index, if it has one.
-
-    An index is composed from the schema's arrays, so it must go when
-    they are rewritten.
-    """
-    root = _index_dir(store_path, schema_name)
-    if root.exists():
-        shutil.rmtree(root)

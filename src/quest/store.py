@@ -25,6 +25,7 @@ import gc
 import json
 import math
 import os
+import shutil
 import struct
 import zlib
 from contextlib import contextmanager
@@ -39,6 +40,8 @@ from .schema import Link, Schema, parse_schema, serialize_schema
 
 MAGIC = b"QSTC"
 FORMAT_VERSION = 2
+# a schema's persisted Skip-Tree lives in this subdirectory of its own
+SKIPTREE_DIR = "_skiptree"
 DEFAULT_BLOCK_SIZE = 4096
 DEFAULT_METADATA_UNIT = 8  # bytes per boundary/pointer entry on disk
 
@@ -700,7 +703,11 @@ def _node_file_payload(data: SchemaData, node) -> tuple[int, int, bytes] | None:
 
 
 def write_store(store: Store, path) -> None:
-    """Persist every schema's arrays under `path` plus a manifest.json."""
+    """Persist every schema's arrays under `path` plus a manifest.json.
+
+    A schema's persisted Skip-Tree is composed from the arrays written
+    here, so each written schema's `SKIPTREE_DIR` is removed first.
+    """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
@@ -711,6 +718,8 @@ def write_store(store: Store, path) -> None:
     }
     for name, data in sorted(store.datasets.items()):
         sdir = root / name
+        if (sdir / SKIPTREE_DIR).exists():
+            shutil.rmtree(sdir / SKIPTREE_DIR)
         sdir.mkdir(parents=True, exist_ok=True)
         nodes_doc = {}
         for node in data.schema.nodes:

@@ -7,10 +7,12 @@ stated budget assert it.
 """
 
 import itertools
+import json
 import math
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,10 +283,14 @@ def test_criterion_04_lca_equivalence_and_step_bound():
 # -- 5: the index pays off on deep shapes --------------------------------------------
 
 
-def test_criterion_05_deep_shapes_run_faster_with_the_index():
+@pytest.fixture(scope="module")
+def small_store():
+    return generate("small", seed=0).store()
+
+
+def test_criterion_05_deep_shapes_run_faster_with_the_index(small_store):
     t0 = time.perf_counter()
-    store = generate("small", seed=0).store()
-    report = run_workload(store, runs=5, names=list(DEEP_NAMES))
+    report = run_workload(small_store, runs=5, names=list(DEEP_NAMES))
     assert report["queries"], "no deep-predicate queries in the workload"
     details = []
     for q in report["queries"]:
@@ -300,6 +306,20 @@ def test_criterion_05_deep_shapes_run_faster_with_the_index():
         details.append(f"{q['name']} meta {on['metadata_reads']}/{off['metadata_reads']} wall x{on['wall_time'] / off['wall_time']:.2f}")
     elapsed = time.perf_counter() - t0
     _line(5, elapsed, "; ".join(details))
+
+
+def test_workload_counters_match_recorded(small_store):
+    """Rows and the four I/O counters of every workload query, with the
+    index on and off, equal the figures recorded in
+    ``tests/data/workload_counters.json``; a change that moves them must
+    say why and record them again."""
+    want = json.loads((Path(__file__).parent / "data" / "workload_counters.json").read_text())
+    report = run_workload(small_store, runs=1)
+    got = {
+        q["name"]: {config: {k: r[k] for k in want[q["name"]][config]} for config, r in q["configs"].items()}
+        for q in report["queries"]
+    }
+    assert got == want
 
 
 # -- 6: reads never escape the bitset ------------------------------------------------

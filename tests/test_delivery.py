@@ -45,11 +45,11 @@ def test_roll_up_kernels_equal_a_loop():
     one_last = np.zeros(100, bool)
     one_last[99] = True
     cases = {
-        "all zero (sparse kernel)": np.zeros(100, bool),
-        "one bit (sparse kernel)": one_last,
-        "3% (sparse kernel)": rng.random(100) < 0.03,
-        "50% (dense kernel)": rng.random(100) < 0.5,
-        "all one (dense kernel)": np.ones(100, bool),
+        "all zero": np.zeros(100, bool),
+        "one bit": one_last,
+        "3%": rng.random(100) < 0.03,
+        "50%": rng.random(100) < 0.5,
+        "all one": np.ones(100, bool),
     }
     for name, bits in cases.items():
         assert roll_up(bits, boundaries).tolist() == loop(bits), name
@@ -58,6 +58,23 @@ def test_roll_up_kernels_equal_a_loop():
 def test_drill_down_golden():
     bits = np.array([1, 1, 0], dtype=bool)
     assert drill_down(bits, np.array([2, 4, 7])).tolist() == [True] * 4 + [False] * 3
+
+
+def test_drill_down_equals_a_loop():
+    def loop(bits, boundaries):
+        starts = [0, *boundaries[:-1].tolist()]
+        return [bool(bit) for bit, lo, hi in zip(bits.tolist(), starts, boundaries.tolist()) for _ in range(lo, hi)]
+
+    rng = np.random.default_rng(12)
+    counters = {
+        # empty ranges at the start, in the middle and at the end
+        "ragged": np.array([0, 0, 3, 3, 40, 41, 100, 100]),
+        "no parents": np.array([], dtype=np.int64),
+        "no children": np.array([0, 0, 0]),
+    }
+    for name, boundaries in counters.items():
+        for bits in (np.zeros(boundaries.size, bool), np.ones(boundaries.size, bool), rng.random(boundaries.size) < 0.5):
+            assert drill_down(bits, boundaries).tolist() == loop(bits, boundaries), name
 
 
 def test_kernels_reject_bad_lengths():

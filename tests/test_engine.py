@@ -9,6 +9,9 @@ import gc
 import numpy as np
 import pytest
 
+from quest.bench import WORKLOAD
+from quest.datagen import generate
+from quest.delivery import positions_of
 from quest.engine import JoinIndex, ResultSet, evaluate, run_query
 from quest.errors import QueryError
 from quest.optimizer import _plan_filters, derive_wandering, enumerate_valid_orders
@@ -341,6 +344,22 @@ def test_always_false_filter_short_circuits(multi_store, schemas):
     assert result.rows == []
     # the Email scan came back empty, so the Word column was never read
     assert result.stats["columns_read"] == 1
+
+
+def test_a_full_context_scan_computes_no_positions(monkeypatch):
+    store = generate("tiny", seed=0).store()
+    query = parse_query({"people": store.schema("people")}, WORKLOAD[0].doc)
+    calls = []
+
+    def counting(bits):
+        calls.append(int(bits.size))
+        return positions_of(bits)
+
+    monkeypatch.setattr("quest.engine.positions_of", counting)
+    result = evaluate(store, query)
+    # Q01 scans one column under an all-ones context; only the rows take positions
+    assert result.rows
+    assert calls == [store.data("people").cardinality[store.schema("people").root.id]]
 
 
 def test_audit_finds_no_stray_reads(multi_store, schemas):

@@ -4,8 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from quest.delivery import deliver
-from quest.errors import DeliveryError
+from quest.bench import WORKLOAD
+from quest.datagen import generate
+from quest.delivery import deliver, drill_down, indicator_gather, indicator_scatter, owner_index, roll_up
+from quest.engine import evaluate
+from quest.errors import DeliveryError, StoreError
+from quest.oracle import oracle_query
+from quest.query import parse_query
 from quest.skiptree import (
     Mapping,
     build_skip_structure,
@@ -148,6 +153,56 @@ def test_sparse_mapping_against_dense():
         assert np.array_equal(m.up(bits), dense @ bits)
         ubits = rng.random(upper) < 0.4
         assert np.array_equal(m.down(ubits), dense.T @ ubits)
+
+
+def test_mapping_moves_equal_the_bare_kernels():
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        upper, lower = (int(x) for x in rng.integers(1, 15, size=2))
+        # empty ranges wherever a degree draws 0
+        boundaries = np.cumsum(rng.integers(0, 4, size=upper))
+        entries = int(boundaries[-1])
+        pointers = rng.integers(0, lower, size=entries)
+        counter_only = Mapping(entries, boundaries=boundaries)
+        composed = Mapping(lower, boundaries=boundaries, pointers=pointers)
+        ubits = rng.random(upper) < 0.4
+        ebits = rng.random(entries) < 0.4
+        lbits = rng.random(lower) < 0.4
+        assert np.array_equal(counter_only.up(ebits), roll_up(ebits, boundaries))
+        assert np.array_equal(counter_only.down(ubits), drill_down(ubits, boundaries))
+        assert np.array_equal(composed.up(lbits), roll_up(indicator_gather(lbits, pointers), boundaries))
+        assert np.array_equal(
+            composed.down(ubits), indicator_scatter(drill_down(ubits, boundaries), pointers, lower)
+        )
+    for empty in (Mapping(0, boundaries=np.zeros(3, np.int64)), Mapping(0, boundaries=np.zeros(0, np.int64))):
+        n = empty.upper_cardinality
+        assert empty.up(np.zeros(0, bool)).tolist() == [False] * n
+        assert empty.down(np.ones(n, bool)).tolist() == []
+
+
+def test_owner_is_built_once_per_mapping_and_read_only(monkeypatch):
+    built = []
+
+    def counting(boundaries):
+        built.append(boundaries)
+        return owner_index(boundaries)
+
+    monkeypatch.setattr("quest.skiptree.owner_index", counting)
+    m = Mapping(7, boundaries=np.array([2, 4, 4, 7]))
+    assert built == []
+    for _ in range(3):
+        assert m.up(np.array([0, 0, 1, 0, 0, 0, 1], bool)).tolist() == [False, True, False, True]
+        assert m.down(np.array([1, 0, 1, 0], bool)).tolist() == [True, True, False, False, False, False, False]
+    assert len(built) == 1 and m.owner.tolist() == [0, 0, 1, 1, 3, 3, 3]
+    with pytest.raises(ValueError):
+        m.owner[0] = 1
+    with pytest.raises(DeliveryError, match="roll_up: bitset length 6 != counter end 7"):
+        m.up(np.zeros(6, bool))
+    with pytest.raises(DeliveryError, match="drill_down: bitset length 5 != counter length 4"):
+        m.down(np.zeros(5, bool))
+    # a fresh mapping over the same counter builds its own
+    Mapping(7, boundaries=m.boundaries).up(np.zeros(7, bool))
+    assert len(built) == 2
 
 
 def test_compose_contiguous_equals_counter_union(ads_data):
@@ -333,3 +388,44 @@ def test_skiptree_round_trip(tmp_path, ads_data, ads_store):
     for _, _, m in res.src_jumps:
         out = m.up(out)
     assert out.tolist() == [True, True, False]
+
+
+def test_rewriting_a_store_drops_its_stale_indexes(tmp_path):
+    store = generate("tiny", seed=0).store()
+    write_store(store, tmp_path)
+    stale = {name: build_skip_tree(store.data(name)) for name in store.datasets}
+    for name, tree in stale.items():
+        write_skiptree(tree, tmp_path, store.schema(name))
+    # move one child between neighbouring parents in every org counter;
+    # every cardinality stays the same
+    for ctr in store.data("org").counters.values():
+        lengths = np.diff(ctr.boundaries, prepend=0)
+        pairs = lengths.size // 2
+        give = lengths[0 : 2 * pairs : 2] > 0
+        lengths[0 : 2 * pairs : 2] -= give
+        lengths[1 : 2 * pairs : 2] += give
+        ctr.boundaries = np.cumsum(lengths)
+    write_store(store, tmp_path)
+
+    reopened = open_store(tmp_path)
+    for name in reopened.datasets:
+        assert not (tmp_path / name / "_skiptree").exists(), name
+        with pytest.raises(StoreError, match="no skip index"):
+            load_skiptree(reopened, name)
+    fresh = {}
+    for name in reopened.datasets:
+        write_skiptree(build_skip_tree(reopened.data(name)), tmp_path, reopened.schema(name))
+        fresh[name] = load_skiptree(reopened, name)
+    schemas = {name: reopened.schema(name) for name in reopened.datasets}
+    stale_wrong = []
+    for wq in WORKLOAD:
+        if wq.name[:3] not in ("Q09", "Q10", "Q11"):
+            continue
+        query = parse_query(schemas, wq.doc)
+        want = oracle_query(reopened, query)
+        assert evaluate(reopened, query, indexes=fresh).rows == want, wq.name
+        assert evaluate(reopened, query).rows == want, wq.name
+        if evaluate(reopened, query, indexes=stale).rows != want:
+            stale_wrong.append(wq.name[:3])
+    # the edit is one an index composed from the old arrays answers wrongly
+    assert stale_wrong == ["Q09", "Q10", "Q11"]
