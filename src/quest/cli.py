@@ -240,7 +240,7 @@ def _parse(store: Store, doc):
 
 
 def _load_indexes(store: Store, names) -> tuple[dict, list[str]]:
-    """Persisted skip-trees where available, in-memory builds otherwise.
+    """Persisted skip-trees where usable, in-memory builds otherwise.
 
     Returns the indexes and the sorted names of the schemas whose index
     had to be built in memory."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from .schema import Schema, expand_graph_schema, parse_schema
@@ -209,13 +210,22 @@ def _two_plants(n: int, high: float, low: float) -> tuple[set[int], set[int]]:
 
 @dataclass
 class Corpus:
-    """Generated datasets plus their original in-memory records."""
+    """Generated records, and the datasets ingested from them on first use."""
 
     seed: int
     preset: str
     records: dict[str, Any] = field(default_factory=dict)
-    datasets: dict[str, SchemaData] = field(default_factory=dict)
     probes: dict[str, dict] = field(default_factory=dict)
+
+    @cached_property
+    def datasets(self) -> dict[str, SchemaData]:
+        r = self.records
+        return {
+            "ads": ingest_json(r["ads"], ads_schema()),
+            "people": ingest_rows(r["people"], people_schema()),
+            "social": ingest_graph_tables(r["social"]["vertices"], r["social"]["edges"], social_schema()),
+            "org": ingest_json(r["org"], org_schema()),
+        }
 
     def store(self) -> Store:
         s = Store()
@@ -410,12 +420,6 @@ def generate(preset: str = "tiny", seed: int = 0, high: float = 0.05, low: float
 
     corpus = Corpus(seed=seed, preset=preset)
     corpus.records = {"ads": ads_docs, "people": rows, "social": graph, "org": org_docs}
-    corpus.datasets = {
-        "ads": ingest_json(ads_docs, ads_schema()),
-        "people": ingest_rows(rows, people_schema()),
-        "social": ingest_graph_tables(graph["vertices"], graph["edges"], social_schema()),
-        "org": ingest_json(org_docs, org_schema()),
-    }
     corpus.probes = {**ads_probes, **org_probes, **people_probes, **social_probes}
     return corpus
 
@@ -534,12 +538,6 @@ def random_corpus(rng: random.Random) -> Corpus:
 
     corpus = Corpus(seed=-1, preset="random")
     corpus.records = {"ads": ads_docs, "people": rows, "social": graph, "org": org_docs}
-    corpus.datasets = {
-        "ads": ingest_json(ads_docs, ads_schema()),
-        "people": ingest_rows(rows, people_schema()),
-        "social": ingest_graph_tables(graph["vertices"], graph["edges"], social_schema()),
-        "org": ingest_json(org_docs, org_schema()),
-    }
     return corpus
 
 

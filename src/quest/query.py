@@ -35,7 +35,6 @@ __all__ = [
     "GraphPath",
     "Query",
     "CompositeTree",
-    "build_composite",
     "parse_query",
     "OPERATORS",
 ]
@@ -305,12 +304,6 @@ class CompositeTree:
             down.append(cur)
             cur = self._parent[cur]  # type: ignore[assignment]
         return up + [meet] + list(reversed(down))
-
-
-def build_composite(
-    schemas: Mapping[str, Schema], host: str, joins: Sequence[JoinSpec]
-) -> CompositeTree:
-    return CompositeTree(schemas, host, joins)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +585,7 @@ def parse_query(schemas: Mapping[str, Schema], doc: Any) -> Query:
     graph_paths = _parse_graph_paths(doc, visible)
     _attach_chain_filters(filters, graph_paths)
 
-    composite = build_composite(visible, host, joins)
+    composite = CompositeTree(visible, host, joins)
     query = Query(
         schemas=from_list,
         filters=filters,

@@ -4,10 +4,12 @@ Every schema node gets a height from its depth alone (a node is lifted to
 layer ``j`` exactly when ``2**j`` divides its depth, up to the tree height
 ``H = ceil(log2(max_depth))``).  A node of height ``h`` keeps ``h + 1``
 skip ancestors: entry 0 is its parent, entry ``j`` the nearest proper
-ancestor of height at least ``j``.  Each entry also carries the composed
-instance mapping from the node's space to that ancestor's space, so a bitset
-can jump several nested layers in one kernel call instead of climbing them
-one boundary array at a time.
+ancestor of height at least ``j``.  Each entry also carries the instance
+mapping from the node's space to that ancestor's space.  Where the jump
+crosses several counter or pointer arrays that mapping is their
+composition, so a bitset jumps several nested layers in one kernel call
+instead of climbing them one boundary array at a time; where it crosses
+one, it is that array, as the store holds it.
 
 Every mapping is one `Mapping`: a counter, a pointer array, both, or
 neither (the identity).  The same machinery expresses multi-hop graph
@@ -18,8 +20,9 @@ in numpy, yields the skip counter/pointer pair for the whole chain.
 from __future__ import annotations
 
 import json
+import shutil
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
@@ -232,27 +235,63 @@ class LCAResult:
 
 
 class SkipTree:
-    """Skip index over one schema tree; nodes are referenced by id."""
+    """Skip index over one schema tree; nodes are referenced by id.
 
-    def __init__(self, parents: list, depths: list, H: int, heights: list, entries: list):
+    `entries[v][j]` is node v's level-j jump.  A jump over two or more
+    real (counter or pointer) links carries their composition, kept in
+    `composed`; any other carries its link's own Mapping from `links`,
+    which every tree over one `SchemaData` shares with its `layered_tree`.
+    `links` may be a function, called on the first use of `entries`.
+    """
+
+    def __init__(self, parents: list, depths: list, real: list, links=None, H: int | None = None):
         self.parents = parents
         self.depths = depths
-        self.H = H
-        self.heights = heights
-        self.entries = entries  # per node: list[SkipEntry], parent first
+        self.H = tree_height(max(depths, default=0)) if H is None else H
+        self.heights = [set_height(d, self.H) for d in depths]
+        self.links = links
+        self.composed: dict[tuple[int, int], Mapping] = {}
+        # per node, per level: the ancestor, and the nodes whose real links the jump crosses
+        self.jumps: list[list[tuple[int, tuple]]] = [[] for _ in parents]
+        for v, p in enumerate(parents):
+            if p is None:
+                continue
+            a, crossed = p, (v,) if real[v] else ()
+            self.jumps[v].append((a, crossed))
+            for j in range(1, self.heights[v] + 1):
+                while self.heights[a] < j:
+                    crossed += (a,) if real[a] else ()
+                    a = parents[a]
+                self.jumps[v].append((a, crossed))
 
     def __len__(self) -> int:
         return len(self.parents)
 
+    @cached_property
+    def entries(self) -> list[list[SkipEntry]]:
+        if callable(self.links):
+            self.links = self.links()
+        links = self.links or [None] * len(self)
+        return [
+            [SkipEntry(a, self.composed[v, j] if len(crossed) > 1 else links[(crossed or (v,))[0]])
+             for j, (a, crossed) in enumerate(row)]
+            for v, row in enumerate(self.jumps)
+        ]
+
+    def composed_jumps(self) -> list[tuple[int, int, tuple]]:
+        """(node, level, crossed) of each jump over two or more real links."""
+        return [(v, j, c) for v, row in enumerate(self.jumps) for j, (_, c) in enumerate(row) if len(c) > 1]
+
     def skip_ancestors(self, node: int) -> list[int]:
-        return [e.ancestor for e in self.entries[node]]
+        return [a for a, _ in self.jumps[node]]
 
     def _lift(self, v: int, target_depth: int, jumps: list) -> int:
         """Raise `v` to `target_depth` greedily from the top layer down."""
+        entries = self.entries
         while self.depths[v] > target_depth:
             i = self.heights[v]
             while True:
-                e = self.entries[v][i]
+                e = entries[v][i]
                 if self.depths[e.ancestor] >= target_depth:
                     jumps.append((v, i, e.mapping))
                     v = e.ancestor
@@ -275,9 +314,10 @@ class SkipTree:
             return LCAResult(lca=a, src_jumps=src_jumps, dst_jumps=dst_jumps,
                              steps=len(src_jumps) + len(dst_jumps))
         # equal depths imply equal heights, so both sides skip synchronously
+        entries = self.entries
         j = self.heights[a]
         while j >= 0:
-            ea, eb = self.entries[a][j], self.entries[b][j]
+            ea, eb = entries[a][j], entries[b][j]
             if ea.ancestor != eb.ancestor:
                 src_jumps.append((a, j, ea.mapping))
                 dst_jumps.append((b, j, eb.mapping))
@@ -286,9 +326,9 @@ class SkipTree:
             else:
                 j -= 1
         # parents coincide: one last hop on both sides lands on the LCA
-        src_jumps.append((a, 0, self.entries[a][0].mapping))
-        dst_jumps.append((b, 0, self.entries[b][0].mapping))
-        lca = self.entries[a][0].ancestor
+        src_jumps.append((a, 0, entries[a][0].mapping))
+        dst_jumps.append((b, 0, entries[b][0].mapping))
+        lca = entries[a][0].ancestor
         return LCAResult(lca=lca, src_jumps=src_jumps, dst_jumps=dst_jumps,
                          steps=len(src_jumps) + len(dst_jumps))
 
@@ -306,29 +346,6 @@ def naive_lca(parents: list, a: int, b: int) -> int:
     return cur
 
 
-def _build(parents: list, depths: list, link_mappings: list | None, H: int | None = None) -> SkipTree:
-    n = len(parents)
-    if H is None:
-        H = tree_height(max(depths) if depths else 0)
-    heights = [set_height(d, H) for d in depths]
-    entries: list[list[SkipEntry]] = [[] for _ in range(n)]
-    for v in range(n):
-        p = parents[v]
-        if p is None:
-            continue
-        own = link_mappings[v] if link_mappings is not None else None
-        entries[v].append(SkipEntry(ancestor=p, mapping=own))
-        for j in range(1, heights[v] + 1):
-            a = p
-            m = own
-            while heights[a] < j:
-                if link_mappings is not None:
-                    m = compose(m, link_mappings[a])
-                a = parents[a]
-            entries[v].append(SkipEntry(ancestor=a, mapping=m))
-    return SkipTree(parents=parents, depths=depths, H=H, heights=heights, entries=entries)
-
-
 def build_skip_structure(parents: list) -> SkipTree:
     """Build the index over a bare tree (no instance data, no mappings)."""
     depths = [0] * len(parents)
@@ -338,7 +355,13 @@ def build_skip_structure(parents: list) -> SkipTree:
         if parents[v] >= v:
             raise DeliveryError("parents must precede children")
         depths[v] = depths[parents[v]] + 1
-    return _build(parents, depths, None)
+    return SkipTree(parents, depths, [False] * len(parents))
+
+
+def _schema_tree(schema: Schema, links, H: int | None = None) -> SkipTree:
+    nodes = schema.nodes
+    real = [n.link in (Link.COUNTER, Link.INDICATOR) for n in nodes]
+    return SkipTree([n.parent for n in nodes], [n.depth for n in nodes], real, links, H)
 
 
 def _link_mapping(data: SchemaData, node_id: int) -> Mapping:
@@ -351,104 +374,84 @@ def _link_mapping(data: SchemaData, node_id: int) -> Mapping:
     return Mapping(lower)
 
 
-def _data_links(data: SchemaData) -> tuple[list, list, list]:
-    nodes = data.schema.nodes
-    parents = [n.parent for n in nodes]
-    depths = [n.depth for n in nodes]
-    link_mappings = [None if n.parent is None else _link_mapping(data, n.id) for n in nodes]
-    return parents, depths, link_mappings
-
-
-def build_skip_tree(data: SchemaData) -> SkipTree:
-    """Build the index, with instance mappings, for one ingested schema."""
-    return _build(*_data_links(data))
-
-
 def layered_tree(data: SchemaData) -> SkipTree:
     """The height-0 tree of one ingested schema, for delivery without an index.
 
     Each node's only entry is its own link mapping, so nothing is composed.
+    Its link Mappings are the ones every other tree over `data` uses.
     The tree is built once and kept on `data`;
     new data for the schema is a new `SchemaData` with no tree yet.
     """
     if data.layered_tree is None:
-        data.layered_tree = _build(*_data_links(data), H=0)
+        links = [None if n.parent is None else _link_mapping(data, n.id) for n in data.schema.nodes]
+        data.layered_tree = _schema_tree(data.schema, links, H=0)
     return data.layered_tree
 
 
+def build_skip_tree(data: SchemaData) -> SkipTree:
+    """Build the index, with instance mappings, for one ingested schema."""
+    links = layered_tree(data).links
+    tree = _schema_tree(data.schema, links)
+    for v, j, crossed in tree.composed_jumps():
+        tree.composed[v, j] = reduce(compose, [links[u] for u in crossed])
+    return tree
+
+
 # ---------------------------------------------------------------------------
-# persistence
+# persistence: ``skiptree.json`` holds only the format; each composed jump's
+# arrays are in ``<node path>.<level>.counter.col`` (and ``.pointer.col``
+# when it crosses a pointer array).  Everything else is the schema's.
+
+SKIPTREE_FORMAT = {"format_version": 2}
 
 
-def _index_dir(store_path, schema_name: str) -> Path:
-    return Path(store_path) / schema_name / SKIPTREE_DIR
-
-
-def _kind(m: Mapping) -> str:
-    """The label ``skiptree.json`` gives a mapping; loading does not read it."""
-    if m.pointers is not None:
-        return "sparse"
-    return "identity" if m.boundaries is None else "contiguous"
-
-
-def _read_array(root: Path, e_doc: dict, key: str, kind_code: int) -> np.ndarray | None:
-    """The entry's ``counter`` or ``pointer`` array, or None if it has none."""
-    fname = e_doc.get(key)
-    if fname is None:
-        return None
-    found, _, payload = read_column(root / fname)
+def _read_array(path: Path, kind_code: int) -> np.ndarray:
+    found, _, payload = read_column(path)
     if found != kind_code:
-        raise StoreError(f"{fname}: expected a {key} payload")
-    return np.frombuffer(payload, dtype="<i8").copy()
+        raise StoreError(f"{path.name}: kind {found}, not {kind_code}")
+    return np.frombuffer(payload, dtype="<i8").copy()  # aligned: numpy gathers ~3x slower unaligned
 
 
 def write_skiptree(tree: SkipTree, store_path, schema: Schema) -> None:
-    """Persist one schema's index under ``<store>/<schema>/_skiptree/``."""
-    root = _index_dir(store_path, schema.name)
-    root.mkdir(parents=True, exist_ok=True)
-    doc: dict = {"H": tree.H, "nodes": {}}
-    for v in range(len(tree)):
-        path = schema.path_of(v)
-        node_doc: dict = {"height": tree.heights[v], "entries": []}
-        for j, entry in enumerate(tree.entries[v]):
-            m = entry.mapping
-            e_doc: dict = {"ancestor": schema.path_of(entry.ancestor), "kind": _kind(m)}
-            if m.boundaries is None or m.pointers is not None:
-                # a counter alone implies its lower cardinality: its last boundary
-                e_doc["lower"] = m.lower_cardinality
-            for key, code, array in (("counter", K_COUNTER, m.boundaries), ("pointer", K_INDICATOR, m.pointers)):
-                if array is not None:
-                    fname = f"{path}.{j}.{key}.col"
-                    write_column(root / fname, code, array.size, array.astype("<i8").tobytes())
-                    e_doc[key] = fname
-            node_doc["entries"].append(e_doc)
-        doc["nodes"][path] = node_doc
-    (root / "skiptree.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    """Persist one schema's index under ``<store>/<schema>/_skiptree/``,
+    replacing whatever is there."""
+    root = Path(store_path) / schema.name / SKIPTREE_DIR
+    shutil.rmtree(root, ignore_errors=True)
+    root.mkdir(parents=True)
+    for (v, j), m in tree.composed.items():
+        for key, code, array in (("counter", K_COUNTER, m.boundaries), ("pointer", K_INDICATOR, m.pointers)):
+            if array is not None:
+                write_column(root / f"{schema.path_of(v)}.{j}.{key}.col", code, array.size, array.astype("<i8").tobytes())
+    (root / "skiptree.json").write_text(json.dumps(SKIPTREE_FORMAT) + "\n", encoding="utf-8")
 
 
 def load_skiptree(store: Store, schema_name: str) -> SkipTree:
-    """Load a persisted index; raises StoreError when none was built."""
+    """Load a persisted index, reading its composed jumps only: the link
+    Mappings come from the schema's `layered_tree` on the first use of
+    `entries`.  Raises StoreError when none was built, or when it is
+    damaged, stale or written by an older quest."""
     if store.path is None:
         raise StoreError("store was not opened from disk; build the index in memory instead")
-    schema = store.schema(schema_name)
-    root = _index_dir(store.path, schema_name)
+    data = store.data(schema_name)
+    schema = data.schema
+    root = store.path / schema_name / SKIPTREE_DIR
     mpath = root / "skiptree.json"
     if not mpath.exists():
-        raise StoreError(f"{schema_name!r} has no skip index (run the index step first)")
-    doc = json.loads(mpath.read_text(encoding="utf-8"))
-    path_to_id = {schema.path_of(n.id): n.id for n in schema.nodes}
-    parents = [n.parent for n in schema.nodes]
-    depths = [n.depth for n in schema.nodes]
-    heights = [0] * len(schema.nodes)
-    entries: list[list[SkipEntry]] = [[] for _ in schema.nodes]
-    for path, node_doc in doc["nodes"].items():
-        v = path_to_id[path]
-        heights[v] = node_doc["height"]
-        for e_doc in node_doc["entries"]:
-            boundaries = _read_array(root, e_doc, "counter", K_COUNTER)
-            pointers = _read_array(root, e_doc, "pointer", K_INDICATOR)
-            lower = e_doc["lower"] if "lower" in e_doc else int(boundaries[-1]) if boundaries.size else 0
-            mapping = Mapping(lower, boundaries=boundaries, pointers=pointers)
-            entries[v].append(SkipEntry(ancestor=path_to_id[e_doc["ancestor"]], mapping=mapping))
-    return SkipTree(parents=parents, depths=depths, H=doc["H"], heights=heights, entries=entries)
-
+        raise StoreError(f"{schema_name!r} has no skip index; build it with `quest index`")
+    tree = _schema_tree(schema, lambda: layered_tree(data).links)
+    try:
+        if json.loads(mpath.read_text(encoding="utf-8")) != SKIPTREE_FORMAT:
+            raise StoreError(f"skiptree.json is not {json.dumps(SKIPTREE_FORMAT)}: another quest wrote it")
+        for v, j, crossed in tree.composed_jumps():
+            name = f"{schema.path_of(v)}.{j}"
+            boundaries = _read_array(root / f"{name}.counter.col", K_COUNTER)
+            pointers = None
+            if any(schema.node(u).link is Link.INDICATOR for u in crossed):
+                pointers = _read_array(root / f"{name}.pointer.col", K_INDICATOR)
+            m = Mapping(data.cardinality[v], boundaries=boundaries, pointers=pointers)
+            if m.upper_cardinality != data.cardinality[tree.jumps[v][j][0]]:
+                raise StoreError(f"{name}: counter length {m.upper_cardinality} != ancestor cardinality")
+            tree.composed[v, j] = m
+    except (OSError, ValueError, StoreError, DeliveryError) as exc:
+        raise StoreError(f"{schema_name!r}: unusable skip index ({exc}); rebuild it with `quest index`") from exc
+    return tree

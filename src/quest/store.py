@@ -357,8 +357,8 @@ class SchemaData:
         self.schema = schema
         self.cardinality: dict[int, int] = {}
         self.stats: dict[int, ColumnStats] = {}
-        # height-0 Skip-Tree for delivery without an index
-        # (`skiptree.layered_tree` builds it on first use)
+        # height-0 Skip-Tree, whose link Mappings every tree over this data
+        # shares (`skiptree.layered_tree` builds it on first use)
         self.layered_tree = None
         self._load = load
         self._arrays = None if load else ({}, {}, {})

@@ -127,6 +127,58 @@ def test_sidecar_names_indexes_built_in_memory(store_dir, tmp_path):
     assert _rows(rebuilt) == _rows(loaded)
 
 
+def _remove(path: Path) -> None:
+    path.unlink()
+
+
+def _flip_last_byte(path: Path) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+# each one damages `org/_skiptree/` of a copied store
+DAMAGED_INDEXES = {
+    "composed file missing": ("Org.Region.Site.1.counter.col", _remove),
+    "composed file corrupt": ("Org.Region.Site.1.counter.col", _flip_last_byte),
+    "manifest not json": ("skiptree.json", lambda p: p.write_text("{nodes: }")),
+    "manifest names an unknown node": (
+        "skiptree.json",
+        lambda p: p.write_text(json.dumps({"format_version": 2, "nodes": {"Org.Nowhere": {}}})),
+    ),
+    "older format": ("skiptree.json", lambda p: p.write_text(json.dumps({"H": 3, "nodes": {}}))),
+}
+
+
+@pytest.mark.parametrize("case", list(DAMAGED_INDEXES))
+def test_a_damaged_index_is_rebuilt_in_memory(store_dir, tmp_path, case):
+    from quest.skiptree import load_skiptree
+    from quest.store import StoreError, open_store
+
+    copy = tmp_path / "store"
+    shutil.copytree(store_dir, copy)
+    fname, damage = DAMAGED_INDEXES[case]
+    damage(copy / "org" / "_skiptree" / fname)
+    with pytest.raises(StoreError, match="quest index"):
+        load_skiptree(open_store(copy), "org")
+    doc = json.dumps(next(wq.doc for wq in WORKLOAD if wq.name.startswith("Q09")))
+    result = invoke("query", "--store", copy, doc)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stderr.strip().splitlines()[-1])["skiptree_built"] == ["org"]
+    oracle = invoke("query", "--store", copy, "--oracle", doc)
+    assert oracle.exit_code == 0, oracle.output
+    assert _rows(result) == _rows(oracle)
+    # `quest index` replaces the whole index, old files and all
+    (copy / "org" / "_skiptree" / "Org.Region.0.counter.col").write_bytes(b"left by an older quest")
+    assert invoke("index", "--store", copy).exit_code == 0
+    assert sorted(p.name for p in (copy / "org" / "_skiptree").iterdir()) == sorted(
+        p.name for p in (store_dir / "org" / "_skiptree").iterdir()
+    )
+    reloaded = invoke("query", "--store", copy, doc)
+    assert json.loads(reloaded.stderr.strip().splitlines()[-1])["skiptree_built"] == []
+    assert _rows(reloaded) == _rows(oracle)
+
+
 def test_reingest_drops_the_stale_index(tmp_path):
     root = tmp_path / "store"
     for step in (

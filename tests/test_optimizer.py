@@ -28,7 +28,7 @@ from quest.optimizer import (
     plan_query,
 )
 from quest.engine import evaluate
-from quest.query import build_composite, parse_query
+from quest.query import CompositeTree, parse_query
 from quest.schema import parse_schema
 
 from conftest import ADS_MANIFEST
@@ -36,7 +36,7 @@ from conftest import ADS_MANIFEST
 
 @pytest.fixture
 def ads_tree(ads_schema):
-    return build_composite({"ads": ads_schema}, "ads", [])
+    return CompositeTree({"ads": ads_schema}, "ads", [])
 
 
 @pytest.fixture
@@ -304,7 +304,7 @@ def random_composite(rng, max_children=3, max_depth=4):
     }
     manifest = {"name": "s", "model": "document", "root": root}
     schema = parse_schema(manifest)
-    return build_composite({"s": schema}, "s", [])
+    return CompositeTree({"s": schema}, "s", [])
 
 
 @pytest.mark.parametrize("seed", range(5))

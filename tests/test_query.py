@@ -4,7 +4,7 @@ import pytest
 from quest.errors import QueryError
 from quest.query import (
     OPERATORS,
-    build_composite,
+    CompositeTree,
     parse_query,
     resolve_path,
 )
@@ -369,4 +369,4 @@ def test_composite_requires_connection():
         "people": parse_schema(PEOPLE_MANIFEST),
     }
     with pytest.raises(QueryError, match="connected"):
-        build_composite(schemas, "ads", [])
+        CompositeTree(schemas, "ads", [])

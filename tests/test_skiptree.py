@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from quest.bench import WORKLOAD
-from quest.datagen import generate
+from quest.datagen import generate, random_corpus
 from quest.delivery import deliver, drill_down, indicator_gather, indicator_scatter, owner_index, roll_up
 from quest.engine import evaluate
 from quest.errors import DeliveryError, StoreError
@@ -17,6 +18,7 @@ from quest.skiptree import (
     build_skip_tree,
     compose,
     counter_union,
+    layered_tree,
     load_skiptree,
     multi_hop,
     naive_lca,
@@ -24,6 +26,7 @@ from quest.skiptree import (
     tree_height,
     write_skiptree,
 )
+from quest.schema import Link
 from quest.store import write_store, open_store
 
 from conftest import ADVERTISER, CAMPAIGN, CLICKS, PERSON, WORD, WORDSET, dense_relation
@@ -388,6 +391,110 @@ def test_skiptree_round_trip(tmp_path, ads_data, ads_store):
     for _, _, m in res.src_jumps:
         out = m.up(out)
     assert out.tolist() == [True, True, False]
+
+
+REAL_LINKS = (Link.COUNTER, Link.INDICATOR)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("config", ["tiny-3", "random-8"])
+def test_persisted_index_holds_only_composed_jumps(tmp_path, config):
+    corpus = generate("tiny", seed=3) if config == "tiny-3" else random_corpus(random.Random(8))
+    store = corpus.store()
+    write_store(store, tmp_path)
+    store_files = {_sha256(p): p.relative_to(tmp_path).as_posix() for p in tmp_path.glob("*/*.col")}
+    persisted, copies = [], []
+    for name, data in sorted(store.datasets.items()):
+        schema = data.schema
+        tree = build_skip_tree(data)
+        write_skiptree(tree, tmp_path, schema)
+        path_to_id = {schema.path_of(n.id): n.id for n in schema.nodes}
+        root = tmp_path / name / "_skiptree"
+        assert (root / "skiptree.json").is_file()
+        for f in sorted(root.glob("*.col")):
+            path, level, _, _ = f.name.rsplit(".", 3)
+            node = path_to_id[path]
+            top = tree.skip_ancestors(node)[int(level)]
+            crossed = 0
+            while node != top:
+                crossed += schema.node(node).link in REAL_LINKS
+                node = schema.node(node).parent
+            assert crossed >= 2, f.name
+            persisted.append(f"{name}/{f.name}")
+            if _sha256(f) in store_files:
+                copies.append(f"{name}/{f.name}")
+    # which jumps compose two real links depends on the schemas alone
+    assert persisted == [
+        "org/Org.Region.Site.1.counter.col",
+        "org/Org.Region.Site.Building.Floor.1.counter.col",
+        "org/Org.Region.Site.Building.Floor.2.counter.col",
+        "org/Org.Region.Site.Building.Floor.Room.sensor.1.counter.col",
+        "org/Org.Region.Site.Building.tag.2.counter.col",
+        "social/Person.like#.#Message.1.counter.col",
+        "social/Person.like#.#Message.1.pointer.col",
+    ]
+    # In a `generate` corpus each person likes at most one message, so
+    # like# composed with #Message is those two links' arrays byte for
+    # byte; in `random_corpus` people like several messages, in any order.
+    if config == "tiny-3":
+        assert copies == persisted[-2:]
+    else:
+        assert copies == []
+
+
+def test_an_index_without_composed_jumps_still_writes_its_manifest(tmp_path):
+    # ads and people compose no two real links at any preset
+    store = generate("tiny", seed=0).store()
+    write_store(store, tmp_path)
+    reopened = open_store(tmp_path)
+    for name in ("ads", "people"):
+        tree = build_skip_tree(reopened.data(name))
+        assert tree.composed == {}
+        write_skiptree(tree, tmp_path, reopened.schema(name))
+        assert [p.name for p in (tmp_path / name / "_skiptree").iterdir()] == ["skiptree.json"]
+        assert load_skiptree(reopened, name).skip_ancestors(len(tree) - 1) == tree.skip_ancestors(len(tree) - 1)
+
+
+def test_trees_over_one_schema_data_share_link_mappings(tmp_path, monkeypatch):
+    write_store(generate("tiny", seed=0).store(), tmp_path)
+    store = open_store(tmp_path)
+    data = store.data("org")
+    write_skiptree(build_skip_tree(data), tmp_path, data.schema)
+    loaded = load_skiptree(store, "org")
+    built = build_skip_tree(data)
+    layered = layered_tree(data)
+    links = layered.links
+    for v in range(len(built)):
+        for j, (mine, other) in enumerate(zip(built.entries[v], loaded.entries[v])):
+            if (v, j) in built.composed:
+                assert mine.mapping is not other.mapping
+                assert np.array_equal(mine.mapping.boundaries, other.mapping.boundaries)
+            else:
+                assert mine.mapping is other.mapping, (v, j)
+                assert any(mine.mapping is m for m in links), (v, j)
+        if v:
+            assert layered.entries[v][0].mapping is built.entries[v][0].mapping is links[v]
+
+    owners = []
+
+    def counting(boundaries):
+        owners.append(boundaries)
+        return owner_index(boundaries)
+
+    monkeypatch.setattr("quest.skiptree.owner_index", counting)
+    rng = np.random.default_rng(7)
+    for index in (loaded, built, None, loaded):
+        for node in range(len(data.schema)):
+            for anc in data.schema.ancestors(node):
+                deliver(store, "org", node, anc, rng.random(data.cardinality[node]) < 0.5, index=index)
+                deliver(store, "org", anc, node, rng.random(data.cardinality[anc]) < 0.5, index=index)
+    # one owner per counter, whichever trees move bits over it
+    assert len(owners) == len({id(b) for b in owners})
+    counters = [m for m in links if m is not None and m.boundaries is not None]
+    assert len(owners) == len(counters) + 2 * len(built.composed)
 
 
 def test_rewriting_a_store_drops_its_stale_indexes(tmp_path):
