@@ -17,15 +17,7 @@ from .errors import (
 )
 from .query import parse_query
 from .schema import Kind, Link, Schema, SchemaNode, expand_graph_schema, parse_schema, serialize_schema
-from .store import (
-    CounterArray,
-    IndicatorArray,
-    PrimitiveColumn,
-    SchemaData,
-    Store,
-    open_store,
-    write_store,
-)
+from .store import PrimitiveColumn, SchemaData, Store, open_store, write_store
 
 __version__ = "0.1.0"
 
@@ -64,8 +56,6 @@ __all__ = [
     "serialize_schema",
     "expand_graph_schema",
     "PrimitiveColumn",
-    "CounterArray",
-    "IndicatorArray",
     "SchemaData",
     "Store",
     "ingest_json",

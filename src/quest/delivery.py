@@ -6,11 +6,14 @@ four moves below are the only ways bits ever change address space:
 * `roll_up` / `drill_down` cross a one-to-many boundary (a counter),
 * `indicator_gather` / `indicator_scatter` cross a many-to-one pointer array.
 
+A `Mapping` holds one counter, one pointer array or both, and is the only
+in-memory form of either: the store holds each of its arrays as one, and
+the Skip-Tree composes them.  Its constructor checks the arrays, once.
 A counter move is one gather through the counter's owner index, the upper
 instance of every entry (`owner_index`): a roll-up scatters the owners of
 the set entries, a drill-down reads each entry's owner bit.  The owner
-depends on the store alone, so a Skip-Tree `Mapping` builds it on its first
-move and keeps it, and a warm query repeats none of that work.
+depends on the store alone, so a `Mapping` builds it on its first move and
+keeps it, and a warm query repeats none of that work.
 `roll_up` / `drill_down` take a bare counter and build the owner per call.
 
 `deliver` routes a bitset from one node to another through their lowest
@@ -20,12 +23,14 @@ array each.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .errors import DeliveryError
-from .schema import Link, Schema
+from .errors import DeliveryError, StoreError
 
 __all__ = [
+    "Mapping",
     "owner_index",
     "owner_roll_up",
     "owner_drill_down",
@@ -117,20 +122,78 @@ def indicator_scatter(source_bits: np.ndarray, pointers: np.ndarray, target_card
     return out
 
 
-_LINK_SUFFIX = {Link.COUNTER: "#counter", Link.INDICATOR: "#indicator"}
+class Mapping:
+    """Boolean relation from an upper space (an ancestor's instances) to a
+    lower one (a node's instances), kept as at most two arrays.
 
+    ``boundaries`` alone is a counter: upper instance ``i`` owns the lower
+    range ``[b[i-1], b[i])``.  ``pointers`` alone is a pointer array: upper
+    instance ``i`` owns lower instance ``pointers[i]``.  Both together are a
+    composed hop: upper instance ``i`` owns ``pointers[b[i-1]:b[i]]``.  With
+    neither, the mapping is the identity.
 
-def _read_key(schema: Schema, node_id: int, level: int, mapping) -> str | None:
-    """Metadata key a jump from `node_id` reads, or None if it reads nothing.
-
-    A level-0 jump reads the node's own counter or pointer array, even an
-    empty one; an identity link reads nothing.  A higher jump reads a
-    composed skip mapping, and an empty one is not read.
+    The constructor raises `StoreError` unless the counter never decreases
+    and ends at the number of entries it ranges over, and every pointer
+    is a lower instance.  A counter's moves go through its `owner` index,
+    built on the first move and kept for the mapping's life.
     """
-    if level == 0:
-        suffix = _LINK_SUFFIX.get(schema.node(node_id).link)
-        return None if suffix is None else f"{schema.path_of(node_id)}{suffix}"
-    return f"skip/{schema.path_of(node_id)}#{level}" if mapping.nbytes else None
+
+    def __init__(self, lower_cardinality: int, boundaries=None, pointers=None):
+        self.lower_cardinality = int(lower_cardinality)
+        self.boundaries = None if boundaries is None else np.asarray(boundaries, dtype=np.int64)
+        self.pointers = None if pointers is None else np.asarray(pointers, dtype=np.int64)
+        # the entries the counter ranges over: the pointers, else the lower instances
+        entries = self.lower_cardinality if self.pointers is None else int(self.pointers.size)
+        if self.boundaries is None:
+            self.upper_cardinality = entries
+        else:
+            self.upper_cardinality = int(self.boundaries.size)
+            if self.boundaries.size and (self.boundaries[0] < 0 or (np.diff(self.boundaries) < 0).any()):
+                raise StoreError("counter decreases")
+            end = int(self.boundaries[-1]) if self.boundaries.size else 0
+            if end != entries:
+                raise StoreError(f"counter ends at {end}, not at its {entries} entries")
+        if self.pointers is not None and self.pointers.size:
+            lo, hi = int(self.pointers.min()), int(self.pointers.max())
+            if lo < 0 or hi >= self.lower_cardinality:
+                raise StoreError(f"pointers span [{lo}, {hi}], outside the {self.lower_cardinality} instances")
+        self.nbytes = 8 * sum(int(a.size) for a in (self.boundaries, self.pointers) if a is not None)
+
+    @property
+    def is_identity(self) -> bool:
+        return self.boundaries is None and self.pointers is None
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """Read-only: the upper instance of each counter entry (`owner_index`)."""
+        return owner_index(self.boundaries)
+
+    def up(self, bits: np.ndarray) -> np.ndarray:
+        if self.pointers is not None:
+            bits = indicator_gather(bits, self.pointers)
+        if self.boundaries is not None:
+            bits = owner_roll_up(bits, self.owner, self.upper_cardinality)
+        return bits
+
+    def down(self, bits: np.ndarray) -> np.ndarray:
+        if self.boundaries is not None:
+            bits = owner_drill_down(bits, self.owner, self.upper_cardinality)
+        if self.pointers is not None:
+            bits = indicator_scatter(bits, self.pointers, self.lower_cardinality)
+        return bits
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The relation in CSR form: row starts/ends and lower instance per entry."""
+        if self.boundaries is None:
+            indptr = np.arange(self.upper_cardinality + 1, dtype=np.int64)
+        else:
+            indptr = np.concatenate(([0], self.boundaries))
+        indices = np.arange(self.lower_cardinality, dtype=np.int64) if self.pointers is None else self.pointers
+        return indptr, indices
+
+    def __repr__(self):
+        arrays = [name for name in ("boundaries", "pointers") if getattr(self, name) is not None]
+        return f"Mapping({self.upper_cardinality}->{self.lower_cardinality}, {'+'.join(arrays) or 'identity'})"
 
 
 def deliver(store, schema_name: str, src: int, dst: int, bits: np.ndarray, index=None):
@@ -151,7 +214,7 @@ def deliver(store, schema_name: str, src: int, dst: int, bits: np.ndarray, index
     if src == dst:
         return bits
     if index is None:
-        from .skiptree import layered_tree  # skiptree imports this module's kernels
+        from .skiptree import layered_tree  # skiptree imports this module
 
         index = layered_tree(data)
 
@@ -159,9 +222,14 @@ def deliver(store, schema_name: str, src: int, dst: int, bits: np.ndarray, index
     route = [(jump, "up") for jump in res.src_jumps]
     route += [(jump, "down") for jump in reversed(res.dst_jumps)]
     for (node_id, level, mapping), way in route:
-        key = _read_key(schema, node_id, level, mapping)
-        if key is not None:
-            store.io.record_metadata(f"{schema_name}/{key}", mapping.nbytes)
+        # a level-0 jump reads the node's own counter or pointer array, even
+        # an empty one, and an identity reads nothing; a higher jump reads
+        # its skip mapping, unless that is empty
+        if level == 0 and not mapping.is_identity:
+            store.read_link(schema_name, node_id)
+            store.io.bitset_ops += 1
+        elif level and mapping.nbytes:
+            store.io.record_metadata(f"{schema_name}/skip/{schema.path_of(node_id)}#{level}", mapping.nbytes)
             store.io.bitset_ops += 1
         bits = mapping.up(bits) if way == "up" else mapping.down(bits)
     return bits

@@ -22,11 +22,11 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .delivery import deliver, indicator_gather, indicator_scatter, ones_bits, positions_of
+from .delivery import deliver, ones_bits, positions_of
 from .errors import QueryError
 from .optimizer import WanderingSequence, plan_query
 from .query import JoinSpec, Key, Predicate, Query, parse_query
-from .schema import Kind, Link
+from .schema import Link
 from .store import PrimitiveColumn, Store, collector_paused
 
 _OPS = {
@@ -332,12 +332,11 @@ class _Evaluation:
         sources = [gp.anchor] + targets[:-1]
 
         cand = [anchor_bits]
-        inds = []
+        pointers = []  # each leaf's pointer array, a Mapping from the leaf down to its target
         for k, ln in enumerate(leafs):
             leaf_bits = self._deliver(name, sources[k], ln, cand[k])
-            ind = self.store.read_indicator(name, ln)
-            inds.append(ind)
-            cand.append(indicator_scatter(leaf_bits, ind.pointers, ind.target_cardinality))
+            pointers.append(self.store.read_link(name, ln))
+            cand.append(pointers[k].down(leaf_bits))
             self.store.io.bitset_ops += 1
 
         by_depth: dict[int, dict[int, list[Predicate]]] = {}
@@ -353,7 +352,7 @@ class _Evaluation:
                 site_bits = self._scan_mask(name, node_id, ctx, preds)
                 f = f & self._deliver(name, node_id, targets[k - 1], site_bits)
                 self.store.io.bitset_ops += 1
-            edge_bits = indicator_gather(f, inds[k - 1].pointers)
+            edge_bits = pointers[k - 1].up(f)
             self.store.io.bitset_ops += 1
             f = self._deliver(name, leafs[k - 1], sources[k - 1], edge_bits) & cand[k - 1]
             self.store.io.bitset_ops += 1
@@ -428,15 +427,10 @@ class _Evaluation:
                 if a[0] != b[0]:
                     idxs = self._map_join_up(idxs, a[0])
                     continue
-                node = self.tree.node(a)
-                if node.link is Link.COUNTER:
-                    ctr = self.store.read_counter(a[0], a[1])
-                    idxs = np.searchsorted(ctr.boundaries, idxs, side="right").astype(np.int64)
-            else:
-                node = self.tree.node(b)
-                if node.kind is Kind.RECORD and node.link is Link.INDICATOR:
-                    ind = self.store.read_indicator(b[0], b[1])
-                    idxs = ind.pointers[idxs].astype(np.int64)
+                if self.tree.node(a).link is Link.COUNTER:
+                    idxs = self.store.read_link(*a).owner[idxs]
+            elif self.tree.node(b).link is Link.INDICATOR:
+                idxs = self.store.read_link(*b).pointers[idxs]
         return idxs
 
     def _map_join_up(self, idxs: np.ndarray, guest: str) -> np.ndarray:

@@ -20,12 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .delivery import Mapping
 from .errors import IngestError, SchemaError
 from .schema import Kind, Link, Schema
 from .store import (
     ColumnStats,
-    CounterArray,
-    IndicatorArray,
     PrimitiveColumn,
     SchemaData,
     StringDictionary,
@@ -108,7 +107,7 @@ def finalize(data: SchemaData) -> SchemaData:
         if node.link is Link.ROOT:
             data.cardinality.setdefault(nid, 0)
         elif node.link is Link.COUNTER:
-            data.cardinality[nid] = data.counters[nid].child_cardinality
+            data.cardinality[nid] = data.counters[nid].lower_cardinality
         elif node.link is Link.INDICATOR:
             pass  # set explicitly at ingest (vertex count)
         else:
@@ -224,7 +223,7 @@ def _shred(schema: Schema, node, values: list, ordinals: np.ndarray, data: Schem
     if node.kind is Kind.ARRAY:
         values = _nested(values, list, [], "expected an array", path, ordinals)
         lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
-        data.counters[node.id] = CounterArray(node=node.id, boundaries=np.cumsum(lengths))
+        data.counters[node.id] = Mapping(int(lengths.sum()), boundaries=np.cumsum(lengths))
         values = list(chain.from_iterable(values))
         ordinals = np.repeat(ordinals, lengths)
         if node.has_values:
@@ -486,14 +485,8 @@ def _graph_data(schema: Schema, vertex_cells: dict, edge_cells: dict) -> SchemaD
             raise IngestError(f"edge {label!r} references unknown {side!r} id {vid!r}", ordinal=i)
         order = np.argsort(src_idx, kind="stable")
         n_src = data.cardinality[record_of[src_label]]
-        data.counters[n.id] = CounterArray(node=n.id, boundaries=np.cumsum(np.bincount(src_idx, minlength=n_src)))
-        tgt_record = record_of[tgt_label]
-        data.indicators[tgt_child.id] = IndicatorArray(
-            node=tgt_child.id,
-            pointers=dst_idx[order],
-            target=tgt_record,
-            target_cardinality=data.cardinality[tgt_record],
-        )
+        data.counters[n.id] = Mapping(src_idx.size, boundaries=np.cumsum(np.bincount(src_idx, minlength=n_src)))
+        data.indicators[tgt_child.id] = Mapping(data.cardinality[record_of[tgt_label]], pointers=dst_idx[order])
         for cid in n.children:
             child = schema.node(cid)
             if child.kind is not Kind.PRIMITIVE:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import PlanConstraintError, QueryError
-from .query import CompositeTree, Key, Query
+from .query import CompositeTree, Key, Predicate, Query
 from .schema import Link
 from .store import Store, estimate_selectivity
 
@@ -50,19 +50,15 @@ __all__ = [
 class CostParams:
     """Per-node sizes and unit costs feeding ``estimate_cost``.
 
-    ``G`` is instance cardinality, ``S`` the per-value width in bytes.  The
-    unit costs default to 1 so the terms stay readable; ``bench --calibrate``
-    measures ``a`` and ``bp`` for the simplified model.
+    ``G`` is instance cardinality, ``S`` the per-value width in bytes.
+    ``a`` and ``bp`` price the simplified model; they default to 1 so the
+    terms stay readable, and ``bench --calibrate`` measures them.
     """
 
     G: dict[Key, float] = field(default_factory=dict)
     S: dict[Key, float] = field(default_factory=dict)
     block_size: float = 4096.0
     metadata_unit: float = 8.0
-    c_deser: float = 1.0
-    c_bitset: float = 1.0
-    c_filter: float = 1.0
-    c_regen: float = 1.0
     a: float = 1.0
     bp: float = 1.0
 
@@ -297,13 +293,9 @@ def estimate_cost(tree: CompositeTree, seq: WanderingSequence, params: CostParam
         fetch_units += g * sigma_total
 
     c_io = io_filter_scan + io_metadata + io_fetch_scan
-    c_cpu = (
-        params.c_deser * scanned_units
-        + params.c_bitset * run_units
-        + params.c_filter * scanned_units
-        + params.c_deser * fetch_units
-        + params.c_regen * fetch_units
-    )
+    # deserialize and filter each scanned unit, move each run unit,
+    # deserialize and regenerate each fetched unit
+    c_cpu = scanned_units + run_units + scanned_units + fetch_units + fetch_units
     simplified = params.a * scanned_units + params.bp * run_units
     return {
         "io_filter_scan": io_filter_scan,
@@ -321,6 +313,14 @@ def estimate_cost(tree: CompositeTree, seq: WanderingSequence, params: CostParam
 # plan assembly
 
 
+def _selectivity(store: Store, pred: Predicate) -> float:
+    """The stated selectivity, else the column statistics' estimate, else 0.5."""
+    if pred.selectivity is not None:
+        return pred.selectivity
+    stats = store.data(pred.site.schema).stats.get(pred.site.node)
+    return estimate_selectivity(stats, pred.op, pred.value) if stats else 0.5
+
+
 def _plan_filters(store: Store, query: Query) -> list[PlanFilter]:
     by_site: dict[Key, PlanFilter] = {}
     ordered: list[PlanFilter] = []
@@ -328,27 +328,18 @@ def _plan_filters(store: Store, query: Query) -> list[PlanFilter]:
         if pred.graph_path is not None:
             continue
         key = (pred.site.schema, pred.site.node)
-        sigma = pred.selectivity
-        if sigma is None:
-            stats = store.data(pred.site.schema).stats.get(pred.site.node)
-            sigma = estimate_selectivity(stats, pred.op, pred.value) if stats else 0.5
         entry = by_site.get(key)
         if entry is None:
             entry = PlanFilter(key=key, selectivity=1.0)
             by_site[key] = entry
             ordered.append(entry)
-        entry.selectivity *= sigma
+        entry.selectivity *= _selectivity(store, pred)
         entry.predicates.append(i)
 
     for gi, gp in enumerate(query.graph_paths):
         sigma = 1.0
         for i in gp.members:
-            pred = query.filters[i]
-            stats = store.data(pred.site.schema).stats.get(pred.site.node)
-            est = pred.selectivity
-            if est is None:
-                est = estimate_selectivity(stats, pred.op, pred.value) if stats else 0.5
-            sigma *= est
+            sigma *= _selectivity(store, query.filters[i])
         ordered.append(PlanFilter(
             key=(gp.schema, gp.anchor), selectivity=sigma,
             predicates=list(gp.members), kind="pattern", graph_path=gi,

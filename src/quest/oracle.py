@@ -53,6 +53,11 @@ def _value_at(column, index: int):
     return value.item() if hasattr(value, "item") else value
 
 
+def _range(boundaries, index: int) -> tuple[int, int]:
+    """The entries of a counter's upper instance `index`: [lo, hi)."""
+    return (int(boundaries[index - 1]) if index else 0), int(boundaries[index])
+
+
 def _materialize_instance(data: SchemaData, schema: Schema, node, index: int) -> dict:
     out: dict = {}
     for cid in node.children:
@@ -60,11 +65,11 @@ def _materialize_instance(data: SchemaData, schema: Schema, node, index: int) ->
         if child.kind is Kind.PRIMITIVE:
             out[child.name] = _value_at(data.columns[cid], index)
         elif child.kind is Kind.ARRAY and child.has_values:
-            lo, hi = data.counters[cid].range(index)
+            lo, hi = _range(data.counters[cid].boundaries, index)
             col = data.columns[cid]
             out[child.name] = [_value_at(col, j) for j in range(lo, hi)]
         elif child.kind is Kind.ARRAY:
-            lo, hi = data.counters[cid].range(index)
+            lo, hi = _range(data.counters[cid].boundaries, index)
             out[child.name] = [
                 _materialize_instance(data, schema, child, j) for j in range(lo, hi)
             ]
@@ -102,7 +107,7 @@ def _materialize_graph(data: SchemaData, schema: Schema) -> dict:
         if n.kind is not Kind.ARRAY or not n.name.endswith("#"):
             continue
         label = n.name[:-1]
-        counter = data.counters[n.id]
+        boundaries = data.counters[n.id].boundaries
         tgt_child = next(
             schema.node(c)
             for c in n.children
@@ -113,8 +118,8 @@ def _materialize_graph(data: SchemaData, schema: Schema) -> dict:
             schema.node(c) for c in n.children if schema.node(c).kind is Kind.PRIMITIVE
         ]
         rows = []
-        for src in range(counter.cardinality):
-            lo, hi = counter.range(src)
+        for src in range(len(boundaries)):
+            lo, hi = _range(boundaries, src)
             for e in range(lo, hi):
                 props = {c.name: _value_at(data.columns[c.id], e) for c in prop_children}
                 rows.append((src, int(pointers[e]), props))
@@ -200,9 +205,9 @@ class _Tables:
                 col = data.columns[nid]
                 t.values[nid] = [_value_at(col, i) for i in range(col.cardinality)]
             if n.link is Link.COUNTER:
-                ctr = data.counters[nid]
-                for p in range(ctr.cardinality):
-                    lo, hi = ctr.range(p)
+                boundaries = data.counters[nid].boundaries
+                for p in range(len(boundaries)):
+                    lo, hi = _range(boundaries, p)
                     t.spans[nid].append((lo, hi))
                     t.parent[nid].extend([p] * (hi - lo))
             elif n.link is Link.INDICATOR:  # shared vertex record

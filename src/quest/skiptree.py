@@ -11,8 +11,8 @@ composition, so a bitset jumps several nested layers in one kernel call
 instead of climbing them one boundary array at a time; where it crosses
 one, it is that array, as the store holds it.
 
-Every mapping is one `Mapping`: a counter, a pointer array, both, or
-neither (the identity).  The same machinery expresses multi-hop graph
+Every mapping is one `quest.delivery.Mapping`: a counter, a pointer array,
+both, or neither (the identity).  The same machinery expresses multi-hop graph
 traversals: one hop (a counter into an edge array plus its pointer array) is
 a mapping with both arrays, and composing hops, a boolean sparse product done
 in numpy, yields the skip counter/pointer pair for the whole chain.
@@ -27,14 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .delivery import Mapping
 from .errors import DeliveryError, StoreError
-from .delivery import (
-    indicator_gather,
-    indicator_scatter,
-    owner_drill_down,
-    owner_index,
-    owner_roll_up,
-)
 from .schema import Link, Schema
 from .store import (
     K_COUNTER,
@@ -64,78 +58,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# instance mappings between a node's space (lower) and an ancestor's (upper)
-
-
-class Mapping:
-    """Boolean relation from an upper space (an ancestor's instances) to a
-    lower one (a node's instances), kept as at most two arrays.
-
-    ``boundaries`` alone is a counter: upper instance ``i`` owns the lower
-    range ``[b[i-1], b[i])``.  ``pointers`` alone is a pointer array: upper
-    instance ``i`` owns lower instance ``pointers[i]``.  Both together are a
-    composed hop: upper instance ``i`` owns ``pointers[b[i-1]:b[i]]``.  With
-    neither, the mapping is the identity.
-
-    A counter's moves go through its `owner` index, built on the first
-    move and kept for the mapping's life: the loaded index, or the
-    schema's `layered_tree`.
-    """
-
-    def __init__(self, lower_cardinality: int, boundaries=None, pointers=None):
-        self.lower_cardinality = int(lower_cardinality)
-        self.boundaries = None if boundaries is None else np.asarray(boundaries, dtype=np.int64)
-        self.pointers = None if pointers is None else np.asarray(pointers, dtype=np.int64)
-        # the entries the counter ranges over: the pointers, else the lower instances
-        entries = self.lower_cardinality if self.pointers is None else int(self.pointers.size)
-        if self.boundaries is None:
-            self.upper_cardinality = entries
-        else:
-            self.upper_cardinality = int(self.boundaries.size)
-            end = int(self.boundaries[-1]) if self.boundaries.size else 0
-            if end != entries:
-                raise DeliveryError(f"mapping: counter end {end} != {entries} entries")
-        if self.pointers is not None and self.pointers.size and (
-            self.pointers.min() < 0 or self.pointers.max() >= self.lower_cardinality
-        ):
-            raise DeliveryError("mapping: pointer out of range")
-        self.nbytes = 8 * sum(int(a.size) for a in (self.boundaries, self.pointers) if a is not None)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.boundaries is None and self.pointers is None
-
-    @cached_property
-    def owner(self) -> np.ndarray:
-        """Read-only: the upper instance of each counter entry (`owner_index`)."""
-        return owner_index(self.boundaries)
-
-    def up(self, bits: np.ndarray) -> np.ndarray:
-        if self.pointers is not None:
-            bits = indicator_gather(bits, self.pointers)
-        if self.boundaries is not None:
-            bits = owner_roll_up(bits, self.owner, self.upper_cardinality)
-        return bits
-
-    def down(self, bits: np.ndarray) -> np.ndarray:
-        if self.boundaries is not None:
-            bits = owner_drill_down(bits, self.owner, self.upper_cardinality)
-        if self.pointers is not None:
-            bits = indicator_scatter(bits, self.pointers, self.lower_cardinality)
-        return bits
-
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The relation in CSR form: row starts/ends and lower instance per entry."""
-        if self.boundaries is None:
-            indptr = np.arange(self.upper_cardinality + 1, dtype=np.int64)
-        else:
-            indptr = np.concatenate(([0], self.boundaries))
-        indices = np.arange(self.lower_cardinality, dtype=np.int64) if self.pointers is None else self.pointers
-        return indptr, indices
-
-    def __repr__(self):
-        arrays = [name for name in ("boundaries", "pointers") if getattr(self, name) is not None]
-        return f"Mapping({self.upper_cardinality}->{self.lower_cardinality}, {'+'.join(arrays) or 'identity'})"
+# composing instance mappings
 
 
 def counter_union(parent_boundaries: np.ndarray, child_boundaries: np.ndarray) -> np.ndarray:
@@ -364,26 +287,22 @@ def _schema_tree(schema: Schema, links, H: int | None = None) -> SkipTree:
     return SkipTree([n.parent for n in nodes], [n.depth for n in nodes], real, links, H)
 
 
-def _link_mapping(data: SchemaData, node_id: int) -> Mapping:
-    link = data.schema.node(node_id).link
-    lower = data.cardinality[node_id]
-    if link is Link.COUNTER:
-        return Mapping(lower, boundaries=data.counters[node_id].boundaries)
-    if link is Link.INDICATOR:
-        return Mapping(lower, pointers=data.indicators[node_id].pointers)
-    return Mapping(lower)
-
-
 def layered_tree(data: SchemaData) -> SkipTree:
     """The height-0 tree of one ingested schema, for delivery without an index.
 
-    Each node's only entry is its own link mapping, so nothing is composed.
-    Its link Mappings are the ones every other tree over `data` uses.
-    The tree is built once and kept on `data`;
-    new data for the schema is a new `SchemaData` with no tree yet.
+    Each node's only entry is its own link: the store's counter or
+    pointer array Mapping, else an identity.  Every other tree over
+    `data` uses these same links.  The tree is built once and kept on
+    `data`; new data for the schema is a new `SchemaData` with no tree yet.
     """
     if data.layered_tree is None:
-        links = [None if n.parent is None else _link_mapping(data, n.id) for n in data.schema.nodes]
+        arrays = {Link.COUNTER: data.counters, Link.INDICATOR: data.indicators}
+        links = [
+            None if n.parent is None
+            else arrays[n.link][n.id] if n.link in arrays
+            else Mapping(data.cardinality[n.id])
+            for n in data.schema.nodes
+        ]
         data.layered_tree = _schema_tree(data.schema, links, H=0)
     return data.layered_tree
 

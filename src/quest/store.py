@@ -12,6 +12,9 @@ Every instance-bearing node owns exactly one column file:
 * Indicator leaves and graph vertex records store a pointer array into their
   target node's instance space.
 
+In memory each counter and pointer array is a `Mapping` (see
+`quest.delivery`), which checks its entries when it is built.
+
 Files carry a fixed header (magic ``QSTC``, version, kind, cardinality) and a
 CRC32 trailer; offsets are 64-bit little-endian.  An opened store reads a
 schema's files on the first use of its arrays (see `open_store`).  All reads
@@ -35,8 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .delivery import Mapping
 from .errors import StoreError
-from .schema import Link, Schema, parse_schema, serialize_schema
+from .schema import Kind, Schema, parse_schema, serialize_schema
 
 MAGIC = b"QSTC"
 FORMAT_VERSION = 2
@@ -53,67 +57,7 @@ _VALUE_KIND_BY_PRIM = {"number": K_NUMBER, "string": K_STRING, "boolean": K_BOOL
 
 
 # ---------------------------------------------------------------------------
-# array types
-
-
-@dataclass
-class CounterArray:
-    """Cumulative exclusive child offsets; one entry per parent instance."""
-
-    node: int
-    boundaries: np.ndarray
-
-    def __post_init__(self):
-        self.boundaries = np.asarray(self.boundaries, dtype=np.int64)
-        if self.boundaries.size and (
-            self.boundaries[0] < 0 or np.any(np.diff(self.boundaries) < 0)
-        ):
-            raise StoreError(f"counter for node {self.node} is not non-decreasing")
-
-    @property
-    def cardinality(self) -> int:
-        """Parent-side length of the boundary array."""
-        return int(self.boundaries.size)
-
-    @property
-    def child_cardinality(self) -> int:
-        return int(self.boundaries[-1]) if self.boundaries.size else 0
-
-    def range(self, parent_index: int) -> tuple[int, int]:
-        lo = int(self.boundaries[parent_index - 1]) if parent_index > 0 else 0
-        return lo, int(self.boundaries[parent_index])
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.boundaries.size) * DEFAULT_METADATA_UNIT
-
-
-@dataclass
-class IndicatorArray:
-    """One pointer per instance, each a row offset in the target column."""
-
-    node: int
-    pointers: np.ndarray
-    target: int
-    target_cardinality: int
-
-    def __post_init__(self):
-        self.pointers = np.asarray(self.pointers, dtype=np.int64)
-        if self.pointers.size:
-            lo, hi = int(self.pointers.min()), int(self.pointers.max())
-            if lo < 0 or hi >= self.target_cardinality:
-                raise StoreError(
-                    f"indicator for node {self.node} points outside its target "
-                    f"(range [{lo}, {hi}], target cardinality {self.target_cardinality})"
-                )
-
-    @property
-    def cardinality(self) -> int:
-        return int(self.pointers.size)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.pointers.size) * DEFAULT_METADATA_UNIT
+# value columns
 
 
 class StringDictionary:
@@ -347,18 +291,21 @@ def estimate_selectivity(stats: ColumnStats, op: str, operand) -> float:
 class SchemaData:
     """All columns, counters, and indicators for one schema.
 
-    Data opened from disk is given `load`, which reads its arrays: the
-    first use of `columns`, `counters` or `indicators` calls it and
-    validates what it returns (see `open_store`).  A load that fails
-    keeps no arrays, and every later use raises its error again.
+    `counters` and `indicators` hold each array as a `Mapping` into its
+    lower space: a counter's is its node, a pointer array's is the node
+    it points into.  Data opened from disk is given `load`, which reads
+    its arrays: the first use of `columns`, `counters` or `indicators`
+    calls it and validates what it returns (see `open_store`).  A load
+    that fails keeps no arrays, and every later use raises its error
+    again.
     """
 
     def __init__(self, schema: Schema, load=None):
         self.schema = schema
         self.cardinality: dict[int, int] = {}
         self.stats: dict[int, ColumnStats] = {}
-        # height-0 Skip-Tree, whose link Mappings every tree over this data
-        # shares (`skiptree.layered_tree` builds it on first use)
+        # height-0 Skip-Tree, whose links are `counters` and `indicators`
+        # (`skiptree.layered_tree` builds it on first use)
         self.layered_tree = None
         self._load = load
         self._arrays = None if load else ({}, {}, {})
@@ -373,11 +320,11 @@ class SchemaData:
         return self._loaded()[0]
 
     @property
-    def counters(self) -> dict[int, CounterArray]:
+    def counters(self) -> dict[int, Mapping]:
         return self._loaded()[1]
 
     @property
-    def indicators(self) -> dict[int, IndicatorArray]:
+    def indicators(self) -> dict[int, Mapping]:
         return self._loaded()[2]
 
     def _loaded(self) -> tuple[dict, dict, dict]:
@@ -394,24 +341,25 @@ class SchemaData:
         return self._arrays
 
     def validate(self) -> None:
+        """Check each array's length against the schema's cardinalities.
+
+        A counter or pointer array is checked against its upper space
+        only: its `Mapping` checked its entries when it was built.
+        """
         sch = self.schema
-        for nid, ctr in self.counters.items():
-            parent = sch.node(nid).parent
-            if ctr.cardinality != self.cardinality[parent]:
-                raise StoreError(
-                    f"{sch.name}.{sch.path_of(nid)}: counter length {ctr.cardinality} "
-                    f"!= parent cardinality {self.cardinality[parent]}"
-                )
-            if ctr.child_cardinality != self.cardinality[nid]:
-                raise StoreError(f"{sch.name}.{sch.path_of(nid)}: counter end != cardinality")
         for nid, col in self.columns.items():
             if col.cardinality != self.cardinality[nid]:
                 raise StoreError(f"{sch.name}.{sch.path_of(nid)}: column length != cardinality")
-        for nid, ind in self.indicators.items():
-            node = sch.node(nid)
-            expected = self.cardinality[node.parent] if node.link is Link.INDICATOR else self.cardinality[nid]
-            if ind.cardinality != expected:
-                raise StoreError(f"{sch.name}.{sch.path_of(nid)}: pointer count mismatch")
+        for links in (self.counters, self.indicators):
+            for nid, link in links.items():
+                node = sch.node(nid)
+                # an indicator leaf has a pointer per instance; other links one per parent instance
+                upper = nid if node.kind is Kind.INDICATOR else node.parent
+                if link.upper_cardinality != self.cardinality[upper]:
+                    raise StoreError(
+                        f"{sch.name}.{sch.path_of(nid)}: {link.upper_cardinality} entries, but "
+                        f"{sch.path_of(upper)} has {self.cardinality[upper]} instances"
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -539,19 +487,16 @@ class Store:
         stored = col.stored[positions]
         return (col.decode(stored) if decode else stored), col.validity[positions]
 
-    def read_counter(self, schema_name, node_id) -> CounterArray:
-        ctr = self.data(schema_name).counters.get(node_id)
-        if ctr is None:
-            raise StoreError(f"{self._key(schema_name, node_id)} has no counter")
-        self.io.record_metadata(self._key(schema_name, node_id, "#counter"), ctr.nbytes)
-        return ctr
-
-    def read_indicator(self, schema_name, node_id) -> IndicatorArray:
-        ind = self.data(schema_name).indicators.get(node_id)
-        if ind is None:
-            raise StoreError(f"{self._key(schema_name, node_id)} has no indicator")
-        self.io.record_metadata(self._key(schema_name, node_id, "#indicator"), ind.nbytes)
-        return ind
+    def read_link(self, schema_name, node_id) -> Mapping:
+        """The counter or pointer array at a node; each read is recorded
+        as a metadata read of ``<path>#counter`` or ``<path>#indicator``."""
+        data = self.data(schema_name)
+        for suffix, links in (("#counter", data.counters), ("#indicator", data.indicators)):
+            link = links.get(node_id)
+            if link is not None:
+                self.io.record_metadata(self._key(schema_name, node_id, suffix), link.nbytes)
+                return link
+        raise StoreError(f"{self._key(schema_name, node_id)} has no counter or pointer array")
 
 
 # ---------------------------------------------------------------------------
@@ -687,18 +632,18 @@ def _node_file_payload(data: SchemaData, node) -> tuple[int, int, bytes] | None:
     if has_counter and has_column:  # leaf array with scalar elements
         ctr = data.counters[nid]
         col = data.columns[nid]
-        payload = struct.pack("<Q", ctr.cardinality) + ctr.boundaries.astype("<i8").tobytes()
+        payload = struct.pack("<Q", ctr.upper_cardinality) + ctr.boundaries.astype("<i8").tobytes()
         payload += _encode_values(col)
         return _ARRAY_KIND_BY_PRIM[col.kind], col.cardinality, payload
     if has_counter:
         ctr = data.counters[nid]
-        return K_COUNTER, ctr.cardinality, ctr.boundaries.astype("<i8").tobytes()
+        return K_COUNTER, ctr.upper_cardinality, ctr.boundaries.astype("<i8").tobytes()
     if has_column:
         col = data.columns[nid]
         return _VALUE_KIND_BY_PRIM[col.kind], col.cardinality, _encode_values(col)
     if has_indicator:
         ind = data.indicators[nid]
-        return K_INDICATOR, ind.cardinality, ind.pointers.astype("<i8").tobytes()
+        return K_INDICATOR, ind.upper_cardinality, ind.pointers.astype("<i8").tobytes()
     return None
 
 
@@ -818,21 +763,24 @@ def _read_schema_files(schema: Schema, cardinality: dict, files: list) -> tuple[
         payload = found[2]
         node = schema.node(nid)
         if kind_code == K_COUNTER:
-            counters[nid] = CounterArray(node=nid, boundaries=np.frombuffer(payload, dtype="<i8").copy())
+            counters[nid] = _link(fpath, cardinality[nid], boundaries=np.frombuffer(payload, dtype="<i8").copy())
         elif kind_code == K_INDICATOR:
             target = node.target if node.target is not None else nid
-            indicators[nid] = IndicatorArray(
-                node=nid,
-                pointers=np.frombuffer(payload, dtype="<i8").copy(),
-                target=target,
-                target_cardinality=cardinality[target],
-            )
+            indicators[nid] = _link(fpath, cardinality[target], pointers=np.frombuffer(payload, dtype="<i8").copy())
         elif kind_code in (K_ARRAY_NUMBER, K_ARRAY_STRING, K_ARRAY_BOOLEAN):
             (ctr_len,) = struct.unpack("<Q", payload[:8])
             boundaries = np.frombuffer(payload[8 : 8 + 8 * ctr_len], dtype="<i8").copy()
-            counters[nid] = CounterArray(node=nid, boundaries=boundaries)
+            counters[nid] = _link(fpath, cardinality[nid], boundaries=boundaries)
             columns[nid] = _decode_column(nid, _PRIMITIVE_OF_KIND[kind_code], payload[8 + 8 * ctr_len :], count)
         else:
             prim = "null" if node.primitive == "null" else _PRIMITIVE_OF_KIND[kind_code]
             columns[nid] = _decode_column(nid, prim, payload, count)
     return columns, counters, indicators
+
+
+def _link(fpath, lower_cardinality: int, **arrays) -> Mapping:
+    """A file's counter or pointer array; a bad one names the file."""
+    try:
+        return Mapping(lower_cardinality, **arrays)
+    except StoreError as exc:
+        raise StoreError(f"{fpath}: {exc}; {_REINGEST}") from exc

@@ -246,6 +246,11 @@ def test_cli_import_leaves_bench_and_datagen_out(store_dir):
     assert _imported("from quest.store import ingest_csv", "quest.ingest")
 
 
+def test_every_exported_name_resolves():
+    # the lazily imported `ingest_*` and `oracle_*` names included
+    assert [name for name in quest.__all__ if not hasattr(quest, name)] == []
+
+
 def test_a_corrupt_column_fails_only_the_queries_that_read_it(store_dir, tmp_path):
     copy = tmp_path / "store"
     shutil.copytree(store_dir, copy)

@@ -190,7 +190,7 @@ def test_owner_is_built_once_per_mapping_and_read_only(monkeypatch):
         built.append(boundaries)
         return owner_index(boundaries)
 
-    monkeypatch.setattr("quest.skiptree.owner_index", counting)
+    monkeypatch.setattr("quest.delivery.owner_index", counting)
     m = Mapping(7, boundaries=np.array([2, 4, 4, 7]))
     assert built == []
     for _ in range(3):
@@ -459,8 +459,19 @@ def test_an_index_without_composed_jumps_still_writes_its_manifest(tmp_path):
 
 
 def test_trees_over_one_schema_data_share_link_mappings(tmp_path, monkeypatch):
-    write_store(generate("tiny", seed=0).store(), tmp_path)
+    ingested = generate("tiny", seed=0).store()
+    write_store(ingested, tmp_path)
     store = open_store(tmp_path)
+    # every counter or pointer link is the store's own Mapping, ingested or opened
+    checked = {Link.COUNTER: 0, Link.INDICATOR: 0}
+    for source in (ingested, store):
+        for name, sdata in source.datasets.items():
+            arrays = {Link.COUNTER: sdata.counters, Link.INDICATOR: sdata.indicators}
+            for n in sdata.schema.nodes:
+                if n.link in arrays:
+                    assert layered_tree(sdata).links[n.id] is arrays[n.link][n.id], (name, n.id)
+                    checked[n.link] += 1
+    assert all(checked.values()), checked
     data = store.data("org")
     write_skiptree(build_skip_tree(data), tmp_path, data.schema)
     loaded = load_skiptree(store, "org")
@@ -484,7 +495,7 @@ def test_trees_over_one_schema_data_share_link_mappings(tmp_path, monkeypatch):
         owners.append(boundaries)
         return owner_index(boundaries)
 
-    monkeypatch.setattr("quest.skiptree.owner_index", counting)
+    monkeypatch.setattr("quest.delivery.owner_index", counting)
     rng = np.random.default_rng(7)
     for index in (loaded, built, None, loaded):
         for node in range(len(data.schema)):

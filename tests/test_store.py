@@ -10,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from quest.cli import main
 from quest.datagen import generate, random_corpus
+from quest.delivery import Mapping
 from quest.engine import run_query
 from quest.errors import IngestError, StoreError
 from quest.schema import Kind, expand_graph_schema, parse_schema
@@ -25,12 +28,14 @@ from quest.ingest import (
     ingest_rows,
 )
 from quest.store import (
-    CounterArray,
+    K_COUNTER,
+    K_INDICATOR,
     PrimitiveColumn,
     Store,
     StringDictionary,
     estimate_selectivity,
     open_store,
+    write_column,
     write_store,
 )
 
@@ -71,16 +76,21 @@ def test_golden_values(ads_data):
 
 
 def test_counter_range(ads_data):
+    # a counter is a Mapping from parents to children: parent 2 owns [2, 4)
     clicks = ads_data.counters[CLICKS]
-    assert clicks.range(0) == (0, 1)
-    assert clicks.range(1) == (1, 2)
-    assert clicks.range(2) == (2, 4)
-    assert clicks.child_cardinality == 4
+    assert isinstance(clicks, Mapping) and clicks.pointers is None
+    assert (clicks.upper_cardinality, clicks.lower_cardinality) == (3, 4)
+    assert clicks.owner.tolist() == [0, 1, 2, 2]
 
 
 def test_counter_must_not_decrease():
-    with pytest.raises(StoreError):
-        CounterArray(node=0, boundaries=np.array([2, 1]))
+    with pytest.raises(StoreError, match="decreases"):
+        Mapping(1, boundaries=np.array([2, 1]))
+    # nor end short of its entries, nor point outside its lower space
+    with pytest.raises(StoreError, match="ends at 2, not at its 3 entries"):
+        Mapping(3, boundaries=np.array([1, 2]))
+    with pytest.raises(StoreError, match=r"pointers span \[0, 2\], outside the 2 instances"):
+        Mapping(2, pointers=np.array([0, 2]))
 
 
 def test_missing_fields_become_nulls(ads_schema):
@@ -248,7 +258,7 @@ def test_store_round_trip(tmp_path, multi_store):
             assert other.columns[nid].validity.tolist() == col.validity.tolist()
         for nid, ind in data.indicators.items():
             assert other.indicators[nid].pointers.tolist() == ind.pointers.tolist()
-            assert other.indicators[nid].target == ind.target
+            assert other.indicators[nid].lower_cardinality == ind.lower_cardinality
 
 
 def test_store_write_is_deterministic(tmp_path, multi_store):
@@ -312,7 +322,7 @@ def test_a_file_changed_after_the_open_is_not_read(tmp_path, ads_store, change):
     with pytest.raises(StoreError, match="changed after the store was opened.*quest ingest"):
         store.data("ads").columns
     # opened afresh, the store reads what is there now
-    assert open_store(tmp_path / "s").data("ads").counters[CAMPAIGN].cardinality == 2
+    assert open_store(tmp_path / "s").data("ads").counters[CAMPAIGN].upper_cardinality == 2
 
 
 def test_file_headers_must_match_the_manifest(tmp_path, ads_store):
@@ -326,6 +336,30 @@ def test_file_headers_must_match_the_manifest(tmp_path, ads_store):
         store = open_store(tmp_path / "s")
         with pytest.raises(StoreError, match="the header gives kind 4 and cardinality 2.*quest ingest"):
             store.data("ads").indicators
+
+
+@pytest.mark.parametrize(
+    "file, kind, entries, message",
+    [
+        ("Person.know#.col", K_COUNTER, [2, 1, 4], "counter decreases"),  # the parent of a child moves back
+        ("Person.know#.#Person.col", K_INDICATOR, [1, 2, 3, 0], r"pointers span \[0, 3\], outside the 3"),
+        ("Person.like#.col", K_COUNTER, [1, 2, 2], "counter ends at 2, not at its 3 entries"),  # manifest: 3 likes
+    ],
+)
+def test_a_malformed_link_array_on_disk_is_a_data_error(tmp_path, multi_store, file, kind, entries, message):
+    write_store(multi_store, tmp_path / "s")
+    # a well-formed file: the header and CRC agree with the manifest
+    target = tmp_path / "s" / "social" / file
+    write_column(target, kind, len(entries), np.asarray(entries, dtype="<i8").tobytes())
+    store = open_store(tmp_path / "s")
+    with pytest.raises(StoreError, match=f"{file}: {message}.*quest ingest"):
+        store.data("social").columns
+    assert store.data("ads").counters[CAMPAIGN].upper_cardinality == 2  # other schemas still load
+    query = json.dumps({"from": "social", "fetch": ["social.name"]})
+    for args in ([], ["--no-skiptree"], ["--oracle"]):
+        result = CliRunner().invoke(main, ["query", "--store", str(tmp_path / "s"), *args, query])
+        assert result.exit_code == 3, result.output
+        assert file in result.stderr and "quest ingest" in result.stderr
 
 
 def test_planning_and_index_load_read_no_column_file(tmp_path):
@@ -368,7 +402,7 @@ def test_io_counters(ads_store):
     io = ads_store.io
     ads_store.scan_values("ads", WORD)
     assert io.columns_read == 1 and io.bytes_read > 0
-    ads_store.read_counter("ads", CAMPAIGN)
+    ads_store.read_link("ads", CAMPAIGN)
     assert io.metadata_reads == 1
     positions = np.array([0, 3])
     values, validity = ads_store.scan_values("ads", WORD, positions=positions)
@@ -746,7 +780,7 @@ def _assert_same_data(a, b):
     assert a.indicators.keys() == b.indicators.keys()
     for nid, ind in a.indicators.items():
         other = b.indicators[nid]
-        assert (ind.target, ind.target_cardinality) == (other.target, other.target_cardinality)
+        assert ind.lower_cardinality == other.lower_cardinality, nid
         assert ind.pointers.tolist() == other.pointers.tolist(), nid
     assert a.columns.keys() == b.columns.keys()
     for nid, col in a.columns.items():
