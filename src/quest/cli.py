@@ -2,8 +2,10 @@
 
 A store lives in one directory.  ``gen`` writes the raw inputs under
 ``<store>/raw/``, ``ingest`` turns them into the columnar layout at the
-directory top level, ``index`` adds the persisted skip index, and the
-remaining commands read the result.
+directory top level, ``index`` stamps each schema's skip index (the
+index itself is composed from the store's arrays when a query first
+uses it, so it cannot go stale), and the remaining commands read the
+result.
 
 Exit codes: 0 ok, 2 usage, 3 data error, 4 constraint violation,
 5 timeout.
@@ -206,7 +208,7 @@ def ingest(store_dir):
 @_store_option
 @_guard
 def index(store_dir):
-    """Build and persist the skip index for every schema."""
+    """Stamp every schema's skip index; queries compose it from the store's arrays."""
     store = open_store(store_dir)
     for name in sorted(store.datasets):
         tree = build_skip_tree(store.data(name))

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 from .errors import PlanConstraintError, QueryError
 from .query import CompositeTree, Key, Predicate, Query
 from .schema import Link
-from .store import Store, estimate_selectivity
+from .store import DEFAULT_BLOCK_SIZE, DEFAULT_METADATA_UNIT, Store, estimate_selectivity
 
 __all__ = [
     "CostParams",
@@ -50,15 +50,15 @@ __all__ = [
 class CostParams:
     """Per-node sizes and unit costs feeding ``estimate_cost``.
 
-    ``G`` is instance cardinality, ``S`` the per-value width in bytes.
+    ``G`` is instance cardinality, ``S`` the per-value width in bytes; a
+    block is ``DEFAULT_BLOCK_SIZE`` bytes and a metadata entry
+    ``DEFAULT_METADATA_UNIT``.
     ``a`` and ``bp`` price the simplified model; they default to 1 so the
     terms stay readable, and ``bench --calibrate`` measures them.
     """
 
     G: dict[Key, float] = field(default_factory=dict)
     S: dict[Key, float] = field(default_factory=dict)
-    block_size: float = 4096.0
-    metadata_unit: float = 8.0
     a: float = 1.0
     bp: float = 1.0
 
@@ -99,7 +99,6 @@ class WanderingSequence:
     w: list[Key]
     stops: list[Key]
     filter_end: int  # prefix of ``w`` covered by the revisit constraint
-    stop_filter_end: int
     rollups: dict[Key, int]
     drilldowns: dict[Key, int]
     fetch_keys: list[Key] = field(default_factory=list)
@@ -209,7 +208,6 @@ def derive_wandering(
     for f in order[1:]:
         extend_to(f.key)
     filter_end = len(w)
-    stop_filter_end = len(stops)
     for key in fetch_keys:
         extend_to(key)
 
@@ -228,7 +226,6 @@ def derive_wandering(
         w=w,
         stops=stops,
         filter_end=filter_end,
-        stop_filter_end=stop_filter_end,
         rollups=rollups,
         drilldowns=drilldowns,
         fetch_keys=list(fetch_keys),
@@ -247,7 +244,7 @@ def metadata_blocks(tree: CompositeTree, seq: WanderingSequence, params: CostPar
         runs = seq.rollups.get(key, 0) + seq.drilldowns.get(key, 0)
         parent = tree.parent_of(key)
         g_parent, _ = params.size_of(parent) if parent is not None else (0.0, 0.0)
-        out[key] = runs * g_parent * params.metadata_unit / params.block_size
+        out[key] = runs * g_parent * DEFAULT_METADATA_UNIT / DEFAULT_BLOCK_SIZE
     return out
 
 
@@ -269,14 +266,14 @@ def estimate_cost(tree: CompositeTree, seq: WanderingSequence, params: CostParam
         g, s = params.size_of(f.key)
         frac = cumulative_selectivity(seq.order, f)
         scanned_units += g * frac
-        io_filter_scan += g * frac * s / params.block_size
+        io_filter_scan += g * frac * s / DEFAULT_BLOCK_SIZE
 
     io_metadata = 0.0
     run_units = 0.0
     for key, runs in seq.rollups.items():
         parent = tree.parent_of(key)
         g_parent, _ = params.size_of(parent) if parent is not None else (0.0, 0.0)
-        io_metadata += g_parent * runs * params.metadata_unit / params.block_size
+        io_metadata += g_parent * runs * DEFAULT_METADATA_UNIT / DEFAULT_BLOCK_SIZE
         run_units += g_parent * runs
     for key, runs in seq.drilldowns.items():
         g, _ = params.size_of(key)
@@ -289,7 +286,7 @@ def estimate_cost(tree: CompositeTree, seq: WanderingSequence, params: CostParam
     fetch_units = 0.0
     for key in seq.fetch_keys:
         g, s = params.size_of(key)
-        io_fetch_scan += g * s * sigma_total / params.block_size
+        io_fetch_scan += g * s * sigma_total / DEFAULT_BLOCK_SIZE
         fetch_units += g * sigma_total
 
     c_io = io_filter_scan + io_metadata + io_fetch_scan

@@ -7,22 +7,27 @@ skip ancestors: entry 0 is its parent, entry ``j`` the nearest proper
 ancestor of height at least ``j``.  Each entry also carries the instance
 mapping from the node's space to that ancestor's space.  Where the jump
 crosses several counter or pointer arrays that mapping is their
-composition, so a bitset jumps several nested layers in one kernel call
-instead of climbing them one boundary array at a time; where it crosses
-one, it is that array, as the store holds it.
+composition, made from the store's arrays on the jump's first use, so a
+bitset jumps several nested layers in one kernel call instead of climbing
+them one boundary array at a time; where it crosses one, it is that
+array, as the store holds it.
 
 Every mapping is one `quest.delivery.Mapping`: a counter, a pointer array,
 both, or neither (the identity).  The same machinery expresses multi-hop graph
 traversals: one hop (a counter into an edge array plus its pointer array) is
 a mapping with both arrays, and composing hops, a boolean sparse product done
 in numpy, yields the skip counter/pointer pair for the whole chain.
+
+An index is a pure function of its schema's arrays, so nothing composed is
+persisted: ``quest index`` writes only ``<store>/<schema>/_skiptree/skiptree.json``,
+a stamp giving the index format.
 """
 from __future__ import annotations
 
 import json
 import shutil
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +35,7 @@ import numpy as np
 from .delivery import Mapping
 from .errors import DeliveryError, StoreError
 from .schema import Link, Schema
-from .store import (
-    K_COUNTER,
-    K_INDICATOR,
-    SKIPTREE_DIR,
-    SchemaData,
-    Store,
-    read_column,
-    write_column,
-)
+from .store import SchemaData, Store
 
 __all__ = [
     "Mapping",
@@ -144,12 +141,6 @@ def set_height(depth: int, H: int) -> int:
 
 
 @dataclass
-class SkipEntry:
-    ancestor: int
-    mapping: Mapping | None
-
-
-@dataclass
 class LCAResult:
     lca: int
     src_jumps: list = field(default_factory=list)  # (node, layer, mapping), bottom-up
@@ -160,11 +151,13 @@ class LCAResult:
 class SkipTree:
     """Skip index over one schema tree; nodes are referenced by id.
 
-    `entries[v][j]` is node v's level-j jump.  A jump over two or more
-    real (counter or pointer) links carries their composition, kept in
-    `composed`; any other carries its link's own Mapping from `links`,
+    `jumps[v][j]` is node v's level-j jump: its ancestor, and the nodes
+    whose real (counter or pointer) links it crosses.  `mapping(v, j)` is
+    its instance mapping: the composition of those links when it crosses
+    two or more, made on the jump's first use and kept in `mappings`;
+    else its one link's own Mapping from `links`, or node v's identity,
     which every tree over one `SchemaData` shares with its `layered_tree`.
-    `links` may be a function, called on the first use of `entries`.
+    `links` may be a function, called on the first mapping asked for.
     """
 
     def __init__(self, parents: list, depths: list, real: list, links=None, H: int | None = None):
@@ -173,8 +166,6 @@ class SkipTree:
         self.H = tree_height(max(depths, default=0)) if H is None else H
         self.heights = [set_height(d, self.H) for d in depths]
         self.links = links
-        self.composed: dict[tuple[int, int], Mapping] = {}
-        # per node, per level: the ancestor, and the nodes whose real links the jump crosses
         self.jumps: list[list[tuple[int, tuple]]] = [[] for _ in parents]
         for v, p in enumerate(parents):
             if p is None:
@@ -186,38 +177,41 @@ class SkipTree:
                     crossed += (a,) if real[a] else ()
                     a = parents[a]
                 self.jumps[v].append((a, crossed))
+        # filled on a miss; `_lift` and `find_lca` read it on every delivery
+        self.mappings: list[list[Mapping | None]] = [[None] * len(row) for row in self.jumps]
 
     def __len__(self) -> int:
         return len(self.parents)
 
-    @cached_property
-    def entries(self) -> list[list[SkipEntry]]:
-        if callable(self.links):
-            self.links = self.links()
-        links = self.links or [None] * len(self)
-        return [
-            [SkipEntry(a, self.composed[v, j] if len(crossed) > 1 else links[(crossed or (v,))[0]])
-             for j, (a, crossed) in enumerate(row)]
-            for v, row in enumerate(self.jumps)
-        ]
-
-    def composed_jumps(self) -> list[tuple[int, int, tuple]]:
-        """(node, level, crossed) of each jump over two or more real links."""
-        return [(v, j, c) for v, row in enumerate(self.jumps) for j, (_, c) in enumerate(row) if len(c) > 1]
+    def mapping(self, v: int, j: int) -> Mapping | None:
+        """Node v's level-j mapping, composed on its first use."""
+        m = self.mappings[v][j]
+        if m is None:
+            if callable(self.links):
+                self.links = self.links()
+            if self.links is None:  # a bare structure carries no mappings
+                return None
+            crossed = self.jumps[v][j][1]
+            if len(crossed) > 1:
+                m = reduce(compose, [self.links[u] for u in crossed])
+            else:
+                m = self.links[(crossed or (v,))[0]]
+            self.mappings[v][j] = m
+        return m
 
     def skip_ancestors(self, node: int) -> list[int]:
         return [a for a, _ in self.jumps[node]]
 
     def _lift(self, v: int, target_depth: int, jumps: list) -> int:
         """Raise `v` to `target_depth` greedily from the top layer down."""
-        entries = self.entries
+        jumps_of, mappings = self.jumps, self.mappings
         while self.depths[v] > target_depth:
             i = self.heights[v]
             while True:
-                e = entries[v][i]
-                if self.depths[e.ancestor] >= target_depth:
-                    jumps.append((v, i, e.mapping))
-                    v = e.ancestor
+                a = jumps_of[v][i][0]
+                if self.depths[a] >= target_depth:
+                    jumps.append((v, i, mappings[v][i] or self.mapping(v, i)))
+                    v = a
                     break
                 i -= 1
         return v
@@ -237,22 +231,21 @@ class SkipTree:
             return LCAResult(lca=a, src_jumps=src_jumps, dst_jumps=dst_jumps,
                              steps=len(src_jumps) + len(dst_jumps))
         # equal depths imply equal heights, so both sides skip synchronously
-        entries = self.entries
+        jumps, mappings = self.jumps, self.mappings
         j = self.heights[a]
         while j >= 0:
-            ea, eb = entries[a][j], entries[b][j]
-            if ea.ancestor != eb.ancestor:
-                src_jumps.append((a, j, ea.mapping))
-                dst_jumps.append((b, j, eb.mapping))
-                a, b = ea.ancestor, eb.ancestor
+            pa, pb = jumps[a][j][0], jumps[b][j][0]
+            if pa != pb:
+                src_jumps.append((a, j, mappings[a][j] or self.mapping(a, j)))
+                dst_jumps.append((b, j, mappings[b][j] or self.mapping(b, j)))
+                a, b = pa, pb
                 j = self.heights[a]
             else:
                 j -= 1
         # parents coincide: one last hop on both sides lands on the LCA
-        src_jumps.append((a, 0, entries[a][0].mapping))
-        dst_jumps.append((b, 0, entries[b][0].mapping))
-        lca = entries[a][0].ancestor
-        return LCAResult(lca=lca, src_jumps=src_jumps, dst_jumps=dst_jumps,
+        src_jumps.append((a, 0, mappings[a][0] or self.mapping(a, 0)))
+        dst_jumps.append((b, 0, mappings[b][0] or self.mapping(b, 0)))
+        return LCAResult(lca=jumps[a][0][0], src_jumps=src_jumps, dst_jumps=dst_jumps,
                          steps=len(src_jumps) + len(dst_jumps))
 
 
@@ -309,68 +302,43 @@ def layered_tree(data: SchemaData) -> SkipTree:
 
 def build_skip_tree(data: SchemaData) -> SkipTree:
     """Build the index, with instance mappings, for one ingested schema."""
-    links = layered_tree(data).links
-    tree = _schema_tree(data.schema, links)
-    for v, j, crossed in tree.composed_jumps():
-        tree.composed[v, j] = reduce(compose, [links[u] for u in crossed])
-    return tree
+    return _schema_tree(data.schema, layered_tree(data).links)
 
 
 # ---------------------------------------------------------------------------
-# persistence: ``skiptree.json`` holds only the format; each composed jump's
-# arrays are in ``<node path>.<level>.counter.col`` (and ``.pointer.col``
-# when it crosses a pointer array).  Everything else is the schema's.
+# persistence: an index is derived from the schema's own arrays whenever it
+# is used, so only a stamp giving its format is written; a store rewritten
+# or copied into afterwards cannot leave it stale.
 
+# a schema's persisted Skip-Tree lives in this subdirectory of its own
+SKIPTREE_DIR = "_skiptree"
 SKIPTREE_FORMAT = {"format_version": 2}
-
-
-def _read_array(path: Path, kind_code: int) -> np.ndarray:
-    found, _, payload = read_column(path)
-    if found != kind_code:
-        raise StoreError(f"{path.name}: kind {found}, not {kind_code}")
-    return np.frombuffer(payload, dtype="<i8").copy()  # aligned: numpy gathers ~3x slower unaligned
 
 
 def write_skiptree(tree: SkipTree, store_path, schema: Schema) -> None:
     """Persist one schema's index under ``<store>/<schema>/_skiptree/``,
-    replacing whatever is there."""
+    replacing whatever is there: its ``skiptree.json`` stamp is all of it,
+    the same for every `tree`, which `load_skiptree` derives again."""
     root = Path(store_path) / schema.name / SKIPTREE_DIR
     shutil.rmtree(root, ignore_errors=True)
     root.mkdir(parents=True)
-    for (v, j), m in tree.composed.items():
-        for key, code, array in (("counter", K_COUNTER, m.boundaries), ("pointer", K_INDICATOR, m.pointers)):
-            if array is not None:
-                write_column(root / f"{schema.path_of(v)}.{j}.{key}.col", code, array.size, array.astype("<i8").tobytes())
     (root / "skiptree.json").write_text(json.dumps(SKIPTREE_FORMAT) + "\n", encoding="utf-8")
 
 
 def load_skiptree(store: Store, schema_name: str) -> SkipTree:
-    """Load a persisted index, reading its composed jumps only: the link
-    Mappings come from the schema's `layered_tree` on the first use of
-    `entries`.  Raises StoreError when none was built, or when it is
-    damaged, stale or written by an older quest."""
+    """Load a persisted index, reading its stamp only: the link Mappings
+    come from the schema's `layered_tree` on the first mapping asked for.
+    Raises StoreError when none was built, or when its stamp is damaged
+    or was written by another quest."""
     if store.path is None:
         raise StoreError("store was not opened from disk; build the index in memory instead")
     data = store.data(schema_name)
-    schema = data.schema
-    root = store.path / schema_name / SKIPTREE_DIR
-    mpath = root / "skiptree.json"
+    mpath = store.path / schema_name / SKIPTREE_DIR / "skiptree.json"
     if not mpath.exists():
         raise StoreError(f"{schema_name!r} has no skip index; build it with `quest index`")
-    tree = _schema_tree(schema, lambda: layered_tree(data).links)
     try:
         if json.loads(mpath.read_text(encoding="utf-8")) != SKIPTREE_FORMAT:
             raise StoreError(f"skiptree.json is not {json.dumps(SKIPTREE_FORMAT)}: another quest wrote it")
-        for v, j, crossed in tree.composed_jumps():
-            name = f"{schema.path_of(v)}.{j}"
-            boundaries = _read_array(root / f"{name}.counter.col", K_COUNTER)
-            pointers = None
-            if any(schema.node(u).link is Link.INDICATOR for u in crossed):
-                pointers = _read_array(root / f"{name}.pointer.col", K_INDICATOR)
-            m = Mapping(data.cardinality[v], boundaries=boundaries, pointers=pointers)
-            if m.upper_cardinality != data.cardinality[tree.jumps[v][j][0]]:
-                raise StoreError(f"{name}: counter length {m.upper_cardinality} != ancestor cardinality")
-            tree.composed[v, j] = m
-    except (OSError, ValueError, StoreError, DeliveryError) as exc:
+    except (OSError, ValueError, StoreError) as exc:
         raise StoreError(f"{schema_name!r}: unusable skip index ({exc}); rebuild it with `quest index`") from exc
-    return tree
+    return _schema_tree(data.schema, lambda: layered_tree(data).links)

@@ -28,7 +28,6 @@ import gc
 import json
 import math
 import os
-import shutil
 import struct
 import zlib
 from contextlib import contextmanager
@@ -44,8 +43,6 @@ from .schema import Kind, Schema, parse_schema, serialize_schema
 
 MAGIC = b"QSTC"
 FORMAT_VERSION = 2
-# a schema's persisted Skip-Tree lives in this subdirectory of its own
-SKIPTREE_DIR = "_skiptree"
 DEFAULT_BLOCK_SIZE = 4096
 DEFAULT_METADATA_UNIT = 8  # bytes per boundary/pointer entry on disk
 
@@ -648,11 +645,7 @@ def _node_file_payload(data: SchemaData, node) -> tuple[int, int, bytes] | None:
 
 
 def write_store(store: Store, path) -> None:
-    """Persist every schema's arrays under `path` plus a manifest.json.
-
-    A schema's persisted Skip-Tree is composed from the arrays written
-    here, so each written schema's `SKIPTREE_DIR` is removed first.
-    """
+    """Persist every schema's arrays under `path` plus a manifest.json."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
@@ -663,8 +656,6 @@ def write_store(store: Store, path) -> None:
     }
     for name, data in sorted(store.datasets.items()):
         sdir = root / name
-        if (sdir / SKIPTREE_DIR).exists():
-            shutil.rmtree(sdir / SKIPTREE_DIR)
         sdir.mkdir(parents=True, exist_ok=True)
         nodes_doc = {}
         for node in data.schema.nodes:
@@ -701,8 +692,9 @@ def open_store(path) -> Store:
     touches.  That load raises `StoreError` for a corrupt file, one of
     another format version, one whose header disagrees with the
     manifest, or one changed since the open.  A dictionary entry is
-    decoded to `str` on first use.  A store of another format version
-    raises `StoreError` here.
+    decoded to `str` on first use.  A store of another format version,
+    or a manifest that lacks a node's cardinality or names a node its
+    schema lacks, raises `StoreError` here.
     """
     root = Path(path)
     mpath = root / "manifest.json"
@@ -720,10 +712,15 @@ def open_store(path) -> Store:
     for name, sdoc in manifest.get("schemas", {}).items():
         schema = parse_schema(sdoc["manifest"])
         path_to_id = {schema.path_of(n.id): n.id for n in schema.nodes}
-        cardinality = {path_to_id[npath]: card for npath, card in sdoc.get("cardinalities", {}).items()}
+        cards, nodes = sdoc.get("cardinalities", {}), sdoc.get("nodes", {})
+        faults = [f"no cardinality for {npath}" for npath in path_to_id if npath not in cards]
+        faults += [f"unknown node {npath}" for npath in sorted({*cards, *nodes}) if npath not in path_to_id]
+        if faults:
+            raise StoreError(f"{mpath}: schema {name!r}: {', '.join(faults)}; {_REINGEST}")
+        cardinality = {path_to_id[npath]: card for npath, card in cards.items()}
         files = []
         stats = {}
-        for npath, ndoc in sdoc.get("nodes", {}).items():
+        for npath, ndoc in nodes.items():
             nid = path_to_id[npath]
             if "stats" in ndoc:
                 stats[nid] = ColumnStats.from_json(ndoc["stats"])

@@ -127,20 +127,8 @@ def test_sidecar_names_indexes_built_in_memory(store_dir, tmp_path):
     assert _rows(rebuilt) == _rows(loaded)
 
 
-def _remove(path: Path) -> None:
-    path.unlink()
-
-
-def _flip_last_byte(path: Path) -> None:
-    raw = bytearray(path.read_bytes())
-    raw[-1] ^= 0xFF
-    path.write_bytes(bytes(raw))
-
-
 # each one damages `org/_skiptree/` of a copied store
 DAMAGED_INDEXES = {
-    "composed file missing": ("Org.Region.Site.1.counter.col", _remove),
-    "composed file corrupt": ("Org.Region.Site.1.counter.col", _flip_last_byte),
     "manifest not json": ("skiptree.json", lambda p: p.write_text("{nodes: }")),
     "manifest names an unknown node": (
         "skiptree.json",
@@ -179,6 +167,32 @@ def test_a_damaged_index_is_rebuilt_in_memory(store_dir, tmp_path, case):
     assert _rows(reloaded) == _rows(oracle)
 
 
+def _drop_campaign_cardinality(ads: dict) -> None:
+    del ads["cardinalities"]["Advertiser.Campaign"]
+
+
+# each one edits the `ads` entry of a copied store's manifest.json
+BAD_CARDINALITIES = {
+    "missing cardinality": (_drop_campaign_cardinality, "no cardinality for Advertiser.Campaign"),
+    "unknown cardinality": (lambda ads: ads["cardinalities"].update({"Nowhere": 1}), "unknown node Nowhere"),
+    "unknown node": (lambda ads: ads["nodes"].update({"Nowhere": {}}), "unknown node Nowhere"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CARDINALITIES))
+def test_a_manifest_must_name_exactly_its_schemas_nodes(store_dir, tmp_path, case):
+    copy = tmp_path / "store"
+    shutil.copytree(store_dir, copy)
+    edit, message = BAD_CARDINALITIES[case]
+    manifest = json.loads((copy / "manifest.json").read_text())
+    edit(manifest["schemas"]["ads"])
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    for args in (["query"], ["query", "--no-skiptree"], ["explain"]):
+        result = invoke(*args, "--store", copy, WORD_QUERY)
+        assert result.exit_code == 3, (args, result.output)
+        assert message in result.stderr and "quest ingest" in result.stderr, args
+
+
 def test_reingest_drops_the_stale_index(tmp_path):
     root = tmp_path / "store"
     for step in (
@@ -190,10 +204,11 @@ def test_reingest_drops_the_stale_index(tmp_path):
     ):
         result = invoke(*step)
         assert result.exit_code == 0, result.output
-    assert not any(root.glob("*/_skiptree"))
+    # the stamps stay, and the loaded index is composed from the new arrays
     deep = json.dumps(next(q.doc for q in WORKLOAD if q.name.startswith("Q09")))
     engine = invoke("query", "--store", root, deep)
     assert engine.exit_code == 0, engine.output
+    assert json.loads(engine.stderr.strip().splitlines()[-1])["skiptree_built"] == []
     oracle = invoke("query", "--store", root, "--oracle", deep)
     assert sorted(map(tuple, _rows(engine))) == sorted(map(tuple, _rows(oracle)))
     assert _rows(engine)
@@ -224,9 +239,7 @@ def test_no_quest_command_imports_scipy(store_dir, tmp_path):
     copy = tmp_path / "store"
     shutil.copytree(store_dir, copy)
     assert not _imported(_cli_code("index", "--store", copy))
-    # ingest drops the persisted indexes, so the query builds them in memory
     assert not _imported(_cli_code("ingest", "--store", copy))
-    assert not any(copy.glob("*/_skiptree"))
     assert not _imported(_cli_code("query", "--store", copy, WORD_QUERY))
     # the probe does see a module that quest imports
     assert _imported("import quest.cli", "numpy")

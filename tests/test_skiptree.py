@@ -1,6 +1,6 @@
-import hashlib
 import math
 import random
+import shutil
 
 import numpy as np
 import pytest
@@ -335,7 +335,7 @@ def test_ads_skiptree_entries(ads_data):
     assert tree.skip_ancestors(WORDSET) == [CAMPAIGN, ADVERTISER]
     assert tree.skip_ancestors(CLICKS) == [CAMPAIGN, ADVERTISER]
     # the composite over Clicks' second entry folds Campaign's counter in
-    top = tree.entries[CLICKS][1].mapping
+    top = tree.mapping(CLICKS, 1)
     assert top.pointers is None and top.boundaries.tolist() == [2, 4]
 
 
@@ -349,7 +349,7 @@ def test_skip_up_down_equal_iterated(ads_data, ads_store):
         chain = []
         cur = node
         for anc in schema.ancestors(node):
-            chain.append(tree.entries[cur][0].mapping)
+            chain.append(tree.mapping(cur, 0))
             cur = anc
             bits = rng.random(ads_data.cardinality[node]) < 0.5
             iterated = bits
@@ -376,8 +376,8 @@ def test_skiptree_round_trip(tmp_path, ads_data, ads_store):
     assert loaded.H == tree.H and loaded.heights == tree.heights
     for v in range(len(tree)):
         assert loaded.skip_ancestors(v) == tree.skip_ancestors(v)
-        for mine, other in zip(tree.entries[v], loaded.entries[v]):
-            m, o = mine.mapping, other.mapping
+        for j in range(len(tree.jumps[v])):
+            m, o = tree.mapping(v, j), loaded.mapping(v, j)
             assert m.lower_cardinality == o.lower_cardinality
             for name in ("boundaries", "pointers"):
                 mine_array, other_array = getattr(m, name), getattr(o, name)
@@ -393,56 +393,41 @@ def test_skiptree_round_trip(tmp_path, ads_data, ads_store):
     assert out.tolist() == [True, True, False]
 
 
-REAL_LINKS = (Link.COUNTER, Link.INDICATOR)
-
-
-def _sha256(path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _composed_jumps(tree) -> list[tuple[int, int]]:
+    """(node, level) of each jump over two or more real links."""
+    return [(v, j) for v, row in enumerate(tree.jumps) for j, (_, crossed) in enumerate(row) if len(crossed) > 1]
 
 
 @pytest.mark.parametrize("config", ["tiny-3", "random-8"])
-def test_persisted_index_holds_only_composed_jumps(tmp_path, config):
+def test_persisted_index_holds_only_its_stamp(tmp_path, config):
     corpus = generate("tiny", seed=3) if config == "tiny-3" else random_corpus(random.Random(8))
     store = corpus.store()
     write_store(store, tmp_path)
-    store_files = {_sha256(p): p.relative_to(tmp_path).as_posix() for p in tmp_path.glob("*/*.col")}
-    persisted, copies = [], []
+    composed = []
     for name, data in sorted(store.datasets.items()):
-        schema = data.schema
         tree = build_skip_tree(data)
-        write_skiptree(tree, tmp_path, schema)
-        path_to_id = {schema.path_of(n.id): n.id for n in schema.nodes}
+        write_skiptree(tree, tmp_path, data.schema)
         root = tmp_path / name / "_skiptree"
-        assert (root / "skiptree.json").is_file()
-        for f in sorted(root.glob("*.col")):
-            path, level, _, _ = f.name.rsplit(".", 3)
-            node = path_to_id[path]
-            top = tree.skip_ancestors(node)[int(level)]
-            crossed = 0
-            while node != top:
-                crossed += schema.node(node).link in REAL_LINKS
-                node = schema.node(node).parent
-            assert crossed >= 2, f.name
-            persisted.append(f"{name}/{f.name}")
-            if _sha256(f) in store_files:
-                copies.append(f"{name}/{f.name}")
+        assert [p.name for p in root.iterdir()] == ["skiptree.json"]
+        assert (root / "skiptree.json").read_text() == '{"format_version": 2}\n'
+        loaded = load_skiptree(open_store(tmp_path), name)
+        for v, j in _composed_jumps(tree):
+            composed.append(f"{name}/{data.schema.path_of(v)}.{j}")
+            # composed on first use, from the opened store's own arrays
+            assert loaded.mappings[v][j] is None
+            mine, other = tree.mapping(v, j), loaded.mapping(v, j)
+            assert loaded.mappings[v][j] is other
+            for array in ("boundaries", "pointers"):
+                assert np.array_equal(getattr(mine, array), getattr(other, array)), (v, j, array)
     # which jumps compose two real links depends on the schemas alone
-    assert persisted == [
-        "org/Org.Region.Site.1.counter.col",
-        "org/Org.Region.Site.Building.Floor.1.counter.col",
-        "org/Org.Region.Site.Building.Floor.2.counter.col",
-        "org/Org.Region.Site.Building.Floor.Room.sensor.1.counter.col",
-        "org/Org.Region.Site.Building.tag.2.counter.col",
-        "social/Person.like#.#Message.1.counter.col",
-        "social/Person.like#.#Message.1.pointer.col",
+    assert sorted(composed) == [
+        "org/Org.Region.Site.1",
+        "org/Org.Region.Site.Building.Floor.1",
+        "org/Org.Region.Site.Building.Floor.2",
+        "org/Org.Region.Site.Building.Floor.Room.sensor.1",
+        "org/Org.Region.Site.Building.tag.2",
+        "social/Person.like#.#Message.1",
     ]
-    # In a `generate` corpus each person likes at most one message, so
-    # like# composed with #Message is those two links' arrays byte for
-    # byte; in `random_corpus` people like several messages, in any order.
-    if config == "tiny-3":
-        assert copies == persisted[-2:]
-    else:
-        assert copies == []
 
 
 def test_an_index_without_composed_jumps_still_writes_its_manifest(tmp_path):
@@ -452,7 +437,7 @@ def test_an_index_without_composed_jumps_still_writes_its_manifest(tmp_path):
     reopened = open_store(tmp_path)
     for name in ("ads", "people"):
         tree = build_skip_tree(reopened.data(name))
-        assert tree.composed == {}
+        assert _composed_jumps(tree) == []
         write_skiptree(tree, tmp_path, reopened.schema(name))
         assert [p.name for p in (tmp_path / name / "_skiptree").iterdir()] == ["skiptree.json"]
         assert load_skiptree(reopened, name).skip_ancestors(len(tree) - 1) == tree.skip_ancestors(len(tree) - 1)
@@ -478,16 +463,18 @@ def test_trees_over_one_schema_data_share_link_mappings(tmp_path, monkeypatch):
     built = build_skip_tree(data)
     layered = layered_tree(data)
     links = layered.links
+    composed = _composed_jumps(built)
     for v in range(len(built)):
-        for j, (mine, other) in enumerate(zip(built.entries[v], loaded.entries[v])):
-            if (v, j) in built.composed:
-                assert mine.mapping is not other.mapping
-                assert np.array_equal(mine.mapping.boundaries, other.mapping.boundaries)
+        for j in range(len(built.jumps[v])):
+            mine, other = built.mapping(v, j), loaded.mapping(v, j)
+            if (v, j) in composed:
+                assert mine is not other
+                assert np.array_equal(mine.boundaries, other.boundaries)
             else:
-                assert mine.mapping is other.mapping, (v, j)
-                assert any(mine.mapping is m for m in links), (v, j)
+                assert mine is other, (v, j)
+                assert any(mine is m for m in links), (v, j)
         if v:
-            assert layered.entries[v][0].mapping is built.entries[v][0].mapping is links[v]
+            assert layered.mapping(v, 0) is built.mapping(v, 0) is links[v]
 
     owners = []
 
@@ -505,17 +492,12 @@ def test_trees_over_one_schema_data_share_link_mappings(tmp_path, monkeypatch):
     # one owner per counter, whichever trees move bits over it
     assert len(owners) == len({id(b) for b in owners})
     counters = [m for m in links if m is not None and m.boundaries is not None]
-    assert len(owners) == len(counters) + 2 * len(built.composed)
+    assert len(owners) == len(counters) + 2 * len(composed)
 
 
-def test_rewriting_a_store_drops_its_stale_indexes(tmp_path):
-    store = generate("tiny", seed=0).store()
-    write_store(store, tmp_path)
-    stale = {name: build_skip_tree(store.data(name)) for name in store.datasets}
-    for name, tree in stale.items():
-        write_skiptree(tree, tmp_path, store.schema(name))
-    # move one child between neighbouring parents in every org counter;
-    # every cardinality stays the same
+def _shift_one_child(store) -> None:
+    """Move one child between neighbouring parents in every org counter;
+    every cardinality stays the same."""
     for ctr in store.data("org").counters.values():
         lengths = np.diff(ctr.boundaries, prepend=0)
         pairs = lengths.size // 2
@@ -523,27 +505,87 @@ def test_rewriting_a_store_drops_its_stale_indexes(tmp_path):
         lengths[0 : 2 * pairs : 2] -= give
         lengths[1 : 2 * pairs : 2] += give
         ctr.boundaries = np.cumsum(lengths)
+
+
+def _answers_match_the_oracle(store, indexes, names=None) -> None:
+    schemas = {name: store.schema(name) for name in store.datasets}
+    for wq in WORKLOAD:
+        if names is None or wq.name[:3] in names:
+            query = parse_query(schemas, wq.doc)
+            assert evaluate(store, query, indexes=indexes).rows == oracle_query(store, query), wq.name
+
+
+def test_rewriting_a_store_drops_its_stale_indexes(tmp_path):
+    store = generate("tiny", seed=0).store()
+    write_store(store, tmp_path)
+    for name in store.datasets:
+        write_skiptree(build_skip_tree(store.data(name)), tmp_path, store.schema(name))
+    _shift_one_child(store)
     write_store(store, tmp_path)
 
+    # the stamps stay, and the loaded indexes compose the new arrays
     reopened = open_store(tmp_path)
-    for name in reopened.datasets:
-        assert not (tmp_path / name / "_skiptree").exists(), name
-        with pytest.raises(StoreError, match="no skip index"):
-            load_skiptree(reopened, name)
-    fresh = {}
-    for name in reopened.datasets:
-        write_skiptree(build_skip_tree(reopened.data(name)), tmp_path, reopened.schema(name))
-        fresh[name] = load_skiptree(reopened, name)
-    schemas = {name: reopened.schema(name) for name in reopened.datasets}
-    stale_wrong = []
+    loaded = {name: load_skiptree(reopened, name) for name in reopened.datasets}
+    for indexes in (loaded, None):
+        _answers_match_the_oracle(reopened, indexes, ("Q09", "Q10", "Q11"))
+
+
+def test_a_copied_in_column_file_cannot_leave_the_index_stale(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    store = generate("tiny", seed=0).store()
+    write_store(store, first)
+    for name in store.datasets:
+        write_skiptree(build_skip_tree(store.data(name)), first, store.schema(name))
+    # every jump of an index over the original arrays, composed before the copy
+    before = open_store(first)
+    old = {name: load_skiptree(before, name) for name in before.datasets}
+    for tree in old.values():
+        for v, j in _composed_jumps(tree):
+            tree.mapping(v, j)
+    _shift_one_child(store)
+    write_store(store, second)
+    copied = []
+    for path in sorted((second / "org").glob("*.col")):
+        if path.read_bytes() != (first / "org" / path.name).read_bytes():
+            shutil.copyfile(path, first / "org" / path.name)
+            copied.append(path.name)
+    assert copied
+
+    after = open_store(first)
+    _answers_match_the_oracle(after, {name: load_skiptree(after, name) for name in after.datasets})
+    # the copy is one that jumps composed from the original arrays answer wrongly
+    schemas = {name: after.schema(name) for name in after.datasets}
+    wrong = []
     for wq in WORKLOAD:
-        if wq.name[:3] not in ("Q09", "Q10", "Q11"):
-            continue
         query = parse_query(schemas, wq.doc)
-        want = oracle_query(reopened, query)
-        assert evaluate(reopened, query, indexes=fresh).rows == want, wq.name
-        assert evaluate(reopened, query).rows == want, wq.name
-        if evaluate(reopened, query, indexes=stale).rows != want:
-            stale_wrong.append(wq.name[:3])
-    # the edit is one an index composed from the old arrays answers wrongly
-    assert stale_wrong == ["Q09", "Q10", "Q11"]
+        if evaluate(after, query, indexes=old).rows != oracle_query(after, query):
+            wrong.append(wq.name[:3])
+    assert wrong == ["Q09", "Q10", "Q11"]
+
+
+def test_a_query_composes_only_the_jumps_its_route_takes(tmp_path, monkeypatch):
+    store = generate("tiny", seed=0).store()
+    write_store(store, tmp_path)
+    for name in store.datasets:
+        write_skiptree(build_skip_tree(store.data(name)), tmp_path, store.schema(name))
+    calls = []
+
+    def counting(first, second):
+        calls.append(second)
+        return compose(first, second)
+
+    monkeypatch.setattr("quest.skiptree.compose", counting)
+    docs = {wq.name[:3]: wq.doc for wq in WORKLOAD}
+    for name, composes in (("Q06", False), ("Q09", True)):
+        opened = open_store(tmp_path)
+        indexes = {schema: load_skiptree(opened, schema) for schema in opened.datasets}
+        query = parse_query({schema: opened.schema(schema) for schema in opened.datasets}, docs[name])
+        calls.clear()
+        evaluate(opened, query, indexes=indexes)
+        assert bool(calls) == composes, name
+        # reduce() composes each crossed link in turn into the jump so far
+        org_links = layered_tree(opened.data("org")).links
+        assert all(any(link is m for m in org_links) for link in calls), name
+        calls.clear()
+        evaluate(opened, query, indexes=indexes)
+        assert calls == [], name
