@@ -16,10 +16,17 @@ In memory each counter and pointer array is a `Mapping` (see
 `quest.delivery`), which checks its entries when it is built.
 
 Files carry a fixed header (magic ``QSTC``, version, kind, cardinality) and a
-CRC32 trailer; offsets are 64-bit little-endian.  An opened store reads a
-schema's files on the first use of its arrays (see `open_store`).  All reads
-go through the owning `Store` so that I/O counters reflect what a query
-actually touched.
+CRC32 trailer.  Each integer array (string codes, dictionary entry lengths,
+boundaries, pointers) is written as a width tag and little-endian unsigned
+entries of the narrowest width in 1, 2, 4 or 8 bytes that holds its largest
+entry.  A number column whose values are all integers is written as a base
+and such offsets from it, else as ``<f8``.  The reader widens every array to
+its in-memory dtype: int32 codes, int64 lengths, boundaries and pointers, and
+float64 numbers.  The I/O model counts 8 bytes per boundary or pointer entry
+(`DEFAULT_METADATA_UNIT`), a logical width and not the width on disk.
+An opened store reads a schema's files on the first use of its arrays (see
+`open_store`).  All reads go through the owning `Store` so that I/O counters
+reflect what a query actually touched.
 """
 from __future__ import annotations
 
@@ -42,9 +49,9 @@ from .errors import StoreError
 from .schema import Kind, Schema, parse_schema, serialize_schema
 
 MAGIC = b"QSTC"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DEFAULT_BLOCK_SIZE = 4096
-DEFAULT_METADATA_UNIT = 8  # bytes per boundary/pointer entry on disk
+DEFAULT_METADATA_UNIT = 8  # the I/O model's bytes per boundary/pointer entry, not its width on disk
 
 K_NUMBER, K_STRING, K_BOOLEAN, K_COUNTER, K_INDICATOR = 1, 2, 3, 4, 5
 K_ARRAY_NUMBER, K_ARRAY_STRING, K_ARRAY_BOOLEAN = 6, 7, 8
@@ -531,47 +538,119 @@ def __getattr__(name: str):
 # on-disk format
 
 
+_WIDTHS = (1, 2, 4, 8)  # bytes per entry of an integer array on disk
+_FLOATS, _OFFSETS = 0, 1  # a number column's encoding tag
+
+
+def _encode_uints(array: np.ndarray) -> bytes:
+    """A width tag, then the entries as little-endian unsigned integers
+    of the narrowest width in `_WIDTHS` that holds the largest."""
+    if array.size and array.min() < 0:
+        raise StoreError("cannot write a negative entry into an unsigned array")
+    top = int(array.max()) if array.size else 0
+    width = next(w for w in _WIDTHS if top < 1 << (8 * w))
+    return bytes([width]) + array.astype(f"<u{width}").tobytes()
+
+
+def _numbers_from_offsets(base: int, offsets: np.ndarray) -> np.ndarray:
+    """``base + offsets``, added as float64.  The writer keeps the offsets
+    only when this function gives back every value's bits."""
+    values = offsets.astype(np.float64)
+    values += base
+    return values
+
+
+def _encode_numbers(values: np.ndarray) -> bytes:
+    """An encoding tag, then the values: as an ``<i8`` base and narrow
+    offsets from it when those are narrower than 8 bytes and decode to
+    every value's bits, else as ``<f8`` (-0.0, NaN, infinities, fractions)."""
+    values = values.astype(np.float64, copy=False)
+    if values.size:
+        with np.errstate(invalid="ignore"):  # NaN and infinities have no integer
+            ints = values.astype(np.int64)
+        base = int(ints.min())
+        offsets = (ints - base).view(np.uint64)
+        if int(offsets.max()) < 1 << 32:
+            decoded = _numbers_from_offsets(base, offsets)
+            if np.array_equal(decoded.view(np.uint64), values.view(np.uint64)):
+                return bytes([_OFFSETS]) + struct.pack("<q", base) + _encode_uints(offsets)
+    return bytes([_FLOATS]) + values.astype("<f8").tobytes()
+
+
 def _encode_values(col: PrimitiveColumn) -> bytes:
-    """Validity bitmap, then the values.  A string column writes ``<i4``
+    """Validity bitmap, then the values.  A string column writes its
     codes, its ``<u4`` dictionary size and entry byte lengths, then the
     entries' UTF-8 bytes back to back."""
     parts = [np.packbits(col.validity.astype(np.uint8)).tobytes()]
     if col.kind in ("number", "null"):
-        parts.append(col.stored.astype("<f8").tobytes())
+        parts.append(_encode_numbers(col.stored))
     elif col.kind == "boolean":
         parts.append(col.stored.astype(np.uint8).tobytes())
     elif col.kind == "string":
         d = col.dictionary
-        parts += [col.stored.astype("<i4").tobytes(), struct.pack("<I", len(d)), d.lengths.astype("<u4").tobytes(), d.blob]
+        parts += [_encode_uints(col.stored), struct.pack("<I", len(d)), _encode_uints(d.lengths), d.blob]
     else:
         raise StoreError(f"cannot encode primitive kind {col.kind!r}")
     return b"".join(parts)
 
 
-def _decode_column(nid: int, kind: str, buf: memoryview, count: int) -> PrimitiveColumn:
+class _Payload:
+    """A file's payload, read front to back.  A read past its end, an
+    unknown width tag, or bytes left after the last read raise `StoreError`."""
+
+    def __init__(self, buf: memoryview):
+        self.buf = buf
+        self.at = 0
+
+    def take(self, n: int) -> memoryview:
+        if self.at + n > len(self.buf):
+            raise StoreError(f"payload ends {self.at + n - len(self.buf)} bytes short")
+        self.at += n
+        return self.buf[self.at - n : self.at]
+
+    def unpack(self, fmt: str) -> int:
+        (value,) = struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        return value
+
+    def uints(self, count: int) -> np.ndarray:
+        """`count` entries written by `_encode_uints`, as a read-only unsigned view."""
+        width = self.unpack("<B")
+        if width not in _WIDTHS:
+            raise StoreError(f"unknown width tag {width}")
+        return np.frombuffer(self.take(width * count), dtype=f"<u{width}")
+
+    def rest(self) -> memoryview:
+        return self.take(len(self.buf) - self.at)
+
+    def end(self) -> None:
+        if self.at != len(self.buf):
+            raise StoreError(f"{len(self.buf) - self.at} bytes after the payload's end")
+
+
+def _decode_column(nid: int, kind: str, payload: _Payload, count: int) -> PrimitiveColumn:
     """Decode a value payload; dictionary entries are decoded on first use."""
-    nvalid = (count + 7) // 8
-    validity = np.unpackbits(np.frombuffer(buf[:nvalid], dtype=np.uint8), count=count).astype(bool)
-    buf = buf[nvalid:]
+    validity = np.unpackbits(np.frombuffer(payload.take((count + 7) // 8), dtype=np.uint8), count=count).astype(bool)
     if kind in ("number", "null"):
-        values = np.frombuffer(buf[: 8 * count], dtype="<f8").copy()
+        encoding = payload.unpack("<B")
+        if encoding == _FLOATS:
+            values = np.frombuffer(payload.take(8 * count), dtype="<f8").astype(np.float64)
+        elif encoding == _OFFSETS:
+            base = payload.unpack("<q")
+            values = _numbers_from_offsets(base, payload.uints(count))
+        else:
+            raise StoreError(f"unknown number encoding tag {encoding}")
     elif kind == "boolean":
-        values = np.frombuffer(buf[:count], dtype=np.uint8).astype(bool)
+        values = np.frombuffer(payload.take(count), dtype=np.uint8).astype(bool)
     elif kind == "string":
-        if len(buf) < 4 * count + 4:
-            raise StoreError(f"column {nid}: string payload is truncated")
-        codes = np.frombuffer(buf[: 4 * count], dtype="<i4").astype(np.int32)
-        (size,) = struct.unpack("<I", buf[4 * count : 4 * count + 4])
-        blob_at = 4 * count + 4 + 4 * size
-        if len(buf) < blob_at:
-            raise StoreError(f"column {nid}: string payload is truncated")
-        lengths = np.frombuffer(buf[4 * count + 4 : blob_at], dtype="<u4").astype(np.int64)
-        blob = bytes(buf[blob_at:])
+        codes = payload.uints(count)
+        size = payload.unpack("<I")
+        lengths = payload.uints(size).astype(np.int64)
+        blob = bytes(payload.rest())
         if int(lengths.sum(dtype=np.int64)) != len(blob):
-            raise StoreError(f"column {nid}: string lengths do not match the payload")
-        if count and (codes.min() < 0 or codes.max() >= size):
-            raise StoreError(f"column {nid}: string codes fall outside the dictionary")
-        return PrimitiveColumn(nid, kind, codes, validity, StringDictionary(lengths, blob))
+            raise StoreError("string lengths do not match the payload")
+        if count and codes.max() >= size:
+            raise StoreError("string codes fall outside the dictionary")
+        return PrimitiveColumn(nid, kind, codes.astype(np.int32), validity, StringDictionary(lengths, blob))
     else:
         raise StoreError(f"cannot decode primitive kind {kind!r}")
     return PrimitiveColumn(node=nid, kind=kind, values=values, validity=validity)
@@ -592,7 +671,10 @@ _REINGEST = "rewrite the store with `quest ingest`"
 
 def _stamp(path) -> tuple[int, int]:
     """A file's size and modification time in ns, from one `stat`."""
-    st = os.stat(path)
+    try:
+        st = os.stat(path)
+    except OSError as exc:
+        raise StoreError(f"{path}: {exc.strerror}; {_REINGEST}") from exc
     return st.st_size, st.st_mtime_ns
 
 
@@ -602,18 +684,21 @@ def read_column(path, stamp: tuple[int, int] | None = None) -> tuple[int, int, m
     With `stamp` (see `_stamp`), a file whose size or modification time
     differs from it raises `StoreError`.
     """
-    with open(path, "rb") as fh:
-        if stamp is not None:
-            st = os.fstat(fh.fileno())
-            if (st.st_size, st.st_mtime_ns) != stamp:
-                raise StoreError(f"{path}: changed after the store was opened; reopen it, or {_REINGEST}")
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            if stamp is not None:
+                st = os.fstat(fh.fileno())
+                if (st.st_size, st.st_mtime_ns) != stamp:
+                    raise StoreError(f"{path}: changed after the store was opened; reopen it, or {_REINGEST}")
+            raw = fh.read()
+    except OSError as exc:
+        raise StoreError(f"{path}: {exc.strerror}; {_REINGEST}") from exc
     if len(raw) < 19 or raw[:4] != MAGIC:
-        raise StoreError(f"{path}: not a column file")
+        raise StoreError(f"{path}: not a column file; {_REINGEST}")
     body = memoryview(raw)[:-4]
     (crc,) = struct.unpack("<I", raw[-4:])
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise StoreError(f"{path}: checksum mismatch")
+        raise StoreError(f"{path}: checksum mismatch; {_REINGEST}")
     version, kind_code, cardinality = struct.unpack("<HBQ", body[4:15])
     if version != FORMAT_VERSION:
         raise StoreError(f"{path}: format version {version}, not {FORMAT_VERSION}; {_REINGEST}")
@@ -629,18 +714,17 @@ def _node_file_payload(data: SchemaData, node) -> tuple[int, int, bytes] | None:
     if has_counter and has_column:  # leaf array with scalar elements
         ctr = data.counters[nid]
         col = data.columns[nid]
-        payload = struct.pack("<Q", ctr.upper_cardinality) + ctr.boundaries.astype("<i8").tobytes()
-        payload += _encode_values(col)
+        payload = struct.pack("<Q", ctr.upper_cardinality) + _encode_uints(ctr.boundaries) + _encode_values(col)
         return _ARRAY_KIND_BY_PRIM[col.kind], col.cardinality, payload
     if has_counter:
         ctr = data.counters[nid]
-        return K_COUNTER, ctr.upper_cardinality, ctr.boundaries.astype("<i8").tobytes()
+        return K_COUNTER, ctr.upper_cardinality, _encode_uints(ctr.boundaries)
     if has_column:
         col = data.columns[nid]
         return _VALUE_KIND_BY_PRIM[col.kind], col.cardinality, _encode_values(col)
     if has_indicator:
         ind = data.indicators[nid]
-        return K_INDICATOR, ind.upper_cardinality, ind.pointers.astype("<i8").tobytes()
+        return K_INDICATOR, ind.upper_cardinality, _encode_uints(ind.pointers)
     return None
 
 
@@ -689,18 +773,25 @@ def open_store(path) -> Store:
     a skip index need.  Each column file is only stat'ed.  A schema's
     files are read, CRC-checked and decoded together on the first use of
     its arrays (see `SchemaData`), so a query reads only the schemas it
-    touches.  That load raises `StoreError` for a corrupt file, one of
-    another format version, one whose header disagrees with the
-    manifest, or one changed since the open.  A dictionary entry is
-    decoded to `str` on first use.  A store of another format version,
-    or a manifest that lacks a node's cardinality or names a node its
-    schema lacks, raises `StoreError` here.
+    touches.  That load raises `StoreError` for a corrupt or missing
+    file, one of another format version, one whose payload is not what
+    its tags imply, one whose header disagrees with the manifest, or one
+    changed since the open.  A dictionary entry is decoded to `str` on
+    first use.  A store of another format version, a manifest that is not
+    a JSON object, lacks a node's cardinality or names a node its schema
+    lacks, or a column file missing, raises `StoreError` here.  Each
+    message names the file and `quest ingest`.
     """
     root = Path(path)
     mpath = root / "manifest.json"
     if not mpath.exists():
         raise StoreError(f"{root}: no manifest.json (not a store)")
-    manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+        if not isinstance(manifest, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+        raise StoreError(f"{mpath}: unreadable manifest ({exc}); {_REINGEST}") from None
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise StoreError(f"{root}: store format version {version}, not {FORMAT_VERSION}; {_REINGEST}")
@@ -757,27 +848,22 @@ def _read_schema_files(schema: Schema, cardinality: dict, files: list) -> tuple[
                 f"{fpath}: the header gives kind {found[0]} and cardinality {found[1]}, the manifest "
                 f"kind {kind_code} and cardinality {count}; {_REINGEST}"
             )
-        payload = found[2]
+        payload = _Payload(found[2])
         node = schema.node(nid)
-        if kind_code == K_COUNTER:
-            counters[nid] = _link(fpath, cardinality[nid], boundaries=np.frombuffer(payload, dtype="<i8").copy())
-        elif kind_code == K_INDICATOR:
-            target = node.target if node.target is not None else nid
-            indicators[nid] = _link(fpath, cardinality[target], pointers=np.frombuffer(payload, dtype="<i8").copy())
-        elif kind_code in (K_ARRAY_NUMBER, K_ARRAY_STRING, K_ARRAY_BOOLEAN):
-            (ctr_len,) = struct.unpack("<Q", payload[:8])
-            boundaries = np.frombuffer(payload[8 : 8 + 8 * ctr_len], dtype="<i8").copy()
-            counters[nid] = _link(fpath, cardinality[nid], boundaries=boundaries)
-            columns[nid] = _decode_column(nid, _PRIMITIVE_OF_KIND[kind_code], payload[8 + 8 * ctr_len :], count)
-        else:
-            prim = "null" if node.primitive == "null" else _PRIMITIVE_OF_KIND[kind_code]
-            columns[nid] = _decode_column(nid, prim, payload, count)
+        try:
+            if kind_code == K_COUNTER:
+                counters[nid] = Mapping(cardinality[nid], boundaries=payload.uints(count).astype(np.int64))
+            elif kind_code == K_INDICATOR:
+                target = node.target if node.target is not None else nid
+                indicators[nid] = Mapping(cardinality[target], pointers=payload.uints(count).astype(np.int64))
+            elif kind_code in (K_ARRAY_NUMBER, K_ARRAY_STRING, K_ARRAY_BOOLEAN):
+                boundaries = payload.uints(payload.unpack("<Q")).astype(np.int64)
+                counters[nid] = Mapping(cardinality[nid], boundaries=boundaries)
+                columns[nid] = _decode_column(nid, _PRIMITIVE_OF_KIND[kind_code], payload, count)
+            else:
+                prim = "null" if node.primitive == "null" else _PRIMITIVE_OF_KIND[kind_code]
+                columns[nid] = _decode_column(nid, prim, payload, count)
+            payload.end()
+        except StoreError as exc:
+            raise StoreError(f"{fpath}: {exc}; {_REINGEST}") from exc
     return columns, counters, indicators
-
-
-def _link(fpath, lower_cardinality: int, **arrays) -> Mapping:
-    """A file's counter or pointer array; a bad one names the file."""
-    try:
-        return Mapping(lower_cardinality, **arrays)
-    except StoreError as exc:
-        raise StoreError(f"{fpath}: {exc}; {_REINGEST}") from exc

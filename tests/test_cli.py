@@ -16,6 +16,16 @@ from click.testing import CliRunner
 import quest
 from quest.bench import WORKLOAD
 from quest.cli import main
+from quest.store import (
+    K_ARRAY_NUMBER,
+    K_ARRAY_STRING,
+    K_COUNTER,
+    K_INDICATOR,
+    K_NUMBER,
+    K_STRING,
+    read_column,
+    write_column,
+)
 
 VIP_QUERY = json.dumps(
     {
@@ -296,18 +306,97 @@ def test_query_stdout_matches_recorded_digests(store_dir):
 
 
 def test_query_on_a_version_1_store_names_quest_ingest(store_dir, tmp_path):
-    old = tmp_path / "old"
-    shutil.copytree(store_dir, old)
-    manifest = json.loads((old / "manifest.json").read_text())
-    manifest["format_version"] = 1
-    (old / "manifest.json").write_text(json.dumps(manifest))
-    for col in old.glob("*/*.col"):
-        body = bytearray(col.read_bytes()[:-4])
-        body[4:6] = (1).to_bytes(2, "little")
-        col.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
-    result = invoke("query", "--store", old, VIP_QUERY)
-    assert result.exit_code == 3
-    assert "quest ingest" in result.stderr
+    for version in (1, 2):  # 2 is the format before integer arrays took their narrowest width
+        old = tmp_path / f"v{version}"
+        shutil.copytree(store_dir, old)
+        manifest = json.loads((old / "manifest.json").read_text())
+        manifest["format_version"] = version
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        for col in old.glob("*/*.col"):
+            body = bytearray(col.read_bytes()[:-4])
+            body[4:6] = version.to_bytes(2, "little")
+            col.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
+        result = invoke("query", "--store", old, VIP_QUERY)
+        assert result.exit_code == 3
+        assert f"version {version}" in result.stderr and "quest ingest" in result.stderr
+
+
+def _first_tag_at(kind: int, count: int) -> int:
+    """Where a column file's payload holds its first tag: a link array's
+    width tag, a leaf array's counter's (after the counter length), else
+    the values' width or encoding tag (after the validity bitmap)."""
+    if kind in (K_COUNTER, K_INDICATOR):
+        return 0
+    if kind in (K_ARRAY_NUMBER, K_ARRAY_STRING):
+        return 8
+    assert kind in (K_NUMBER, K_STRING), kind  # no generated family has a boolean
+    return (count + 7) // 8
+
+
+def _rewrite_payload(path, edit) -> None:
+    """Write `edit(payload, kind, count)` back as a well-formed file: its
+    header and CRC are right, so only the payload's decoding can fail."""
+    kind, count, payload = read_column(path)
+    write_column(path, kind, count, bytes(edit(bytearray(payload), kind, count)))
+
+
+def _set_first_tag(payload: bytearray, kind: int, count: int) -> bytearray:
+    payload[_first_tag_at(kind, count)] = 3
+    return payload
+
+
+def _flip_payload_byte(path) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[15] ^= 0xFF  # the first payload byte, after the 15-byte header
+    path.write_bytes(bytes(raw))
+
+
+COLUMN_FILE_DAMAGE = {
+    "deleted": lambda path: path.unlink(),
+    "emptied": lambda path: path.write_bytes(b""),
+    "last-byte-dropped": lambda path: path.write_bytes(path.read_bytes()[:-1]),
+    "payload-byte-flipped": _flip_payload_byte,
+    "first-tag-3": lambda path: _rewrite_payload(path, _set_first_tag),
+    "payload-byte-short": lambda path: _rewrite_payload(path, lambda payload, *_: payload[:-1]),
+    "payload-byte-long": lambda path: _rewrite_payload(path, lambda payload, *_: payload + b"\0"),
+}
+
+# one query per generated schema; a query's first use of a schema reads all its files
+SCHEMA_QUERIES = {
+    name: next(json.dumps(wq.doc) for wq in WORKLOAD if wq.doc["from"] == [name])
+    for name in ("ads", "org", "people", "social")
+}
+
+
+def _assert_names_the_fix(result, name: str) -> None:
+    assert result.exit_code == 3, (name, result.output)
+    assert isinstance(result.exception, SystemExit), name  # an exit, not an uncaught error
+    assert "Traceback" not in result.output
+    assert name in result.stderr and "quest ingest" in result.stderr, result.stderr
+
+
+@pytest.mark.parametrize("damage", sorted(COLUMN_FILE_DAMAGE))
+def test_every_damaged_column_file_names_itself_and_quest_ingest(store_dir, tmp_path, damage):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    files = sorted(store.glob("*/*.col"))
+    assert {path.parent.name for path in files} == set(SCHEMA_QUERIES)
+    for path in files:
+        good = path.read_bytes()
+        COLUMN_FILE_DAMAGE[damage](path)
+        for args in ([], ["--no-skiptree"]):
+            result = invoke("query", "--store", store, *args, SCHEMA_QUERIES[path.parent.name])
+            _assert_names_the_fix(result, path.relative_to(store).as_posix())
+        path.write_bytes(good)
+
+
+@pytest.mark.parametrize("text", ["", "{not json", "[]"], ids=["empty", "not-json", "not-an-object"])
+def test_a_damaged_manifest_names_itself_and_quest_ingest(store_dir, tmp_path, text):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    (store / "manifest.json").write_text(text)
+    for args in ([], ["--no-skiptree"]):
+        _assert_names_the_fix(invoke("query", "--store", store, *args, VIP_QUERY), "manifest.json")
 
 
 def test_query_formats_agree(store_dir):

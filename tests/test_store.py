@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quest.cli import main
 from quest.datagen import generate, random_corpus
@@ -33,6 +35,11 @@ from quest.store import (
     PrimitiveColumn,
     Store,
     StringDictionary,
+    _decode_column,
+    _encode_uints,
+    _encode_values,
+    _Payload,
+    _read_schema_files,
     estimate_selectivity,
     open_store,
     write_column,
@@ -350,7 +357,7 @@ def test_a_malformed_link_array_on_disk_is_a_data_error(tmp_path, multi_store, f
     write_store(multi_store, tmp_path / "s")
     # a well-formed file: the header and CRC agree with the manifest
     target = tmp_path / "s" / "social" / file
-    write_column(target, kind, len(entries), np.asarray(entries, dtype="<i8").tobytes())
+    write_column(target, kind, len(entries), _encode_uints(np.asarray(entries)))
     store = open_store(tmp_path / "s")
     with pytest.raises(StoreError, match=f"{file}: {message}.*quest ingest"):
         store.data("social").columns
@@ -533,12 +540,15 @@ def test_string_lengths_must_match_the_payload(tmp_path):
     good = target.read_bytes()
     n = len(TEXT_DOCS)
     codes_at = 15 + (n + 7) // 8  # after the header and the validity bitmap
-    for offset, message in (
-        (codes_at + 4 * n + 4, "string lengths"),  # first dictionary entry length
-        (codes_at + 3, "outside the dictionary"),  # high byte of the first code
+    size_at = codes_at + 1 + good[codes_at] * n  # after the codes' width tag and the codes
+    size = int.from_bytes(good[size_at : size_at + 4], "little")
+    lengths_at = size_at + 4 + 1  # after the dictionary size and the lengths' width tag
+    for offset, value, message in (
+        (lengths_at, good[lengths_at] + 1, "string lengths"),  # low byte of the first entry length
+        (codes_at + 1, size, "outside the dictionary"),  # low byte of the first code: one past the last entry
     ):
         body = bytearray(good[:-4])
-        body[offset] += 1
+        body[offset] = value
         target.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
         store = open_store(tmp_path / "s")
         with pytest.raises(StoreError, match=message):
@@ -546,22 +556,155 @@ def test_string_lengths_must_match_the_payload(tmp_path):
 
 
 def test_other_format_versions_name_the_fix(tmp_path, ads_store):
-    write_store(ads_store, tmp_path / "s")
-    manifest = tmp_path / "s" / "manifest.json"
-    doc = json.loads(manifest.read_text())
-    doc["format_version"] = 1
-    manifest.write_text(json.dumps(doc))
-    with pytest.raises(StoreError, match="version 1.*quest ingest"):
-        open_store(tmp_path / "s")
-    # a column file of another version, under a current manifest
-    write_store(ads_store, tmp_path / "s")
-    target = next((tmp_path / "s" / "ads").glob("*.col"))
-    body = bytearray(target.read_bytes()[:-4])
-    body[4:6] = (1).to_bytes(2, "little")
-    target.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
-    store = open_store(tmp_path / "s")
-    with pytest.raises(StoreError, match="version 1.*quest ingest"):
-        store.data("ads").counters
+    for version in (1, 2):  # 2 wrote every integer at 4 or 8 bytes and every number at 8
+        write_store(ads_store, tmp_path / "s")
+        manifest = tmp_path / "s" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["format_version"] = version
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(StoreError, match=f"version {version}.*quest ingest"):
+            open_store(tmp_path / "s")
+        # a column file of another version, under a current manifest
+        write_store(ads_store, tmp_path / "s")
+        target = next((tmp_path / "s" / "ads").glob("*.col"))
+        body = bytearray(target.read_bytes()[:-4])
+        body[4:6] = version.to_bytes(2, "little")
+        target.write_bytes(bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little"))
+        store = open_store(tmp_path / "s")
+        with pytest.raises(StoreError, match=f"version {version}.*quest ingest"):
+            store.data("ads").counters
+
+
+@pytest.mark.parametrize("top, width", [(255, 1), (256, 2), (65535, 2), (65536, 4), (2**32 - 1, 4), (2**32, 8)])
+def test_link_arrays_take_the_narrowest_width(tmp_path, social_schema, top, width):
+    """A counter ending at `top` and a pointer array reaching it are
+    written at `width` bytes an entry and reload bit-identical."""
+    ids = {social_schema.path_of(n.id): n.id for n in social_schema.nodes}
+    counter, pointers = ids["Person.know#"], ids["Person.know#.#Person"]
+    target = social_schema.node(pointers).target
+    entries = np.array([0, 1, top // 2, top], dtype=np.int64)
+    files = []
+    for nid, kind in ((counter, K_COUNTER), (pointers, K_INDICATOR)):
+        path = tmp_path / f"{nid}.col"
+        write_column(path, kind, entries.size, _encode_uints(entries))
+        assert path.stat().st_size == 15 + 1 + width * entries.size + 4  # header, tag, entries, CRC
+        files.append((nid, path, kind, entries.size, None))
+    _, counters, indicators = _read_schema_files(social_schema, {counter: top, target: top + 1}, files)
+    for array in (counters[counter].boundaries, indicators[pointers].pointers):
+        assert array.dtype == np.int64 and array.tobytes() == entries.tobytes()
+
+
+WIDE_MANIFEST = {
+    "name": "wide",
+    "model": "table",
+    "root": {
+        "name": "t",
+        "kind": "record",
+        "children": [
+            {"name": "s", "kind": "primitive", "primitive": "string"},
+            {"name": "x", "kind": "primitive", "primitive": "number"},
+        ],
+    },
+}
+
+
+def _reload_table(tmp_path, strings, numbers):
+    """A `WIDE_MANIFEST` table of the given columns, as written and as
+    reopened, and its directory."""
+    rows = [{"s": a, "x": b} for a, b in zip(strings, numbers, strict=True)]
+    data = ingest_rows(rows, parse_schema(WIDE_MANIFEST))
+    write_store(Store().add(data), tmp_path / "s")
+    return data, open_store(tmp_path / "s").data("wide"), tmp_path / "s" / "wide"
+
+
+@pytest.mark.parametrize(
+    "strings, code_width, length_width",
+    [
+        ([f"{i:03d}" for i in range(256)], 1, 1),
+        ([f"{i:03d}" for i in range(257)], 2, 1),
+        (["a" * 255, "b", "a" * 255], 1, 1),
+        (["a" * 256, "b", "a" * 256], 1, 2),
+        ([None] * 5, 1, 1),
+        ([], 1, 1),
+    ],
+    ids=["256-entries", "257-entries", "255-bytes", "256-bytes", "all-null", "empty"],
+)
+def test_string_columns_take_the_narrowest_widths(tmp_path, strings, code_width, length_width):
+    written, loaded, sdir = _reload_table(tmp_path, strings, [0.0] * len(strings))
+    for nid, col in written.columns.items():
+        if col.kind != "string":
+            continue
+        back = loaded.columns[nid]
+        assert back.stored.dtype == np.int32 and back.stored.tobytes() == col.stored.astype(np.int32).tobytes()
+        assert back.validity.tobytes() == col.validity.tobytes()
+        d = col.dictionary
+        assert back.dictionary.lengths.dtype == np.int64 and back.dictionary.lengths.tolist() == d.lengths.tolist()
+        assert back.dictionary.blob == d.blob
+        n = len(strings)
+        payload = (n + 7) // 8 + 1 + code_width * n + 4 + 1 + length_width * len(d) + len(d.blob)
+        assert (sdir / "t.s.col").stat().st_size == 15 + payload + 4
+
+
+@pytest.mark.parametrize(
+    "numbers, offset_width",
+    [
+        ([-0.0, 1.0], None),
+        ([float("nan"), 1.0], None),
+        ([float("inf"), 1.0], None),
+        ([float("-inf"), 1.0], None),
+        ([0.5, 1.0], None),
+        ([2.0**53, 2.0**53 - 1, 2.0**53 + 2], 1),
+        ([0.0, 2.0**53], None),
+        ([0.0, 2.0**32], None),  # a range past 4-byte offsets
+        ([-(2.0**31), 2.0**31 - 1], 4),
+        ([2.0**63, 2.0**63], None),  # no int64 holds it
+        ([3.0, 7.0, 1000.0], 2),
+        ([None] * 5, 1),  # nulls hold 0.0
+        ([], None),
+    ],
+)
+def test_number_columns_reload_bit_identical(tmp_path, numbers, offset_width):
+    """Integral numbers are written as offsets from their least at
+    `offset_width` bytes, every other column as ``<f8``."""
+    written, loaded, sdir = _reload_table(tmp_path, [""] * len(numbers), numbers)
+    nid = next(nid for nid, col in written.columns.items() if col.kind == "number")
+    back = loaded.columns[nid]
+    assert back.stored.dtype == np.float64
+    assert back.stored.tobytes() == written.columns[nid].stored.astype(np.float64).tobytes()
+    n = len(numbers)
+    values = 1 + (8 * n if offset_width is None else 8 + 1 + offset_width * n)  # encoding tag first
+    assert (sdir / "t.x.col").stat().st_size == 15 + (n + 7) // 8 + values + 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.integers(-(2**40), 2**40).map(float), max_size=30))
+def test_any_number_column_decodes_to_its_bits(values):
+    col = PrimitiveColumn(0, "number", np.array(values, dtype=np.float64), np.ones(len(values), dtype=bool))
+    payload = _Payload(memoryview(_encode_values(col)))
+    back = _decode_column(0, "number", payload, len(values))
+    payload.end()
+    assert back.stored.tobytes() == col.stored.tobytes()
+
+
+@pytest.mark.parametrize("lengths, width", [([], 1), ([0, 0], 1), ([255, 0], 1), ([256], 2)])
+def test_leaf_array_counters_take_the_narrowest_width(tmp_path, lengths, width):
+    """A leaf array's file holds its counter at `width` bytes an entry,
+    empty arrays and no documents included."""
+    manifest = {
+        "name": "leaf",
+        "model": "document",
+        "root": {"name": "doc", "kind": "record", "children": [{"name": "xs", "kind": "array", "primitive": "number"}]},
+    }
+    data = ingest_json([{"xs": [1.0] * k} for k in lengths], parse_schema(manifest))
+    write_store(Store().add(data), tmp_path / "s")
+    loaded = open_store(tmp_path / "s").data("leaf")
+    (nid,) = data.counters
+    assert loaded.counters[nid].boundaries.tolist() == np.cumsum(lengths, dtype=np.int64).tolist()
+    assert loaded.columns[nid].stored.tobytes() == data.columns[nid].stored.tobytes()
+    n = sum(lengths)
+    values = 1 + (8 + 1 + n if n else 0)  # all 1.0: offsets of one byte, or no values at all
+    size = 15 + 8 + 1 + width * len(lengths) + (n + 7) // 8 + values + 4
+    assert (tmp_path / "s" / "leaf" / "doc.xs.col").stat().st_size == size
 
 
 def test_block_count_of_unsorted_positions(ads_store):
@@ -995,18 +1138,12 @@ def test_document_files_and_objects_agree(tmp_path):
     _assert_same_data(ingest_json([json.dumps(doc) for doc in TEXT_DOCS], schema), from_objects)
 
 
-@pytest.mark.parametrize("config", ["tiny-3", "random-8"])
-def test_store_files_match_recorded_digests(tmp_path, config):
-    """`ingest` and `index` write the same bytes as the document-at-a-time
-    ingest did; the digests were recorded from it.  `tiny-3` is `quest gen
-    --scale tiny --seed 3`.  At `tiny` the seed reaches only the people
-    table, so `random-8` adds the raw files of `random_corpus` (ragged and
-    empty arrays, missing fields, empty CSV cells) at seed 8."""
-    from click.testing import CliRunner
+def _config_store(tmp_path, config: str) -> Path:
+    """The store `quest gen`, `ingest` and `index` write for `config`:
+    `tiny-<seed>` is `quest gen --scale tiny --seed <seed>`, and
+    `random-<seed>` the raw files of `random_corpus` at that seed."""
+    from quest.cli import _write_raw
 
-    from quest.cli import _write_raw, main
-
-    want = json.loads((Path(__file__).parent / "data" / "store_sha256.json").read_text())[config]
     kind, seed = config.split("-")
     root = tmp_path / "store"
     steps = [["ingest", "--store", root], ["index", "--store", root]]
@@ -1020,8 +1157,53 @@ def test_store_files_match_recorded_digests(tmp_path, config):
     for step in steps:
         result = CliRunner().invoke(main, [str(a) for a in step])
         assert result.exit_code == 0, result.output
+    return root
+
+
+@pytest.mark.parametrize("config", ["tiny-3", "random-8"])
+def test_store_files_match_recorded_digests(tmp_path, config):
+    """`ingest` and `index` write the same bytes as the document-at-a-time
+    ingest did; the digests were recorded from it.  `tiny-3` is `quest gen
+    --scale tiny --seed 3`.  At `tiny` the seed reaches only the people
+    table, so `random-8` adds the raw files of `random_corpus` (ragged and
+    empty arrays, missing fields, empty CSV cells) at seed 8."""
+    want = json.loads((Path(__file__).parent / "data" / "store_sha256.json").read_text())[config]
+    root = _config_store(tmp_path, config)
     got = {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in root.rglob("*") if p.is_file()}
     assert got == want
+
+
+def _array_digests(store) -> dict[str, str]:
+    """``<schema>/<node path>/<array>`` -> ``<dtype>:<sha256 of its bytes>``
+    for every array an opened store loads."""
+    out = {}
+    for name, data in sorted(store.datasets.items()):
+        path_of = data.schema.path_of
+        arrays = {}
+        for nid, col in data.columns.items():
+            arrays[(nid, "validity")] = col.validity
+            arrays[(nid, "stored")] = col.stored
+            if col.dictionary is not None:
+                arrays[(nid, "lengths")] = col.dictionary.lengths
+                arrays[(nid, "blob")] = np.frombuffer(col.dictionary.blob, dtype=np.uint8)
+        for links in (data.counters, data.indicators):
+            for nid, link in links.items():
+                for field in ("boundaries", "pointers"):
+                    if getattr(link, field) is not None:
+                        arrays[(nid, field)] = getattr(link, field)
+        for (nid, field), array in arrays.items():
+            digest = hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+            out[f"{name}/{path_of(nid)}/{field}"] = f"{array.dtype.str}:{digest}"
+    return out
+
+
+@pytest.mark.parametrize("config", ["tiny-3", "random-8"])
+def test_loaded_arrays_match_recorded_digests(tmp_path, config):
+    """An opened store loads the arrays, dtypes included, that the store
+    format of version 2 loaded; the digests were recorded from it, so
+    they hold whatever widths the files use."""
+    want = json.loads((Path(__file__).parent / "data" / "store_arrays_sha256.json").read_text())[config]
+    assert _array_digests(open_store(_config_store(tmp_path, config))) == want
 
 
 DICTIONARY_LEFT = ["", "a", "a\x00", "a\x00\x00", "a\x00b", "ab", "é", "€", "\U0001d11e", "\U0010ffff", "left", "z\x00"]
