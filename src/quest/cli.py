@@ -9,14 +9,23 @@ result.
 
 Exit codes: 0 ok, 2 usage, 3 data error, 4 constraint violation,
 5 timeout.
+
+``python -m quest.cli`` and the installed ``quest`` script run `main`
+through `run`, which flushes stdout and stderr and then ends the process
+with ``os._exit``: interpreter teardown (tens of milliseconds, most of it
+numpy's) would do nothing for the answer, because every file a command
+writes is closed before it returns and quest registers no ``atexit``
+hook.  An exception other than ``SystemExit`` still takes the normal
+path, a traceback and exit status 1.  `main` itself returns normally, so
+it can be called in-process.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -92,6 +101,8 @@ def _cell(value) -> str:
 
 def _write_raw(corpus, raw: Path) -> dict:
     """Serialize a `datagen.Corpus`'s records as the ingestable raw files."""
+    import csv
+
     from . import datagen
 
     files: dict = {}
@@ -262,9 +273,10 @@ def _emit_rows(columns: list[str], rows, fmt: str) -> None:
         # json writes a tuple as an array
         click.echo(json.dumps({"columns": columns, "rows": rows}))
     elif fmt == "ndjson":
-        for r in rows:
-            click.echo(json.dumps(r))
+        click.echo("".join([json.dumps(r) + "\n" for r in rows]), nl=False)
     else:
+        import csv  # imported here: only this format and `gen` use it
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(columns)
@@ -402,5 +414,20 @@ def bench(store_dir, runs, timeout, out_dir, do_calibrate):
         _fail(EXIT_TIMEOUT, "at least one query exceeded its budget")
 
 
+def run() -> None:
+    """Run `main`, then end the process without interpreter teardown."""
+    code = 0
+    try:
+        main()
+    except SystemExit as exc:  # click ends every command with one
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:  # the status the interpreter gives when its exit flush fails
+        code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    run()

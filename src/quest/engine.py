@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
@@ -63,12 +62,20 @@ def _row_tuples(columns: list[list]) -> list[tuple]:
         return list(zip(*columns))
 
 
-@dataclass
 class ResultSet:
-    rows: list[tuple]
-    stats: dict
-    plan: WanderingSequence | None = None
-    query: Query | None = None
+    __slots__ = ("rows", "stats", "plan", "query")
+
+    def __init__(
+        self,
+        rows: list[tuple],
+        stats: dict,
+        plan: WanderingSequence | None = None,
+        query: Query | None = None,
+    ):
+        self.rows = rows
+        self.stats = stats
+        self.plan = plan
+        self.query = query
 
     def __iter__(self):
         return iter(self.rows)

@@ -22,7 +22,6 @@ checked prefix stops.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import PlanConstraintError, QueryError
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class CostParams:
     """Per-node sizes and unit costs feeding ``estimate_cost``.
 
@@ -57,10 +55,19 @@ class CostParams:
     terms stay readable, and ``bench --calibrate`` measures them.
     """
 
-    G: dict[Key, float] = field(default_factory=dict)
-    S: dict[Key, float] = field(default_factory=dict)
-    a: float = 1.0
-    bp: float = 1.0
+    __slots__ = ("G", "S", "a", "bp")
+
+    def __init__(
+        self,
+        G: dict[Key, float] | None = None,
+        S: dict[Key, float] | None = None,
+        a: float = 1.0,
+        bp: float = 1.0,
+    ):
+        self.G = {} if G is None else G
+        self.S = {} if S is None else S
+        self.a = a
+        self.bp = bp
 
     def size_of(self, key: Key) -> tuple[float, float]:
         try:
@@ -81,28 +88,48 @@ class CostParams:
         return params
 
 
-@dataclass
 class PlanFilter:
     """One stop of the filter order: a scan, a graph pattern, or a bare
     join anchor."""
 
-    key: Key
-    selectivity: float
-    predicates: list[int] = field(default_factory=list)
-    kind: str = "scan"  # scan | pattern | anchor
-    graph_path: int | None = None
+    __slots__ = ("key", "selectivity", "predicates", "kind", "graph_path")
+
+    def __init__(
+        self,
+        key: Key,
+        selectivity: float,
+        predicates: list[int] | None = None,
+        kind: str = "scan",  # scan | pattern | anchor
+        graph_path: int | None = None,
+    ):
+        self.key = key
+        self.selectivity = selectivity
+        self.predicates = [] if predicates is None else predicates
+        self.kind = kind
+        self.graph_path = graph_path
 
 
-@dataclass
 class WanderingSequence:
-    order: list[PlanFilter]
-    w: list[Key]
-    stops: list[Key]
-    filter_end: int  # prefix of ``w`` covered by the revisit constraint
-    rollups: dict[Key, int]
-    drilldowns: dict[Key, int]
-    fetch_keys: list[Key] = field(default_factory=list)
-    cost: dict | None = None
+    __slots__ = ("order", "w", "stops", "filter_end", "rollups", "drilldowns", "fetch_keys", "cost")
+
+    def __init__(
+        self,
+        order: list[PlanFilter],
+        w: list[Key],
+        stops: list[Key],
+        filter_end: int,  # prefix of ``w`` covered by the revisit constraint
+        rollups: dict[Key, int],
+        drilldowns: dict[Key, int],
+        fetch_keys: list[Key],
+    ):
+        self.order = order
+        self.w = w
+        self.stops = stops
+        self.filter_end = filter_end
+        self.rollups = rollups
+        self.drilldowns = drilldowns
+        self.fetch_keys = fetch_keys
+        self.cost: dict | None = None
 
 
 # ---------------------------------------------------------------------------

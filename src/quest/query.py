@@ -21,7 +21,6 @@ and the engine route over it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import QueryError
@@ -48,62 +47,88 @@ _FILTER_KEYS = {"path", "op", "value", "selectivity"}
 _JOIN_KEYS = {"left", "right", "unique"}
 
 
-@dataclass(frozen=True)
 class Site:
     """A resolved path: a node in a schema, plus the indicator leaves the
     path teleported through (in order) when it re-entered a graph cycle."""
 
-    schema: str
-    node: int
-    chain: tuple[int, ...] = ()
+    __slots__ = ("schema", "node", "chain")
+
+    def __init__(self, schema: str, node: int, chain: tuple[int, ...] = ()):
+        self.schema = schema
+        self.node = node
+        self.chain = chain
+
+    def __eq__(self, other):
+        if not isinstance(other, Site):
+            return NotImplemented
+        return (self.schema, self.node, self.chain) == (other.schema, other.node, other.chain)
 
 
-@dataclass
 class Predicate:
-    site: Site
-    op: str
-    value: Any
-    selectivity: float | None = None
-    path: str = ""
-    graph_path: int | None = None  # index into Query.graph_paths, set by parse
+    __slots__ = ("site", "op", "value", "selectivity", "path", "graph_path")
+
+    def __init__(self, site: Site, op: str, value: Any, selectivity: float | None = None, path: str = ""):
+        self.site = site
+        self.op = op
+        self.value = value
+        self.selectivity = selectivity
+        self.path = path
+        self.graph_path: int | None = None  # index into Query.graph_paths, set by parse
 
 
-@dataclass
 class FetchSpec:
-    site: Site
-    path: str = ""
+    __slots__ = ("site", "path")
+
+    def __init__(self, site: Site, path: str = ""):
+        self.site = site
+        self.path = path
 
 
-@dataclass
 class JoinSpec:
-    left: Site
-    right: Site
-    unique: bool = False
-    left_path: str = ""
-    right_path: str = ""
+    __slots__ = ("left", "right", "unique", "left_path", "right_path")
+
+    def __init__(self, left: Site, right: Site, unique: bool = False, left_path: str = "", right_path: str = ""):
+        self.left = left
+        self.right = right
+        self.unique = unique
+        self.left_path = left_path
+        self.right_path = right_path
 
 
-@dataclass
 class GraphPath:
     """A declared hop list.  Hop k ends at an indicator leaf; its chain is
     the terminals of the hops before it, so the hops telescope."""
 
-    hops: list[Site]
-    schema: str = ""
-    anchor: int = 0  # node the pattern constrains (parent of the first edge array)
-    members: list[int] = field(default_factory=list)  # filter indices attached here
+    __slots__ = ("hops", "schema", "anchor", "members")
+
+    def __init__(self, hops: list[Site], schema: str = "", anchor: int = 0):
+        self.hops = hops
+        self.schema = schema
+        self.anchor = anchor  # node the pattern constrains (parent of the first edge array)
+        self.members: list[int] = []  # filter indices attached here
 
 
-@dataclass
 class Query:
-    schemas: list[str]
-    filters: list[Predicate]
-    fetch: list[FetchSpec]
-    joins: list[JoinSpec]
-    graph_paths: list[GraphPath]
-    host: str
-    composite: "CompositeTree"
-    deepest_fetch: Site | None = None
+    __slots__ = ("schemas", "filters", "fetch", "joins", "graph_paths", "host", "composite", "deepest_fetch")
+
+    def __init__(
+        self,
+        schemas: list[str],
+        filters: list[Predicate],
+        fetch: list[FetchSpec],
+        joins: list[JoinSpec],
+        graph_paths: list[GraphPath],
+        host: str,
+        composite: CompositeTree,
+    ):
+        self.schemas = schemas
+        self.filters = filters
+        self.fetch = fetch
+        self.joins = joins
+        self.graph_paths = graph_paths
+        self.host = host
+        self.composite = composite
+        self.deepest_fetch: Site | None = None  # set by parse
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ everything else is one-to-one with its parent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import SchemaError
@@ -37,20 +36,33 @@ class Link(str, Enum):
     INDICATOR = "indicator"  # many-to-one via a pointer array (graph vertices)
 
 
-@dataclass
 class SchemaNode:
-    id: int
-    name: str
-    kind: Kind
-    parent: int | None
-    depth: int
-    children: list[int] = field(default_factory=list)
-    # Value kind for Primitive nodes and for Array leaves whose elements are
-    # scalars (a repeated primitive field is a single Array node with values).
-    primitive: str | None = None
-    target: int | None = None  # Indicator leaves: node id the pointers aim at
-    link: Link = Link.IDENTITY
-    model_tag: str = "document"
+    __slots__ = ("id", "name", "kind", "parent", "depth", "children", "primitive", "target", "link", "model_tag")
+
+    def __init__(
+        self,
+        id: int,
+        name: str,
+        kind: Kind,
+        parent: int | None,
+        depth: int,
+        primitive: str | None = None,
+        target: int | None = None,
+        link: Link = Link.IDENTITY,
+        model_tag: str = "document",
+    ):
+        self.id = id
+        self.name = name
+        self.kind = kind
+        self.parent = parent
+        self.depth = depth
+        self.children: list[int] = []
+        # Value kind for Primitive nodes and for Array leaves whose elements are
+        # scalars (a repeated primitive field is a single Array node with values).
+        self.primitive = primitive
+        self.target = target  # Indicator leaves: node id the pointers aim at
+        self.link = link
+        self.model_tag = model_tag
 
     @property
     def has_values(self) -> bool:
@@ -58,11 +70,13 @@ class SchemaNode:
         return self.primitive is not None and self.kind in (Kind.PRIMITIVE, Kind.ARRAY)
 
 
-@dataclass(frozen=True)
 class SubtreeInterval:
-    node: int
-    lo: int
-    hi: int  # inclusive preorder bounds
+    __slots__ = ("node", "lo", "hi")
+
+    def __init__(self, node: int, lo: int, hi: int):
+        self.node = node
+        self.lo = lo
+        self.hi = hi  # inclusive preorder bounds
 
     def contains(self, other_preorder: int) -> bool:
         return self.lo <= other_preorder <= self.hi
@@ -199,7 +213,10 @@ def _derive_link(kind: Kind, parent: SchemaNode | None, declared: str | None) ->
     if parent is None:
         return Link.ROOT
     if declared is not None:
-        link = Link(declared)
+        try:
+            link = Link(declared)
+        except ValueError:
+            raise SchemaError(f"unknown parent link {declared!r}") from None
         if link is Link.INDICATOR and kind is not Kind.RECORD:
             raise SchemaError("only record nodes may declare an indicator parent link")
         return link
@@ -216,15 +233,20 @@ def parse_schema(manifest: dict) -> Schema:
     Indicator targets are dotted node paths from the root (or a bare name when
     it is unique in the tree).
     """
-    if "root" not in manifest or "name" not in manifest:
+    if not isinstance(manifest, dict) or "root" not in manifest or "name" not in manifest:
         raise SchemaError("manifest needs 'name' and 'root'")
     model = manifest.get("model", "document")
+    if not isinstance(model, str) or not isinstance(manifest["name"], str):
+        raise SchemaError("manifest 'name' and 'model' must be strings")
     nodes: list[SchemaNode] = []
     pending_targets: list[tuple[int, str]] = []
 
     def build(doc: dict, parent: SchemaNode | None, depth: int) -> int:
-        if "name" not in doc or "kind" not in doc:
-            raise SchemaError(f"schema node needs 'name' and 'kind': {doc!r}")
+        if not isinstance(doc, dict) or not isinstance(doc.get("name"), str) or "kind" not in doc:
+            raise SchemaError(f"schema node needs a 'name' string and a 'kind': {doc!r:.80}")
+        children = doc.get("children") or []
+        if not isinstance(children, list):
+            raise SchemaError(f"schema node {doc['name']!r}: 'children' must be a list")
         try:
             kind = Kind(doc["kind"])
         except ValueError:
@@ -232,7 +254,7 @@ def parse_schema(manifest: dict) -> Schema:
         nid = len(nodes)
         node = SchemaNode(
             id=nid,
-            name=str(doc["name"]),
+            name=doc["name"],
             kind=kind,
             parent=None if parent is None else parent.id,
             depth=depth,
@@ -247,7 +269,7 @@ def parse_schema(manifest: dict) -> Schema:
             if "target" not in doc:
                 raise SchemaError(f"indicator {node.name!r} is missing its target")
             pending_targets.append((nid, str(doc["target"])))
-        for child in doc.get("children", []) or []:
+        for child in children:
             build(child, node, depth + 1)
         return nid
 
@@ -256,7 +278,7 @@ def parse_schema(manifest: dict) -> Schema:
     for nid, ref in pending_targets:
         nodes[nid].target = _resolve_target(nodes, ref)
 
-    return Schema(str(manifest["name"]), nodes, model_tag=model)
+    return Schema(manifest["name"], nodes, model_tag=model)
 
 
 def _resolve_target(nodes: list[SchemaNode], ref: str) -> int:

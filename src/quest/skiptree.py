@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import shutil
-from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
 
@@ -140,12 +139,14 @@ def set_height(depth: int, H: int) -> int:
     return h
 
 
-@dataclass
 class LCAResult:
-    lca: int
-    src_jumps: list = field(default_factory=list)  # (node, layer, mapping), bottom-up
-    dst_jumps: list = field(default_factory=list)
-    steps: int = 0
+    __slots__ = ("lca", "src_jumps", "dst_jumps", "steps")
+
+    def __init__(self, lca: int, src_jumps: list | None = None, dst_jumps: list | None = None, steps: int = 0):
+        self.lca = lca
+        self.src_jumps = [] if src_jumps is None else src_jumps  # (node, layer, mapping), bottom-up
+        self.dst_jumps = [] if dst_jumps is None else dst_jumps
+        self.steps = steps
 
 
 class SkipTree:

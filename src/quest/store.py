@@ -38,15 +38,14 @@ import os
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
 from .delivery import Mapping
-from .errors import StoreError
-from .schema import Kind, Schema, parse_schema, serialize_schema
+from .errors import SchemaError, StoreError
+from .schema import Kind, Link, Schema, parse_schema, serialize_schema
 
 MAGIC = b"QSTC"
 FORMAT_VERSION = 3
@@ -232,15 +231,26 @@ class PrimitiveColumn:
 # `ingest.build_stats` builds them)
 
 
-@dataclass
 class ColumnStats:
-    cardinality: int = 0
-    unit_size: float = 8.0
-    distinct: int | None = None
-    vmin: object = None
-    vmax: object = None
-    mcv: dict = field(default_factory=dict)  # value -> fraction of instances
-    bounds: list = field(default_factory=list)  # equi-depth cut points (numbers)
+    __slots__ = ("cardinality", "unit_size", "distinct", "vmin", "vmax", "mcv", "bounds")
+
+    def __init__(
+        self,
+        cardinality: int = 0,
+        unit_size: float = 8.0,
+        distinct: int | None = None,
+        vmin: object = None,
+        vmax: object = None,
+        mcv: dict | None = None,
+        bounds: list | None = None,
+    ):
+        self.cardinality = cardinality
+        self.unit_size = unit_size
+        self.distinct = distinct
+        self.vmin = vmin
+        self.vmax = vmax
+        self.mcv = {} if mcv is None else mcv  # value -> fraction of instances
+        self.bounds = [] if bounds is None else bounds  # equi-depth cut points (numbers)
 
     def to_json(self) -> dict:
         return {
@@ -261,8 +271,8 @@ class ColumnStats:
             distinct=doc["distinct"],
             vmin=doc["min"],
             vmax=doc["max"],
-            mcv={json.loads(k): v for k, v in doc.get("mcv", {}).items()},
-            bounds=list(doc.get("bounds", [])),
+            mcv={json.loads(k): v for k, v in doc["mcv"].items()},
+            bounds=doc["bounds"],
         )
 
 
@@ -765,6 +775,28 @@ def write_store(store: Store, path) -> None:
     (root / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
+_JSON_NAMES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+_SCALAR = (str, int, float, bool, type(None))
+# the JSON types of each key `ColumnStats.to_json` writes
+_STATS_KINDS = {
+    "cardinality": (int,),
+    "unit_size": (float, int),
+    "distinct": (int, type(None)),
+    "min": _SCALAR,
+    "max": _SCALAR,
+    "mcv": (dict,),
+    "bounds": (list,),
+}
+
+
 def open_store(path) -> Store:
     """Open a store written by `write_store`.
 
@@ -778,9 +810,11 @@ def open_store(path) -> Store:
     its tags imply, one whose header disagrees with the manifest, or one
     changed since the open.  A dictionary entry is decoded to `str` on
     first use.  A store of another format version, a manifest that is not
-    a JSON object, lacks a node's cardinality or names a node its schema
-    lacks, or a column file missing, raises `StoreError` here.  Each
-    message names the file and `quest ingest`.
+    a JSON object, lacks a key `write_store` writes or holds one of
+    another type, lacks a node's cardinality or file, or names a node its
+    schema lacks, or a column file missing, raises `StoreError` here.
+    Each message names the file and `quest ingest`.  A node's ``stats``
+    may be absent: the planner then guesses its selectivity.
     """
     root = Path(path)
     mpath = root / "manifest.json"
@@ -792,32 +826,76 @@ def open_store(path) -> Store:
             raise ValueError("not a JSON object")
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
         raise StoreError(f"{mpath}: unreadable manifest ({exc}); {_REINGEST}") from None
+
+    def fault(where: str, text: str) -> StoreError:
+        return StoreError(f"{mpath}: {where}{text}; {_REINGEST}")
+
+    def entry(doc: dict, key: str, kinds: tuple, where: str = ""):
+        """`doc[key]`, which must be one of `kinds` (a bool only if `bool` is one)."""
+        if key not in doc:
+            raise fault(where, f"no {key!r}")
+        value = doc[key]
+        if not isinstance(value, kinds) or type(value) is bool and bool not in kinds:
+            names = " or ".join(_JSON_NAMES[k] for k in kinds)
+            raise fault(where, f"{key!r} is {_JSON_NAMES[type(value)]}, not {names}")
+        return value
+
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
-        raise StoreError(f"{root}: store format version {version}, not {FORMAT_VERSION}; {_REINGEST}")
-    store = Store(
-        block_size=manifest.get("block_size", DEFAULT_BLOCK_SIZE),
-        metadata_unit=manifest.get("metadata_unit", DEFAULT_METADATA_UNIT),
-        path=root,
-    )
-    for name, sdoc in manifest.get("schemas", {}).items():
-        schema = parse_schema(sdoc["manifest"])
+        raise fault("", f"store format version {version}, not {FORMAT_VERSION}")
+    block_size, metadata_unit = entry(manifest, "block_size", (int,)), entry(manifest, "metadata_unit", (int,))
+    try:
+        store = Store(block_size, metadata_unit, root)
+    except StoreError as exc:  # a block size that is not a power of two
+        raise fault("", str(exc)) from None
+    for name, sdoc in entry(manifest, "schemas", (dict,)).items():
+        where = f"schema {name!r}: "
+        if not isinstance(sdoc, dict):
+            raise fault(where, "not an object")
+        try:
+            schema = parse_schema(entry(sdoc, "manifest", (dict,), where))
+        except SchemaError as exc:
+            raise fault(where, str(exc)) from None
+        if schema.name != name:
+            raise fault(where, f"its manifest names schema {schema.name!r}")
         path_to_id = {schema.path_of(n.id): n.id for n in schema.nodes}
-        cards, nodes = sdoc.get("cardinalities", {}), sdoc.get("nodes", {})
+        cards, nodes = entry(sdoc, "cardinalities", (dict,), where), entry(sdoc, "nodes", (dict,), where)
         faults = [f"no cardinality for {npath}" for npath in path_to_id if npath not in cards]
         faults += [f"unknown node {npath}" for npath in sorted({*cards, *nodes}) if npath not in path_to_id]
         if faults:
-            raise StoreError(f"{mpath}: schema {name!r}: {', '.join(faults)}; {_REINGEST}")
-        cardinality = {path_to_id[npath]: card for npath, card in cards.items()}
+            raise fault(where, ", ".join(faults))
+        cardinality = {path_to_id[npath]: entry(cards, npath, (int,), f"{where}cardinality ") for npath in cards}
         files = []
         stats = {}
         for npath, ndoc in nodes.items():
-            nid = path_to_id[npath]
+            nid, at = path_to_id[npath], f"{where}node {npath}: "
+            if not isinstance(ndoc, dict):
+                raise fault(at, "not an object")
             if "stats" in ndoc:
-                stats[nid] = ColumnStats.from_json(ndoc["stats"])
-            if "file" in ndoc:
-                fpath = root / name / ndoc["file"]
-                files.append((nid, fpath, ndoc["kind_code"], ndoc["cardinality"], _stamp(fpath)))
+                stats_doc = entry(ndoc, "stats", (dict,), at)
+                for key, kinds in _STATS_KINDS.items():
+                    entry(stats_doc, key, kinds, f"{at}stats: ")
+                if any(type(v) not in (int, float) for v in (*stats_doc["mcv"].values(), *stats_doc["bounds"])):
+                    raise fault(f"{at}stats: ", "an 'mcv' fraction or a 'bounds' entry is not a number")
+                try:
+                    stats[nid] = ColumnStats.from_json(stats_doc)
+                except ValueError as exc:  # an `mcv` key that is not JSON
+                    raise fault(f"{at}stats: ", f"'mcv': {exc}") from None
+            if "file" in ndoc or "kind_code" in ndoc or "cardinality" in ndoc:
+                fpath = root / name / entry(ndoc, "file", (str,), at)
+                kind_code, count = entry(ndoc, "kind_code", (int,), at), entry(ndoc, "cardinality", (int,), at)
+                files.append((nid, fpath, kind_code, count, _stamp(fpath)))
+        # the nodes with a value column, a counter or a pointer array
+        owners = {
+            n.id
+            for n in schema.nodes
+            if n.has_values or n.link in (Link.COUNTER, Link.INDICATOR) or n.kind is Kind.INDICATOR
+        }
+        filed = {f[0] for f in files}
+        faults = [f"no file for {schema.path_of(nid)}" for nid in sorted(owners - filed)]
+        faults += [f"a file for {schema.path_of(nid)}, which owns no array" for nid in sorted(filed - owners)]
+        if faults:
+            raise fault(where, ", ".join(faults))
         data = SchemaData(schema, load=partial(_read_schema_files, schema, cardinality, files))
         data.cardinality, data.stats = cardinality, stats
         store.add(data)

@@ -224,12 +224,16 @@ def test_reingest_drops_the_stale_index(tmp_path):
     assert _rows(engine)
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this quest."""
+    src = str(Path(quest.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _imported(code: str, module: str = "scipy") -> bool:
     """Run `code` in a fresh interpreter; report whether it imported `module`."""
-    src = str(Path(quest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = code + f"\nimport sys\nprint({module!r} in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip().splitlines()[-1] == "True"
 
@@ -255,12 +259,15 @@ def test_no_quest_command_imports_scipy(store_dir, tmp_path):
     assert _imported("import quest.cli", "numpy")
 
 
-def test_cli_import_leaves_bench_and_datagen_out(store_dir):
-    for module in ("quest.bench", "quest.datagen", "quest.oracle", "quest.ingest", "logging"):
+def test_cli_import_leaves_bench_and_datagen_out(store_dir, tmp_path):
+    for module in ("quest.bench", "quest.datagen", "quest.oracle", "quest.ingest", "logging", "dataclasses", "csv"):
         assert not _imported("import quest.cli", module), module
-    # a query imports neither the oracle nor the ingest code
-    for module in ("quest.oracle", "quest.ingest", "logging"):
-        assert not _imported(_cli_code("query", "--store", store_dir, WORD_QUERY), module), module
+    # a query imports neither the oracle nor the ingest code, nor what
+    # only the other formats and commands use
+    for module in ("quest.oracle", "quest.ingest", "logging", "dataclasses", "csv"):
+        assert not _imported(_cli_code("query", "--store", store_dir, "--format", "json", WORD_QUERY), module), module
+    assert _imported(_cli_code("query", "--store", store_dir, "--format", "csv", WORD_QUERY), "csv")
+    assert _imported(_cli_code("gen", "--store", tmp_path / "gen", "--scale", "tiny"), "csv")
     # the probe does see them where a command needs them
     assert _imported("import quest.cli, quest.datagen", "quest.datagen")
     assert _imported(_cli_code("query", "--store", store_dir, "--oracle", WORD_QUERY), "quest.oracle")
@@ -303,6 +310,58 @@ def test_query_stdout_matches_recorded_digests(store_dir):
             assert result.exit_code == 0, result.output
             got[f"{wq.name}/{fmt}"] = hashlib.sha256(result.stdout_bytes).hexdigest()
     assert got == want
+
+
+def _quest(*args, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m quest.cli ARGS` in a fresh interpreter."""
+    cmd = [sys.executable, "-m", "quest.cli", *map(str, args)]
+    return subprocess.run(cmd, env=_child_env(), timeout=120, **kwargs)
+
+
+def test_a_quest_process_writes_every_byte_to_a_file_and_a_pipe(store_dir, tmp_path):
+    """The process ends with `os._exit` once stdout and stderr are
+    flushed; the largest workload answer still arrives whole."""
+    want = json.loads((Path(__file__).parent / "data" / "query_stdout_sha256.json").read_text())
+    largest = max(
+        WORKLOAD, key=lambda wq: len(invoke("query", "--store", store_dir, json.dumps(wq.doc)).stdout_bytes)
+    )
+    for fmt in ("json", "ndjson", "csv"):
+        args = ("query", "--store", store_dir, "--format", fmt, json.dumps(largest.doc))
+        piped = _quest(*args, capture_output=True)
+        with open(tmp_path / "stdout", "wb") as out:
+            filed = _quest(*args, stdout=out, stderr=subprocess.PIPE)
+        for done, stdout in ((piped, piped.stdout), (filed, (tmp_path / "stdout").read_bytes())):
+            assert done.returncode == 0, done.stderr
+            assert hashlib.sha256(stdout).hexdigest() == want[f"{largest.name}/{fmt}"], fmt
+            assert json.loads(done.stderr.splitlines()[-1])["rows"] > 0  # the sidecar arrives too
+
+
+def test_a_quest_process_exits_with_each_documented_code(store_dir, tmp_path):
+    cases = {
+        2: (["query", "--store", store_dir, "--format", "xml", VIP_QUERY], "Invalid value for '--format'"),
+        3: (["query", "--store", tmp_path / "nothing", VIP_QUERY], "no manifest.json"),
+        4: (["query", "--store", store_dir, '{"from":"people","fetch":["people.nope"]}'], "unknown path"),
+        5: (["query", "--store", store_dir, "--timeout", "1e-9", VIP_QUERY], "budget"),
+    }
+    for code, (args, message) in cases.items():
+        done = _quest(*args, capture_output=True, text=True)
+        assert done.returncode == code, (code, done.stderr)
+        assert message in done.stderr and "Traceback" not in done.stderr, (code, done.stderr)
+
+
+def test_an_unexpected_error_still_prints_a_traceback_and_exits_1(store_dir):
+    code = (
+        "import sys, quest.cli\n"
+        "def broken_open(path):\n    raise RuntimeError('broken open')\n"
+        "quest.cli.open_store = broken_open\n"
+        f"sys.argv = ['quest', 'query', '--store', {str(store_dir)!r}, {VIP_QUERY!r}]\n"
+        "quest.cli.run()\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 1
+    assert "Traceback" in done.stderr and "RuntimeError: broken open" in done.stderr, done.stderr
 
 
 def test_query_on_a_version_1_store_names_quest_ingest(store_dir, tmp_path):
@@ -397,6 +456,110 @@ def test_a_damaged_manifest_names_itself_and_quest_ingest(store_dir, tmp_path, t
     (store / "manifest.json").write_text(text)
     for args in ([], ["--no-skiptree"]):
         _assert_names_the_fix(invoke("query", "--store", store, *args, VIP_QUERY), "manifest.json")
+
+
+WORD_NODE = ("schemas", "ads", "nodes", "Advertiser.Campaign.WordSet.Word")
+ADS_ROOT = ("schemas", "ads", "manifest", "root")
+PERSON_CHILDREN = ("schemas", "social", "manifest", "root", "children")
+# a key path to one of every kind of key `write_store` writes into
+# manifest.json, the `ads` schema standing for every schema
+MANIFEST_KEYS = [
+    ("format_version",),
+    ("block_size",),
+    ("metadata_unit",),
+    ("schemas",),
+    ("schemas", "ads", "manifest"),
+    ("schemas", "ads", "cardinalities"),
+    ("schemas", "ads", "nodes"),
+    ("schemas", "ads", "cardinalities", "Advertiser.Campaign"),
+    WORD_NODE,
+    *(WORD_NODE + (key,) for key in ("file", "kind_code", "cardinality", "stats")),
+    *(WORD_NODE + ("stats", key) for key in ("cardinality", "unit_size", "distinct", "min", "max", "mcv", "bounds")),
+    ("schemas", "ads", "manifest", "name"),
+    ("schemas", "ads", "manifest", "model"),
+    ADS_ROOT,
+    *(ADS_ROOT + (key,) for key in ("name", "kind", "children")),
+    ADS_ROOT + ("children", 0, "primitive"),  # Advertiser.Email
+    PERSON_CHILDREN + (3, "children", 0, "target"),  # Person.know#.#Person
+    PERSON_CHILDREN + (4, "children", 0, "link"),  # Person.like#.#Message
+]
+# keys `write_store` may leave out: a node without statistics, a schema of the default model
+OPTIONAL_KEYS = {WORD_NODE + ("stats",), ("schemas", "ads", "manifest", "model")}
+
+
+def _other_type(value):
+    """A JSON value of another type than `value`."""
+    return {"was": value} if isinstance(value, list) else [value]
+
+
+def _manifest_damage() -> dict:
+    cases = {}
+    for path in MANIFEST_KEYS:
+        label = "/".join(map(str, path))
+        if path not in OPTIONAL_KEYS:
+            cases[f"drop {label}"] = (path, None)
+        cases[f"retype {label}"] = (path, _other_type)
+    # the faults seen before the manifest was checked at open
+    cases["block_size a string"] = (("block_size",), lambda value: str(value))
+    cases["stats a number"] = (WORD_NODE + ("stats",), lambda value: 7)
+    cases["cardinality a string"] = (("schemas", "ads", "cardinalities", "Advertiser.Campaign"), lambda value: "x")
+    cases["block_size not a power of two"] = (("block_size",), lambda value: value - 1)
+    cases["mcv key not JSON"] = (WORD_NODE + ("stats", "mcv"), lambda value: {"not json": 0.5})
+    cases["schema renamed"] = (("schemas", "ads", "manifest", "name"), lambda value: "sda")
+    cases["mcv fraction a string"] = (WORD_NODE + ("stats", "mcv"), lambda value: dict.fromkeys(value, "x"))
+    cases["bounds entry a string"] = (
+        ("schemas", "people", "nodes", "people.credit_score", "stats", "bounds"), lambda value: ["x", *value[1:]]
+    )
+    return cases
+
+
+MANIFEST_DAMAGE = _manifest_damage()
+
+
+def _edit_manifest(store, path: tuple, change) -> None:
+    """Drop the key at `path` (`change` None) or replace its value with `change(value)`."""
+    manifest = json.loads((store / "manifest.json").read_text())
+    *parents, key = path
+    doc = manifest
+    for step in parents:
+        doc = doc[step]
+    if change is None:
+        del doc[key]
+    else:
+        doc[key] = change(doc[key])
+    (store / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.fixture(scope="module")
+def manifest_store(store_dir, tmp_path_factory):
+    """A copy of the module's store whose manifest.json the tests edit."""
+    copy = tmp_path_factory.mktemp("manifest") / "store"
+    shutil.copytree(store_dir, copy)
+    return copy
+
+
+@pytest.mark.parametrize("case", list(MANIFEST_DAMAGE))
+def test_every_damaged_manifest_key_names_the_manifest_and_quest_ingest(store_dir, manifest_store, case):
+    good = (store_dir / "manifest.json").read_text()
+    try:
+        _edit_manifest(manifest_store, *MANIFEST_DAMAGE[case])
+        for args in (["query"], ["query", "--no-skiptree"], ["explain"]):
+            _assert_names_the_fix(invoke(*args, "--store", manifest_store, VIP_QUERY), "manifest.json")
+    finally:
+        (manifest_store / "manifest.json").write_text(good)
+
+
+@pytest.mark.parametrize("path", sorted(OPTIONAL_KEYS), ids=lambda path: "/".join(path[1:]))
+def test_a_manifest_without_an_optional_key_still_answers(store_dir, manifest_store, path):
+    good = (store_dir / "manifest.json").read_text()
+    want = _rows(invoke("query", "--store", store_dir, WORD_QUERY))
+    try:
+        _edit_manifest(manifest_store, path, None)
+        result = invoke("query", "--store", manifest_store, WORD_QUERY)
+        assert result.exit_code == 0, result.output
+        assert _rows(result) == want
+    finally:
+        (manifest_store / "manifest.json").write_text(good)
 
 
 def test_query_formats_agree(store_dir):
