@@ -1,11 +1,11 @@
-"""``quest``: generate, load, index, query, and benchmark stores.
+"""``quest``: generate, load, query, and benchmark stores.
 
 A store lives in one directory.  ``gen`` writes the raw inputs under
 ``<store>/raw/``, ``ingest`` turns them into the columnar layout at the
-directory top level, ``index`` stamps each schema's skip index (the
-index itself is composed from the store's arrays when a query first
-uses it, so it cannot go stale), and the remaining commands read the
-result.
+directory top level, and the remaining commands read the result.  A
+query builds the skip index of each schema it touches from the store's
+arrays (`skiptree.build_skip_tree`), so there is no index to build
+beforehand, and none to go stale.
 
 Exit codes: 0 ok, 2 usage, 3 data error, 4 constraint violation,
 5 timeout.
@@ -43,7 +43,7 @@ from .errors import (
 )
 from .optimizer import CostParams, explain_plan, plan_query
 from .query import parse_query
-from .skiptree import build_skip_tree, load_skiptree, write_skiptree
+from .skiptree import build_skip_tree
 from .store import Store, open_store, write_store
 
 EXIT_USAGE = 2
@@ -178,7 +178,7 @@ def gen(store_dir, seed, scale, high, low):
 
 
 # ---------------------------------------------------------------------------
-# ingest / index
+# ingest
 
 
 @main.command()
@@ -215,18 +215,6 @@ def ingest(store_dir):
     click.echo(f"ingested {', '.join(sorted(store.datasets))} into {store_dir}")
 
 
-@main.command()
-@_store_option
-@_guard
-def index(store_dir):
-    """Stamp every schema's skip index; queries compose it from the store's arrays."""
-    store = open_store(store_dir)
-    for name in sorted(store.datasets):
-        tree = build_skip_tree(store.data(name))
-        write_skiptree(tree, store_dir, store.schema(name))
-    click.echo(f"indexed {len(store.datasets)} schemas under {store_dir}")
-
-
 # ---------------------------------------------------------------------------
 # query / explain
 
@@ -252,28 +240,25 @@ def _parse(store: Store, doc):
     return parse_query(schemas, doc)
 
 
-def _load_indexes(store: Store, names) -> tuple[dict, list[str]]:
-    """Persisted skip-trees where usable, in-memory builds otherwise.
-
-    Returns the indexes and the sorted names of the schemas whose index
-    had to be built in memory."""
-    indexes = {}
-    built = []
-    for name in names:
-        try:
-            indexes[name] = load_skiptree(store, name)
-        except StoreError:
-            indexes[name] = build_skip_tree(store.data(name))
-            built.append(name)
-    return indexes, sorted(built)
+def _write_all(text: str) -> None:
+    """Write every byte of `text` to stdout, or raise.  An unbuffered stdout's
+    raw ``write`` may take only part, and its text layer would drop the rest."""
+    out = sys.stdout.buffer
+    left = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while left:
+        n = out.write(left)
+        if not n:  # None from a non-blocking stdout that is full
+            raise OSError(f"stdout took no bytes, {len(left)} left to write")
+        left = left[n:]
+    out.flush()
 
 
 def _emit_rows(columns: list[str], rows, fmt: str) -> None:
     if fmt == "json":
         # json writes a tuple as an array
-        click.echo(json.dumps({"columns": columns, "rows": rows}))
+        _write_all(json.dumps({"columns": columns, "rows": rows}) + "\n")
     elif fmt == "ndjson":
-        click.echo("".join([json.dumps(r) + "\n" for r in rows]), nl=False)
+        _write_all("".join([json.dumps(r) + "\n" for r in rows]))
     else:
         import csv  # imported here: only this format and `gen` use it
 
@@ -282,7 +267,7 @@ def _emit_rows(columns: list[str], rows, fmt: str) -> None:
         w.writerow(columns)
         for r in rows:
             w.writerow([_cell(v) for v in r])
-        click.echo(buf.getvalue(), nl=False)
+        _write_all(buf.getvalue())
 
 
 @main.command()
@@ -323,12 +308,9 @@ def query(store_dir, no_skiptree, use_oracle, fmt, timeout, query_doc):
         rows = oracle_query(store, q)
         stats = {"evaluator": "oracle"}
     else:
-        indexes, built = (None, []) if no_skiptree else _load_indexes(store, q.schemas)
+        indexes = None if no_skiptree else {name: build_skip_tree(store.data(name)) for name in q.schemas}
         result = evaluate(store, q, indexes=indexes)
-        stats = dict(result.stats)
-        stats["evaluator"] = "engine"
-        stats["skiptree"] = not no_skiptree
-        stats["skiptree_built"] = built
+        stats = {**result.stats, "evaluator": "engine", "skiptree": not no_skiptree}
         rows = result.rows
     elapsed = time.perf_counter() - start
     stats["wall_time"] = elapsed

@@ -18,9 +18,9 @@ traversals: one hop (a counter into an edge array plus its pointer array) is
 a mapping with both arrays, and composing hops, a boolean sparse product done
 in numpy, yields the skip counter/pointer pair for the whole chain.
 
-An index is a pure function of its schema's arrays, so nothing composed is
-persisted: ``quest index`` writes only ``<store>/<schema>/_skiptree/skiptree.json``,
-a stamp giving the index format.
+An index is a pure function of its schema's arrays: `build_skip_tree`
+makes one per `SchemaData` on first use and keeps it there, and none is
+persisted.
 """
 from __future__ import annotations
 
@@ -302,24 +302,28 @@ def layered_tree(data: SchemaData) -> SkipTree:
 
 
 def build_skip_tree(data: SchemaData) -> SkipTree:
-    """Build the index, with instance mappings, for one ingested schema."""
-    return _schema_tree(data.schema, layered_tree(data).links)
+    """The index of one ingested schema, built on the first call and kept
+    on `data` like its `layered_tree`, so every caller shares its
+    compositions.  While the arrays are on disk its links are fetched on
+    the first mapping asked for, so building it reads no column file;
+    arrays in memory are linked at once, since a tree referring back to
+    `data` would keep both alive until the cyclic collector runs."""
+    if data.skip_tree is None:
+        links = layered_tree(data).links if data.loaded else lambda: layered_tree(data).links
+        data.skip_tree = _schema_tree(data.schema, links)
+    return data.skip_tree
 
 
 # ---------------------------------------------------------------------------
-# persistence: an index is derived from the schema's own arrays whenever it
-# is used, so only a stamp giving its format is written; a store rewritten
-# or copied into afterwards cannot leave it stale.
+# the stamp of the index format, which only the benchmark's set-up writes and
+# checks (queries never look there); retiring it is a benchmark change
 
-# a schema's persisted Skip-Tree lives in this subdirectory of its own
 SKIPTREE_DIR = "_skiptree"
 SKIPTREE_FORMAT = {"format_version": 2}
 
 
 def write_skiptree(tree: SkipTree, store_path, schema: Schema) -> None:
-    """Persist one schema's index under ``<store>/<schema>/_skiptree/``,
-    replacing whatever is there: its ``skiptree.json`` stamp is all of it,
-    the same for every `tree`, which `load_skiptree` derives again."""
+    """Replace ``<store>/<schema>/_skiptree/`` with the stamp; `tree` is not read."""
     root = Path(store_path) / schema.name / SKIPTREE_DIR
     shutil.rmtree(root, ignore_errors=True)
     root.mkdir(parents=True)
@@ -327,19 +331,15 @@ def write_skiptree(tree: SkipTree, store_path, schema: Schema) -> None:
 
 
 def load_skiptree(store: Store, schema_name: str) -> SkipTree:
-    """Load a persisted index, reading its stamp only: the link Mappings
-    come from the schema's `layered_tree` on the first mapping asked for.
-    Raises StoreError when none was built, or when its stamp is damaged
-    or was written by another quest."""
+    """`build_skip_tree` of the schema's data, once its stamp is checked:
+    a missing, damaged or other one raises StoreError."""
     if store.path is None:
-        raise StoreError("store was not opened from disk; build the index in memory instead")
-    data = store.data(schema_name)
+        raise StoreError("store was not opened from disk; use build_skip_tree instead")
     mpath = store.path / schema_name / SKIPTREE_DIR / "skiptree.json"
-    if not mpath.exists():
-        raise StoreError(f"{schema_name!r} has no skip index; build it with `quest index`")
     try:
-        if json.loads(mpath.read_text(encoding="utf-8")) != SKIPTREE_FORMAT:
-            raise StoreError(f"skiptree.json is not {json.dumps(SKIPTREE_FORMAT)}: another quest wrote it")
-    except (OSError, ValueError, StoreError) as exc:
-        raise StoreError(f"{schema_name!r}: unusable skip index ({exc}); rebuild it with `quest index`") from exc
-    return _schema_tree(data.schema, lambda: layered_tree(data).links)
+        found = json.loads(mpath.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        found = exc
+    if found != SKIPTREE_FORMAT:
+        raise StoreError(f"{mpath}: unusable skip index stamp ({found}), not {json.dumps(SKIPTREE_FORMAT)}")
+    return build_skip_tree(store.data(schema_name))

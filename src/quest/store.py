@@ -318,9 +318,10 @@ class SchemaData:
         self.schema = schema
         self.cardinality: dict[int, int] = {}
         self.stats: dict[int, ColumnStats] = {}
-        # height-0 Skip-Tree, whose links are `counters` and `indicators`
-        # (`skiptree.layered_tree` builds it on first use)
+        # height-0 Skip-Tree over `counters` and `indicators`, and the skip
+        # index (`skiptree.layered_tree`, `build_skip_tree` build them on first use)
         self.layered_tree = None
+        self.skip_tree = None
         self._load = load
         self._arrays = None if load else ({}, {}, {})
         self._failure: str | None = None
@@ -341,21 +342,27 @@ class SchemaData:
     def indicators(self) -> dict[int, Mapping]:
         return self._loaded()[2]
 
+    @property
+    def loaded(self) -> bool:
+        """Whether the arrays are in memory: ingested, or read from disk."""
+        return self._arrays is not None
+
     def _loaded(self) -> tuple[dict, dict, dict]:
         if self._arrays is None:
             if self._failure is not None:
                 raise StoreError(self._failure)
             try:
                 self._arrays = self._load()
-                self.validate()
+                self.validate(f"; manifest.json disagrees with the column files; {_REINGEST}")
             except (StoreError, OSError) as exc:
                 self._arrays = None
                 self._failure = str(exc)
                 raise StoreError(self._failure) from exc
         return self._arrays
 
-    def validate(self) -> None:
-        """Check each array's length against the schema's cardinalities.
+    def validate(self, fix: str = "") -> None:
+        """Check each array's length against the schema's cardinalities;
+        a fault's message ends with `fix`.
 
         A counter or pointer array is checked against its upper space
         only: its `Mapping` checked its entries when it was built.
@@ -363,7 +370,7 @@ class SchemaData:
         sch = self.schema
         for nid, col in self.columns.items():
             if col.cardinality != self.cardinality[nid]:
-                raise StoreError(f"{sch.name}.{sch.path_of(nid)}: column length != cardinality")
+                raise StoreError(f"{sch.name}.{sch.path_of(nid)}: column length != cardinality{fix}")
         for links in (self.counters, self.indicators):
             for nid, link in links.items():
                 node = sch.node(nid)
@@ -372,7 +379,7 @@ class SchemaData:
                 if link.upper_cardinality != self.cardinality[upper]:
                     raise StoreError(
                         f"{sch.name}.{sch.path_of(nid)}: {link.upper_cardinality} entries, but "
-                        f"{sch.path_of(upper)} has {self.cardinality[upper]} instances"
+                        f"{sch.path_of(upper)} has {self.cardinality[upper]} instances{fix}"
                     )
 
 
@@ -450,9 +457,10 @@ class IOStats:
 class Store:
     """A set of ingested schemas plus instrumented access to their arrays."""
 
-    def __init__(self, block_size=DEFAULT_BLOCK_SIZE, metadata_unit=DEFAULT_METADATA_UNIT, path=None):
+    metadata_unit = DEFAULT_METADATA_UNIT  # the one unit the I/O model and the optimizer count in
+
+    def __init__(self, block_size=DEFAULT_BLOCK_SIZE, path=None):
         self.block_size = block_size
-        self.metadata_unit = metadata_unit
         self.path = Path(path) if path is not None else None
         self.datasets: dict[str, SchemaData] = {}
         self.io = IOStats(block_size)
@@ -801,20 +809,22 @@ def open_store(path) -> Store:
     """Open a store written by `write_store`.
 
     Only ``manifest.json`` is read here: the schemas, cardinalities and
-    column statistics, which are all that parsing, planning and loading
+    column statistics, which are all that parsing, planning and building
     a skip index need.  Each column file is only stat'ed.  A schema's
     files are read, CRC-checked and decoded together on the first use of
     its arrays (see `SchemaData`), so a query reads only the schemas it
     touches.  That load raises `StoreError` for a corrupt or missing
     file, one of another format version, one whose payload is not what
-    its tags imply, one whose header disagrees with the manifest, or one
-    changed since the open.  A dictionary entry is decoded to `str` on
+    its tags imply, one whose header disagrees with the manifest, one
+    changed since the open, or arrays whose lengths disagree with the
+    manifest's cardinalities.  A dictionary entry is decoded to `str` on
     first use.  A store of another format version, a manifest that is not
     a JSON object, lacks a key `write_store` writes or holds one of
-    another type, lacks a node's cardinality or file, or names a node its
-    schema lacks, or a column file missing, raises `StoreError` here.
-    Each message names the file and `quest ingest`.  A node's ``stats``
-    may be absent: the planner then guesses its selectivity.
+    another type, a negative count or a ``metadata_unit`` other than 8,
+    lacks a node's cardinality or file, or names a node its schema lacks,
+    or a column file missing, raises `StoreError` here.  Each message
+    names the file and `quest ingest`.  A node's ``stats`` may be absent:
+    the planner then guesses its selectivity.
     """
     root = Path(path)
     mpath = root / "manifest.json"
@@ -830,22 +840,27 @@ def open_store(path) -> Store:
     def fault(where: str, text: str) -> StoreError:
         return StoreError(f"{mpath}: {where}{text}; {_REINGEST}")
 
-    def entry(doc: dict, key: str, kinds: tuple, where: str = ""):
-        """`doc[key]`, which must be one of `kinds` (a bool only if `bool` is one)."""
+    def entry(doc: dict, key: str, kinds: tuple, where: str = "", count: bool = False):
+        """`doc[key]`, which must be one of `kinds` (a bool only if `bool` is
+        one), and not negative if it is a `count`."""
         if key not in doc:
             raise fault(where, f"no {key!r}")
         value = doc[key]
         if not isinstance(value, kinds) or type(value) is bool and bool not in kinds:
             names = " or ".join(_JSON_NAMES[k] for k in kinds)
             raise fault(where, f"{key!r} is {_JSON_NAMES[type(value)]}, not {names}")
+        if count and value is not None and value < 0:
+            raise fault(where, f"{key!r} is {value}, a negative count")
         return value
 
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise fault("", f"store format version {version}, not {FORMAT_VERSION}")
     block_size, metadata_unit = entry(manifest, "block_size", (int,)), entry(manifest, "metadata_unit", (int,))
+    if metadata_unit != Store.metadata_unit:
+        raise fault("", f"'metadata_unit' is {metadata_unit}, not {Store.metadata_unit}")
     try:
-        store = Store(block_size, metadata_unit, root)
+        store = Store(block_size, root)
     except StoreError as exc:  # a block size that is not a power of two
         raise fault("", str(exc)) from None
     for name, sdoc in entry(manifest, "schemas", (dict,)).items():
@@ -864,7 +879,8 @@ def open_store(path) -> Store:
         faults += [f"unknown node {npath}" for npath in sorted({*cards, *nodes}) if npath not in path_to_id]
         if faults:
             raise fault(where, ", ".join(faults))
-        cardinality = {path_to_id[npath]: entry(cards, npath, (int,), f"{where}cardinality ") for npath in cards}
+        counts = {npath: entry(cards, npath, (int,), f"{where}cardinality ", count=True) for npath in cards}
+        cardinality = {path_to_id[npath]: c for npath, c in counts.items()}
         files = []
         stats = {}
         for npath, ndoc in nodes.items():
@@ -874,7 +890,7 @@ def open_store(path) -> Store:
             if "stats" in ndoc:
                 stats_doc = entry(ndoc, "stats", (dict,), at)
                 for key, kinds in _STATS_KINDS.items():
-                    entry(stats_doc, key, kinds, f"{at}stats: ")
+                    entry(stats_doc, key, kinds, f"{at}stats: ", count=key in ("cardinality", "distinct"))
                 if any(type(v) not in (int, float) for v in (*stats_doc["mcv"].values(), *stats_doc["bounds"])):
                     raise fault(f"{at}stats: ", "an 'mcv' fraction or a 'bounds' entry is not a number")
                 try:
@@ -883,7 +899,8 @@ def open_store(path) -> Store:
                     raise fault(f"{at}stats: ", f"'mcv': {exc}") from None
             if "file" in ndoc or "kind_code" in ndoc or "cardinality" in ndoc:
                 fpath = root / name / entry(ndoc, "file", (str,), at)
-                kind_code, count = entry(ndoc, "kind_code", (int,), at), entry(ndoc, "cardinality", (int,), at)
+                kind_code = entry(ndoc, "kind_code", (int,), at)
+                count = entry(ndoc, "cardinality", (int,), at, count=True)
                 files.append((nid, fpath, kind_code, count, _stamp(fpath)))
         # the nodes with a value column, a counter or a pointer array
         owners = {

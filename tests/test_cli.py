@@ -1,6 +1,7 @@
 """End-to-end runs of the ``quest`` command line."""
 
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -49,12 +50,11 @@ def invoke(*args, **kwargs):
 
 @pytest.fixture(scope="module")
 def store_dir(tmp_path_factory):
-    """One tiny store, generated, ingested, and indexed through the CLI."""
+    """One tiny store, generated and ingested through the CLI."""
     root = tmp_path_factory.mktemp("cli") / "store"
     for step in (
         ["gen", "--store", root, "--scale", "tiny", "--seed", "3"],
         ["ingest", "--store", root],
-        ["index", "--store", root],
     ):
         result = invoke(*step)
         assert result.exit_code == 0, result.output
@@ -124,61 +124,70 @@ def test_query_stats_sidecar_on_stderr(store_dir):
     assert stats["columns_read"] >= 1
 
 
-def test_sidecar_names_indexes_built_in_memory(store_dir, tmp_path):
-    loaded = invoke("query", "--store", store_dir, VIP_QUERY)
-    assert json.loads(loaded.stderr.strip().splitlines()[-1])["skiptree_built"] == []
-    copy = tmp_path / "store"
-    shutil.copytree(store_dir, copy)
-    shutil.rmtree(copy / "people" / "_skiptree")
-    rebuilt = invoke("query", "--store", copy, VIP_QUERY)
-    assert rebuilt.exit_code == 0, rebuilt.output
-    stats = json.loads(rebuilt.stderr.strip().splitlines()[-1])
-    assert stats["skiptree_built"] == ["people"]
-    assert _rows(rebuilt) == _rows(loaded)
-
-
-# each one damages `org/_skiptree/` of a copied store
+# each one damages the `org/_skiptree/skiptree.json` stamp of a copied store
 DAMAGED_INDEXES = {
-    "manifest not json": ("skiptree.json", lambda p: p.write_text("{nodes: }")),
-    "manifest names an unknown node": (
-        "skiptree.json",
-        lambda p: p.write_text(json.dumps({"format_version": 2, "nodes": {"Org.Nowhere": {}}})),
+    "manifest not json": lambda p: p.write_text("{nodes: }"),
+    "manifest names an unknown node": lambda p: p.write_text(
+        json.dumps({"format_version": 2, "nodes": {"Org.Nowhere": {}}})
     ),
-    "older format": ("skiptree.json", lambda p: p.write_text(json.dumps({"H": 3, "nodes": {}}))),
+    "older format": lambda p: p.write_text(json.dumps({"H": 3, "nodes": {}})),
 }
 
 
-@pytest.mark.parametrize("case", list(DAMAGED_INDEXES))
-def test_a_damaged_index_is_rebuilt_in_memory(store_dir, tmp_path, case):
-    from quest.skiptree import load_skiptree
+def test_a_query_ignores_any_skiptree_directory(store_dir, tmp_path):
+    """`quest query` builds each index from the store's arrays: stamps
+    that an older quest or the benchmark left, damaged or not, change
+    neither the answer nor the counters, and nothing under them is opened."""
+    from quest.skiptree import build_skip_tree, load_skiptree, write_skiptree
     from quest.store import StoreError, open_store
 
-    copy = tmp_path / "store"
-    shutil.copytree(store_dir, copy)
-    fname, damage = DAMAGED_INDEXES[case]
-    damage(copy / "org" / "_skiptree" / fname)
-    with pytest.raises(StoreError, match="quest index"):
-        load_skiptree(open_store(copy), "org")
+    assert sorted(main.commands) == ["bench", "explain", "gen", "ingest", "query"]
     doc = json.dumps(next(wq.doc for wq in WORKLOAD if wq.name.startswith("Q09")))
-    result = invoke("query", "--store", copy, doc)
-    assert result.exit_code == 0, result.output
-    assert json.loads(result.stderr.strip().splitlines()[-1])["skiptree_built"] == ["org"]
-    oracle = invoke("query", "--store", copy, "--oracle", doc)
-    assert oracle.exit_code == 0, oracle.output
-    assert _rows(result) == _rows(oracle)
-    # `quest index` replaces the whole index, old files and all
-    (copy / "org" / "_skiptree" / "Org.Region.0.counter.col").write_bytes(b"left by an older quest")
-    assert invoke("index", "--store", copy).exit_code == 0
-    assert sorted(p.name for p in (copy / "org" / "_skiptree").iterdir()) == sorted(
-        p.name for p in (store_dir / "org" / "_skiptree").iterdir()
+
+    def answer(store) -> tuple[bytes, dict]:
+        result = invoke("query", "--store", store, doc)
+        assert result.exit_code == 0, result.output
+        stats = json.loads(result.stderr.strip().splitlines()[-1])
+        del stats["wall_time"]
+        return result.stdout_bytes, stats
+
+    want = answer(store_dir)
+    assert "skiptree_built" not in want[1] and want[1]["skiptree"] is True
+    for case in ["stamped", *DAMAGED_INDEXES]:
+        copy = tmp_path / case
+        shutil.copytree(store_dir, copy)
+        stamped = open_store(copy)
+        for name in stamped.datasets:
+            write_skiptree(build_skip_tree(stamped.data(name)), copy, stamped.schema(name))
+        if case in DAMAGED_INDEXES:
+            DAMAGED_INDEXES[case](copy / "org" / "_skiptree" / "skiptree.json")
+            with pytest.raises(StoreError, match="unusable skip index stamp"):
+                load_skiptree(open_store(copy), "org")
+        assert answer(copy) == want, case
+    # a fresh process running the query opens the manifest, but no stamp
+    probe = (
+        "import sys\nopened = []\n"
+        "sys.addaudithook(lambda event, args: event == 'open' and opened.append(str(args[0])))\n"
+        + _cli_code("query", "--store", copy, doc)
+        + "\nimport json\nprint(json.dumps(opened))"
     )
-    reloaded = invoke("query", "--store", copy, doc)
-    assert json.loads(reloaded.stderr.strip().splitlines()[-1])["skiptree_built"] == []
-    assert _rows(reloaded) == _rows(oracle)
+    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    opened = json.loads(done.stdout.strip().splitlines()[-1])
+    assert str(copy / "manifest.json") in opened
+    assert [path for path in opened if "_skiptree" in path] == []
 
 
 def _drop_campaign_cardinality(ads: dict) -> None:
     del ads["cardinalities"]["Advertiser.Campaign"]
+
+
+def _add_to_count(doc: dict, key: str, amount: int) -> None:
+    doc[key] += amount
+
+
+def _word_stats(ads: dict) -> dict:
+    return ads["nodes"]["Advertiser.Campaign.WordSet.Word"]["stats"]
 
 
 # each one edits the `ads` entry of a copied store's manifest.json
@@ -186,7 +195,34 @@ BAD_CARDINALITIES = {
     "missing cardinality": (_drop_campaign_cardinality, "no cardinality for Advertiser.Campaign"),
     "unknown cardinality": (lambda ads: ads["cardinalities"].update({"Nowhere": 1}), "unknown node Nowhere"),
     "unknown node": (lambda ads: ads["nodes"].update({"Nowhere": {}}), "unknown node Nowhere"),
+    "negative root cardinality": (
+        lambda ads: ads["cardinalities"].update({"Advertiser": -1}), "'Advertiser' is -1, a negative count"
+    ),
+    "negative leaf cardinality": (
+        lambda ads: ads["cardinalities"].update({"Advertiser.Campaign.WordSet.Word": -5}), "is -5, a negative count"
+    ),
+    "negative file cardinality": (
+        lambda ads: ads["nodes"]["Advertiser.Campaign.WordSet.Word"].update({"cardinality": -5}),
+        "'cardinality' is -5, a negative count",
+    ),
+    "negative stats cardinality": (
+        lambda ads: _word_stats(ads).update({"cardinality": -1}), "stats: 'cardinality' is -1, a negative count"
+    ),
+    "negative stats distinct": (
+        lambda ads: _word_stats(ads).update({"distinct": -1}), "stats: 'distinct' is -1, a negative count"
+    ),
+    # a count the files disagree with shows only once they are read
+    "one root instance too many": (
+        lambda ads: _add_to_count(ads["cardinalities"], "Advertiser", 1),
+        "manifest.json disagrees with the column files",
+    ),
+    "one word set too many": (
+        lambda ads: _add_to_count(ads["cardinalities"], "Advertiser.Campaign.WordSet", 1),
+        "manifest.json disagrees with the column files",
+    ),
 }
+# `explain` reads no column file, so it plans from these counts
+SEEN_BY_READING = {"one root instance too many", "one word set too many"}
 
 
 @pytest.mark.parametrize("case", list(BAD_CARDINALITIES))
@@ -199,8 +235,11 @@ def test_a_manifest_must_name_exactly_its_schemas_nodes(store_dir, tmp_path, cas
     (copy / "manifest.json").write_text(json.dumps(manifest))
     for args in (["query"], ["query", "--no-skiptree"], ["explain"]):
         result = invoke(*args, "--store", copy, WORD_QUERY)
+        if args == ["explain"] and case in SEEN_BY_READING:
+            assert result.exit_code == 0, result.output
+            continue
         assert result.exit_code == 3, (args, result.output)
-        assert message in result.stderr and "quest ingest" in result.stderr, args
+        assert message in result.stderr and "quest ingest" in result.stderr, (args, result.stderr)
 
 
 def test_reingest_drops_the_stale_index(tmp_path):
@@ -208,17 +247,15 @@ def test_reingest_drops_the_stale_index(tmp_path):
     for step in (
         ["gen", "--store", root, "--scale", "tiny", "--seed", "3"],
         ["ingest", "--store", root],
-        ["index", "--store", root],
         ["gen", "--store", root, "--scale", "small", "--seed", "3"],
         ["ingest", "--store", root],
     ):
         result = invoke(*step)
         assert result.exit_code == 0, result.output
-    # the stamps stay, and the loaded index is composed from the new arrays
+    # the index is composed from the new arrays
     deep = json.dumps(next(q.doc for q in WORKLOAD if q.name.startswith("Q09")))
     engine = invoke("query", "--store", root, deep)
     assert engine.exit_code == 0, engine.output
-    assert json.loads(engine.stderr.strip().splitlines()[-1])["skiptree_built"] == []
     oracle = invoke("query", "--store", root, "--oracle", deep)
     assert sorted(map(tuple, _rows(engine))) == sorted(map(tuple, _rows(oracle)))
     assert _rows(engine)
@@ -252,7 +289,6 @@ def test_no_quest_command_imports_scipy(store_dir, tmp_path):
     assert not _imported(_cli_code("query", "--store", store_dir, "--no-skiptree", WORD_QUERY))
     copy = tmp_path / "store"
     shutil.copytree(store_dir, copy)
-    assert not _imported(_cli_code("index", "--store", copy))
     assert not _imported(_cli_code("ingest", "--store", copy))
     assert not _imported(_cli_code("query", "--store", copy, WORD_QUERY))
     # the probe does see a module that quest imports
@@ -318,15 +354,39 @@ def _quest(*args, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, env=_child_env(), timeout=120, **kwargs)
 
 
-def test_a_quest_process_writes_every_byte_to_a_file_and_a_pipe(store_dir, tmp_path):
+class _Trickle(io.RawIOBase):
+    """A raw stdout that takes at most 100 bytes of each write, as an
+    unbuffered stdout (``PYTHONUNBUFFERED=1``) on a pipe may take part of
+    a large one."""
+
+    def __init__(self):
+        self.taken = bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.taken += bytes(data[:100])
+        return min(len(data), 100)
+
+
+def test_a_quest_process_writes_every_byte_to_a_file_and_a_pipe(store_dir, tmp_path, monkeypatch):
     """The process ends with `os._exit` once stdout and stderr are
-    flushed; the largest workload answer still arrives whole."""
+    flushed; the largest workload answer still arrives whole, also
+    through a stdout that takes only part of each write."""
     want = json.loads((Path(__file__).parent / "data" / "query_stdout_sha256.json").read_text())
     largest = max(
         WORKLOAD, key=lambda wq: len(invoke("query", "--store", store_dir, json.dumps(wq.doc)).stdout_bytes)
     )
     for fmt in ("json", "ndjson", "csv"):
         args = ("query", "--store", store_dir, "--format", fmt, json.dumps(largest.doc))
+        trickle = _Trickle()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(trickle, encoding="utf-8", write_through=True))
+        with pytest.raises(SystemExit) as ended:
+            main([str(a) for a in args])
+        monkeypatch.undo()
+        assert ended.value.code == 0
+        assert hashlib.sha256(trickle.taken).hexdigest() == want[f"{largest.name}/{fmt}"], fmt
         piped = _quest(*args, capture_output=True)
         with open(tmp_path / "stdout", "wb") as out:
             filed = _quest(*args, stdout=out, stderr=subprocess.PIPE)
@@ -504,6 +564,7 @@ def _manifest_damage() -> dict:
     cases["stats a number"] = (WORD_NODE + ("stats",), lambda value: 7)
     cases["cardinality a string"] = (("schemas", "ads", "cardinalities", "Advertiser.Campaign"), lambda value: "x")
     cases["block_size not a power of two"] = (("block_size",), lambda value: value - 1)
+    cases["metadata_unit not 8"] = (("metadata_unit",), lambda value: -value)
     cases["mcv key not JSON"] = (WORD_NODE + ("stats", "mcv"), lambda value: {"not json": 0.5})
     cases["schema renamed"] = (("schemas", "ads", "manifest", "name"), lambda value: "sda")
     cases["mcv fraction a string"] = (WORD_NODE + ("stats", "mcv"), lambda value: dict.fromkeys(value, "x"))

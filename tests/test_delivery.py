@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,9 @@ from quest.delivery import (
 from quest.engine import evaluate
 from quest.errors import DeliveryError
 from quest.query import parse_query
-from quest.skiptree import build_skip_tree, layered_tree
+from quest.skiptree import build_skip_tree, layered_tree, load_skiptree, write_skiptree
 from quest.ingest import ingest_json
-from quest.store import Store
+from quest.store import Store, collector_paused, open_store, write_store
 
 from conftest import ADS_DOCS, ADVERTISER, CAMPAIGN, EMAIL, PERSON, WORD
 
@@ -167,12 +169,28 @@ def test_layered_deliver_records_empty_arrays(ads_schema):
     assert store.io.bitset_ops == 2
 
 
-def test_layered_tree_built_once_per_schema_data(ads_schema, ads_data, ads_store):
+def test_layered_tree_built_once_per_schema_data(ads_schema, ads_data, ads_store, tmp_path):
     deliver(ads_store, "ads", WORD, ADVERTISER, ones_bits(8))
     tree = ads_data.layered_tree
     assert tree is not None and tree.H == 0
     deliver(ads_store, "ads", PERSON, EMAIL, ones_bits(7))
     assert ads_data.layered_tree is tree and layered_tree(ads_data) is tree
+    # so is the skip index, whether built or loaded
+    index = build_skip_tree(ads_data)
+    assert build_skip_tree(ads_data) is index and index.H == 2
+    write_store(ads_store, tmp_path)
+    write_skiptree(index, tmp_path, ads_schema)
+    opened = open_store(tmp_path)
+    assert build_skip_tree(opened.data("ads")) is build_skip_tree(opened.data("ads")) is load_skiptree(opened, "ads")
+    assert build_skip_tree(opened.data("ads")) is not index
+    # arrays in memory are linked at once, so the index keeps no cycle
+    # through its data that only the collector could free
+    with collector_paused():
+        extra = ingest_json(ADS_DOCS, ads_schema)
+        build_skip_tree(extra)
+        freed = weakref.ref(extra)
+        del extra
+        assert freed() is None
 
     doc = {
         "from": "ads",
@@ -187,6 +205,7 @@ def test_layered_tree_built_once_per_schema_data(ads_schema, ads_data, ads_store
     ads_store.add(moved)
     assert sorted(tuple(r) for r in evaluate(ads_store, query).rows) == [("e1",), ("e9",)]
     assert moved.layered_tree is not None and moved.layered_tree is not tree
+    assert build_skip_tree(moved) is not index
 
 
 def test_skip_deliver_reads_fewer_arrays(ads_store, ads_data):

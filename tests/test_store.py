@@ -390,6 +390,7 @@ def test_planning_and_index_load_read_no_column_file(tmp_path):
     q = parse_query(schemas, doc)
     plan = plan_query(store, q, params=CostParams.from_store(store, q.composite))
     indexes = {name: load_skiptree(store, name) for name in store.datasets}
+    assert all(build_skip_tree(store.data(name)) is indexes[name] for name in store.datasets)
     with pytest.raises(StoreError, match="changed after the store was opened"):
         run_query(store, doc, plan=plan, indexes=indexes)
 
@@ -1139,14 +1140,14 @@ def test_document_files_and_objects_agree(tmp_path):
 
 
 def _config_store(tmp_path, config: str) -> Path:
-    """The store `quest gen`, `ingest` and `index` write for `config`:
+    """The store `quest gen` and `ingest` write for `config`:
     `tiny-<seed>` is `quest gen --scale tiny --seed <seed>`, and
     `random-<seed>` the raw files of `random_corpus` at that seed."""
     from quest.cli import _write_raw
 
     kind, seed = config.split("-")
     root = tmp_path / "store"
-    steps = [["ingest", "--store", root], ["index", "--store", root]]
+    steps = [["ingest", "--store", root]]
     if kind == "tiny":
         steps.insert(0, ["gen", "--store", root, "--scale", "tiny", "--seed", seed])
     else:
@@ -1162,8 +1163,8 @@ def _config_store(tmp_path, config: str) -> Path:
 
 @pytest.mark.parametrize("config", ["tiny-3", "random-8"])
 def test_store_files_match_recorded_digests(tmp_path, config):
-    """`ingest` and `index` write the same bytes as the document-at-a-time
-    ingest did; the digests were recorded from it.  `tiny-3` is `quest gen
+    """`ingest` writes the same bytes as the document-at-a-time ingest
+    did; the digests were recorded from it.  `tiny-3` is `quest gen
     --scale tiny --seed 3`.  At `tiny` the seed reaches only the people
     table, so `random-8` adds the raw files of `random_corpus` (ragged and
     empty arrays, missing fields, empty CSV cells) at seed 8."""
