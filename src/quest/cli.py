@@ -34,6 +34,7 @@ import click
 
 from .engine import evaluate
 from .errors import (
+    BudgetError,
     DeliveryError,
     IngestError,
     PlanConstraintError,
@@ -63,6 +64,8 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except BudgetError as exc:
+            _fail(EXIT_TIMEOUT, exc)
         except (QueryError, DeliveryError, PlanConstraintError) as exc:
             _fail(EXIT_CONSTRAINT, exc)
         except (SchemaError, IngestError, StoreError) as exc:
@@ -258,7 +261,10 @@ def _emit_rows(columns: list[str], rows, fmt: str) -> None:
         # json writes a tuple as an array
         _write_all(json.dumps({"columns": columns, "rows": rows}) + "\n")
     elif fmt == "ndjson":
-        _write_all("".join([json.dumps(r) + "\n" for r in rows]))
+        # one dumps per column: JSON escapes every newline inside a value,
+        # so the "\n" separators split its output into exactly the cells
+        cells = [json.dumps(col, separators=("\n", ": "))[1:-1].split("\n") for col in zip(*rows)]
+        _write_all("".join([f"[{', '.join(row)}]\n" for row in zip(*cells)]))
     else:
         import csv  # imported here: only this format and `gen` use it
 
@@ -268,6 +274,10 @@ def _emit_rows(columns: list[str], rows, fmt: str) -> None:
         for r in rows:
             w.writerow([_cell(v) for v in r])
         _write_all(buf.getvalue())
+
+
+def _sidecar(stats: dict) -> None:
+    click.echo(json.dumps(stats, sort_keys=True), err=True)
 
 
 @main.command()
@@ -285,8 +295,9 @@ def _emit_rows(columns: list[str], rows, fmt: str) -> None:
     "--timeout",
     default=None,
     type=float,
-    help="wall-clock budget in seconds, counted from command entry; "
-    "interpreter start and imports are not included",
+    help="wall-clock budget in seconds, counted from command entry "
+    "(interpreter start and imports are not included); past it the query "
+    "stops and writes no rows",
 )
 @click.argument("query_doc")
 @_guard
@@ -296,8 +307,10 @@ def query(store_dir, no_skiptree, use_oracle, fmt, timeout, query_doc):
     Rows go to stdout in the chosen format; a one-line stats sidecar
     goes to stderr.  ``wall_time`` and ``--timeout`` count from the
     moment the command is entered, so they include the store open and
-    the parse."""
+    the parse.  The engine stops at its first check past the deadline,
+    and a query over its budget writes nothing to stdout."""
     start = time.perf_counter()
+    deadline = None if timeout is None else start + timeout
     doc = _read_doc(query_doc)
     store = open_store(store_dir)
     q = _parse(store, doc)
@@ -309,15 +322,20 @@ def query(store_dir, no_skiptree, use_oracle, fmt, timeout, query_doc):
         stats = {"evaluator": "oracle"}
     else:
         indexes = None if no_skiptree else {name: build_skip_tree(store.data(name)) for name in q.schemas}
-        result = evaluate(store, q, indexes=indexes)
-        stats = {**result.stats, "evaluator": "engine", "skiptree": not no_skiptree}
+        stats = {"evaluator": "engine", "skiptree": not no_skiptree}
+        try:
+            result = evaluate(store, q, indexes=indexes, deadline=deadline)
+        except BudgetError:
+            _sidecar({**stats, "wall_time": time.perf_counter() - start})
+            raise
+        stats.update(result.stats)
         rows = result.rows
-    elapsed = time.perf_counter() - start
-    stats["wall_time"] = elapsed
+    stats.update(rows=len(rows), wall_time=time.perf_counter() - start)
+    if timeout is not None and stats["wall_time"] > timeout:
+        _sidecar(stats)
+        raise BudgetError(f"query took {stats['wall_time']:.3f}s, budget was {timeout:.3f}s")
     _emit_rows(columns, rows, fmt)
-    click.echo(json.dumps({"rows": len(rows), **stats}, sort_keys=True), err=True)
-    if timeout is not None and elapsed > timeout:
-        _fail(EXIT_TIMEOUT, f"query took {elapsed:.3f}s, budget was {timeout:.3f}s")
+    _sidecar(stats)
 
 
 @main.command()

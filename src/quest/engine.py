@@ -10,7 +10,8 @@ restriction that was already paid for.  Join edges are crossed through a
 small value-match index built from the two key columns; graph patterns
 run a forward reachability pass and a backward existential pass over the
 declared hops.  Fetched rows are regenerated functionally from the
-deepest fetched node.
+deepest fetched node; a one-column string answer is gathered from the
+rows its dictionary keeps, so repeating it builds no tuple.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from typing import Any, Mapping
 import numpy as np
 
 from .delivery import deliver, ones_bits, positions_of
-from .errors import QueryError
+from .errors import BudgetError, QueryError
 from .optimizer import WanderingSequence, plan_query
 from .query import JoinSpec, Key, Predicate, Query, parse_query
 from .schema import Link
-from .store import PrimitiveColumn, Store, collector_paused
+from .store import PrimitiveColumn, Store, StringDictionary, collector_paused
 
 _OPS = {
     "=": operator.eq,
@@ -60,6 +61,22 @@ def _row_tuples(columns: list[list]) -> list[tuple]:
     """
     with collector_paused():
         return list(zip(*columns))
+
+
+# the row of a null, as a one-element object array: numpy would unpack a bare tuple
+_NULL_ROW = np.fromiter([(None,)], dtype=object, count=1)
+
+
+def _kept_rows(dictionary: StringDictionary, codes: np.ndarray, valid: np.ndarray) -> list[tuple]:
+    """The rows of a one-string-column fetch: the dictionary's kept row of
+    each code, and one shared ``(None,)`` for every null.
+
+    A repeated fetch allocates no tuple, so it starts no collection.
+    """
+    rows = dictionary.rows(codes)
+    if not valid.all():
+        rows[~valid] = _NULL_ROW
+    return rows.tolist()
 
 
 class ResultSet:
@@ -195,17 +212,28 @@ class JoinIndex:
         return out
 
 
+# the clock a deadline is read on (`time.perf_counter`)
+_clock = time.perf_counter
+
+
 class _Evaluation:
-    def __init__(self, store: Store, query: Query, plan: WanderingSequence, indexes: Mapping):
+    def __init__(
+        self, store: Store, query: Query, plan: WanderingSequence, indexes: Mapping, deadline: float | None = None
+    ):
         self.store = store
         self.q = query
         self.plan = plan
+        self.deadline = deadline
         self.tree = query.composite
         self.indexes = dict(indexes)
         self.saved: dict[Key, np.ndarray] = {}
         self._joins: dict[str, JoinIndex] = {}
 
     # -- plumbing -------------------------------------------------------------
+
+    def _on_time(self, before: str) -> None:
+        if self.deadline is not None and _clock() > self.deadline:
+            raise BudgetError(f"the time budget ran out before {before}")
 
     def _card(self, key: Key) -> int:
         return self.store.data(key[0]).cardinality[key[1]]
@@ -387,7 +415,8 @@ class _Evaluation:
     def run(self) -> list[tuple]:
         bits: np.ndarray | None = None
         cur: Key | None = None
-        for f in self.plan.order:
+        for stop, f in enumerate(self.plan.order, 1):
+            self._on_time(f"plan stop {stop} of {len(self.plan.order)}")
             if cur is None:
                 bits = self._seed(f.key)
             else:
@@ -405,6 +434,7 @@ class _Evaluation:
         site = self.q.deepest_fetch
         dkey = (site.schema, site.node)
         bits = self._seed(dkey) if cur is None else self._move(bits, cur, dkey)
+        self._on_time("the rows were built")
         return self._rows(bits, dkey)
 
     # -- row regeneration -----------------------------------------------------
@@ -421,6 +451,10 @@ class _Evaluation:
             else:
                 ctx = self._move(bits, dkey, fkey)
                 idxs = self._map_positions(positions, dkey, fkey)
+            dictionary = self.store.column(*fkey).dictionary
+            if dictionary is not None and len(self.q.fetch) == 1:
+                codes, valid = self.store.scan_values(fkey[0], fkey[1], idxs, context_bits=ctx, decode=False)
+                return _kept_rows(dictionary, codes, valid)
             vals, valid = self.store.scan_values(fkey[0], fkey[1], idxs, context_bits=ctx)
             columns.append((vals if valid.all() else np.where(valid, vals, None)).tolist())
         return _row_tuples(columns)
@@ -452,13 +486,17 @@ def evaluate(
     plan: WanderingSequence | None = None,
     indexes: Mapping | None = None,
     audit: bool = False,
+    deadline: float | None = None,
 ) -> ResultSet:
     """Run a parsed query and return its rows plus the IO it cost.
 
     ``indexes`` maps schema names to skip-trees; deliveries in a mapped
     schema jump levels instead of touching every counter on the path.
     With ``audit`` every column read is checked against the bitset the
-    engine claimed, and violations are counted in the stats.
+    engine claimed, and violations are counted in the stats.  With a
+    ``deadline`` (a `time.perf_counter` reading) the clock is read at
+    every plan stop and before the rows are built, and `BudgetError` is
+    raised once it has passed.
     """
     if plan is None:
         plan = plan_query(store, query)
@@ -467,7 +505,7 @@ def evaluate(
     store.io.audit_enabled = audit or prior
     start = time.perf_counter()
     try:
-        rows = _Evaluation(store, query, plan, indexes or {}).run()
+        rows = _Evaluation(store, query, plan, indexes or {}, deadline).run()
     finally:
         store.io.audit_enabled = prior
     stats = dict(store.io.snapshot())

@@ -36,3 +36,7 @@ class QueryError(QuestError):
 
 class PlanConstraintError(QuestError):
     """A wandering sequence violates the subtree re-entry constraint."""
+
+
+class BudgetError(QuestError):
+    """A query ran past the deadline it was given."""

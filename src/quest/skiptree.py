@@ -184,12 +184,16 @@ class SkipTree:
     def __len__(self) -> int:
         return len(self.parents)
 
+    def link(self) -> None:
+        """Call `links` if it is a function, and keep what it returns."""
+        if callable(self.links):
+            self.links = self.links()
+
     def mapping(self, v: int, j: int) -> Mapping | None:
         """Node v's level-j mapping, composed on its first use."""
         m = self.mappings[v][j]
         if m is None:
-            if callable(self.links):
-                self.links = self.links()
+            self.link()
             if self.links is None:  # a bare structure carries no mappings
                 return None
             crossed = self.jumps[v][j][1]
@@ -305,8 +309,9 @@ def build_skip_tree(data: SchemaData) -> SkipTree:
     """The index of one ingested schema, built on the first call and kept
     on `data` like its `layered_tree`, so every caller shares its
     compositions.  While the arrays are on disk its links are fetched on
-    the first mapping asked for, so building it reads no column file;
-    arrays in memory are linked at once, since a tree referring back to
+    the first mapping asked for, so building it reads no column file.
+    Arrays in memory are linked at once, and arrays read later link the
+    tree as they load (`SchemaData.skip_tree`): a tree referring back to
     `data` would keep both alive until the cyclic collector runs."""
     if data.skip_tree is None:
         links = layered_tree(data).links if data.loaded else lambda: layered_tree(data).links

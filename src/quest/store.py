@@ -63,13 +63,24 @@ _VALUE_KIND_BY_PRIM = {"number": K_NUMBER, "string": K_STRING, "boolean": K_BOOL
 # value columns
 
 
+def _unmarked(codes: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """The distinct entries among `codes` that `marked` does not mark, ascending."""
+    missing = codes[~marked[codes]]
+    if not missing.size:
+        return missing
+    need = np.zeros(marked.size, dtype=bool)
+    need[missing] = True
+    return np.flatnonzero(need)
+
+
 class StringDictionary:
     """The sorted distinct values of one string column, held as UTF-8.
 
     UTF-8 byte order equals code-point order, so the entries are in the
     order `sorted` gives the strings, and a value is found by a binary
     search over bytes.  Entries are decoded to `str` on first use and
-    kept.
+    kept, and so is the one-tuple row of each entry a fetch returns
+    (see `rows`).
     """
 
     def __init__(self, lengths: np.ndarray, blob: bytes):
@@ -117,16 +128,36 @@ class StringDictionary:
 
         Only entries not decoded before are decoded, each once.
         """
-        missing = codes[~self._decoded[codes]]
-        if missing.size:
-            need = np.zeros(len(self), dtype=bool)
-            need[missing] = True
-            todo = np.flatnonzero(need)
+        todo = _unmarked(codes, self._decoded)
+        if todo.size:
             blob = self.blob
             spans = zip(self.offsets[todo].tolist(), self.offsets[todo + 1].tolist())
             self._entries[todo] = [blob[a:b].decode("utf-8") for a, b in spans]
             self._decoded[todo] = True
         return self._entries[codes]
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        return np.empty(len(self), dtype=object)
+
+    @cached_property
+    def _rowed(self) -> np.ndarray:
+        return np.zeros(len(self), dtype=bool)
+
+    def rows(self, codes: np.ndarray) -> np.ndarray:
+        """The one-tuple row ``(value,)`` of each entry at `codes`, as an
+        object array.
+
+        Each entry's row is built the first time it is asked for and then
+        kept, so a repeated fetch allocates no tuple.  Ingest builds none.
+        """
+        todo = _unmarked(codes, self._rowed)
+        if todo.size:
+            values = self.decode(todo).tolist()
+            with collector_paused():  # tuples of one str hold no cycle
+                self._rows[todo] = np.fromiter([(v,) for v in values], dtype=object, count=len(values))
+            self._rowed[todo] = True
+        return self._rows[codes]
 
     def translate(self, other: "StringDictionary") -> np.ndarray:
         """The code here of each of `other`'s entries, -1 for one this
@@ -358,6 +389,9 @@ class SchemaData:
                 self._arrays = None
                 self._failure = str(exc)
                 raise StoreError(self._failure) from exc
+            if self.skip_tree is not None:
+                # its links refer back to this data until linked
+                self.skip_tree.link()
         return self._arrays
 
     def validate(self, fix: str = "") -> None:

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 
 import quest
 from quest.bench import WORKLOAD
-from quest.cli import main
+from quest.cli import _emit_rows, main
 from quest.store import (
     K_ARRAY_NUMBER,
     K_ARRAY_STRING,
@@ -407,6 +407,8 @@ def test_a_quest_process_exits_with_each_documented_code(store_dir, tmp_path):
         done = _quest(*args, capture_output=True, text=True)
         assert done.returncode == code, (code, done.stderr)
         assert message in done.stderr and "Traceback" not in done.stderr, (code, done.stderr)
+        if code == 5:
+            assert done.stdout == ""
 
 
 def test_an_unexpected_error_still_prints_a_traceback_and_exits_1(store_dir):
@@ -657,6 +659,54 @@ def test_query_timeout_exit(store_dir):
     result = invoke("query", "--store", store_dir, "--timeout", "1e-9", VIP_QUERY)
     assert result.exit_code == 5
     assert "budget" in result.stderr
+
+
+def test_query_budget_that_runs_out_mid_plan_writes_no_rows(store_dir, monkeypatch):
+    """The engine reads the clock at every plan stop; a clock that jumps
+    past the deadline after the first stop stops the query at the second."""
+    import quest.engine
+
+    doc = json.dumps(
+        {
+            "from": "people",
+            "filters": [
+                {"path": "people.segment", "op": "=", "value": "vip"},
+                {"path": "people.balance", "op": ">", "value": 0},
+            ],
+            "fetch": ["people.PID"],
+        }
+    )
+    readings = []
+
+    def clock():
+        readings.append(None)
+        return time.perf_counter() + (0 if len(readings) == 1 else 1e6)
+
+    monkeypatch.setattr(quest.engine, "_clock", clock)
+    result = invoke("query", "--store", store_dir, "--timeout", "100", doc)
+    assert result.exit_code == 5
+    assert result.stdout_bytes == b""
+    assert "budget" in result.stderr and "plan stop 2 of 2" in result.stderr
+    assert len(readings) == 2
+    sidecar = next(line for line in result.stderr.splitlines() if line.startswith("{"))
+    assert json.loads(sidecar)["wall_time"] < 100
+    monkeypatch.undo()
+    assert invoke("query", "--store", store_dir, "--timeout", "100", doc).exit_code == 0
+
+
+def test_ndjson_encodes_each_column_once_and_matches_one_dumps_per_row(monkeypatch):
+    written = []
+    monkeypatch.setattr(quest.cli, "_write_all", written.append)
+    rows = [
+        ("a\nb", 1.0, None, True),
+        ("é\u2028\"\\", float("nan"), -2.5e-300, False),
+        ("", float("inf"), 3.0, None),
+        (None, -0.0, 1e16, True),
+    ]
+    for fetched in (rows, [row[:1] for row in rows], [row[1:2] for row in rows], []):
+        written.clear()
+        _emit_rows(["c"] * len(rows[0]), fetched, "ndjson")
+        assert written == ["".join(json.dumps(row) + "\n" for row in fetched)]
 
 
 def test_query_timeout_counts_store_open(store_dir, monkeypatch):

@@ -191,6 +191,24 @@ def test_layered_tree_built_once_per_schema_data(ads_schema, ads_data, ads_store
         freed = weakref.ref(extra)
         del extra
         assert freed() is None
+        # so are arrays read from disk once a scan loads them, even when
+        # the index was never asked for a mapping
+        reopened = open_store(tmp_path)
+        build_skip_tree(reopened.data("ads"))
+        reopened.scan_values("ads", EMAIL)
+        freed = weakref.ref(reopened.data("ads"))
+        del reopened
+        assert freed() is None
+    # a tree that outlives its store still delivers, whether its arrays
+    # were read while the store lived or not
+    want = deliver(ads_store, "ads", WORD, ADVERTISER, ones_bits(8), index=index).tolist()
+    for scan in (True, False):
+        reopened = open_store(tmp_path)
+        kept = build_skip_tree(reopened.data("ads"))
+        if scan:
+            reopened.scan_values("ads", EMAIL)
+        del reopened
+        assert deliver(ads_store, "ads", WORD, ADVERTISER, ones_bits(8), index=kept).tolist() == want
 
     doc = {
         "from": "ads",

@@ -610,3 +610,51 @@ def test_row_build_starts_no_collections(people_schema):
         gc.set_threshold(*threshold)
     # building 3000 row tuples unpaused would start about thirty
     assert len(started) <= 2, started
+
+
+# -- one-column string answers come from the dictionary's kept rows --------------
+
+
+def _people_with_null_pids(people_schema, n=3000):
+    rows = [{"PID": None if i % 7 == 3 else f"p{i % 1000}", "credit_score": float(i), "balance": 1.0} for i in range(n)]
+    return Store().add(ingest_rows(rows, people_schema))
+
+
+@pytest.mark.parametrize("reopen", [False, True], ids=["in-memory", "reopened"])
+def test_a_warm_one_string_column_fetch_builds_and_collects_no_tuples(tmp_path, people_schema, reopen):
+    store = _reopened(_people_with_null_pids(people_schema), tmp_path, reopen)
+    query = parse_query({"people": people_schema}, {"from": ["people"], "fetch": ["people.PID"]})
+    first = evaluate(store, query).rows
+    assert first == oracle_query(store, query)
+    assert first[3] == (None,) and all(row is first[3] for row in first if row[0] is None)
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(100)
+    gc.callbacks.append(count)
+    try:
+        again = evaluate(store, query).rows
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    assert started == []
+    assert type(again) is list and again == first
+    assert all(a is b for a, b in zip(again, first))  # the same kept tuples
+
+
+def test_ingest_and_multi_column_fetches_build_no_kept_rows(people_schema):
+    store = _people_with_null_pids(people_schema)
+    dictionary = store.column("people", 1).dictionary
+    assert "_rows" not in vars(dictionary)  # `from_sorted` builds none
+    one = parse_query({"people": people_schema}, {"from": ["people"], "fetch": ["people.PID"]})
+    two = parse_query({"people": people_schema}, {"from": ["people"], "fetch": ["people.PID", "people.balance"]})
+    both = evaluate(store, two).rows
+    assert "_rows" not in vars(dictionary)
+    assert both == oracle_query(store, two)
+    assert [row[:1] for row in both] == evaluate(store, one).rows
+    assert dictionary._rowed.all()  # the one-column fetch read every entry
