@@ -6,23 +6,27 @@ filter stop the engine scans the column at surviving positions only and
 keeps the post-filter bits around.  Whenever a later leg descends, every
 saved bitset whose meet with the destination lies below the leg's apex
 is delivered in and ANDed, so the running context never widens past a
-restriction that was already paid for.  Join edges are crossed through a
-small value-match index built from the two key columns; graph patterns
-run a forward reachability pass and a backward existential pass over the
-declared hops.  Fetched rows are regenerated functionally from the
-deepest fetched node; a one-column string answer is gathered from the
-rows its dictionary keeps, so repeating it builds no tuple.
+restriction that was already paid for.  A join edge is crossed as one
+`Mapping` move, from each left key instance to its matching right key
+instances, built once per store from the two key columns; a walk that
+comes back through a join ANDs the returning bits with the bits that
+left, so it keeps its left context and re-imposes nothing.  Graph
+patterns run a forward reachability pass and a backward existential
+pass over the declared hops.  Fetched rows are regenerated functionally
+from the deepest fetched node; a one-column string answer is gathered
+from the rows its dictionary keeps, so repeating it builds no tuple.
 """
 
 from __future__ import annotations
 
 import operator
 import time
-from typing import Any, Mapping
+from functools import cached_property
+from typing import Any
 
 import numpy as np
 
-from .delivery import deliver, ones_bits, positions_of
+from .delivery import Mapping, deliver, ones_bits, positions_of
 from .errors import BudgetError, QueryError
 from .optimizer import WanderingSequence, plan_query
 from .query import JoinSpec, Key, Predicate, Query, parse_query
@@ -116,38 +120,64 @@ def _right_keys(left: PrimitiveColumn, right: PrimitiveColumn) -> np.ndarray:
     return left.dictionary.translate(right.dictionary)[right.stored]
 
 
-def _build_match_relation(lvals, lvalid, rvals, rvalid):
+class _MatchRelation:
     """Every (left, right) position pair whose key values are equal.
 
-    Returns ``(order, keys, l_pair, r_pair)``: the matchable left
-    positions stably sorted by value, their values in that order, and
-    the pairs with rights ascending and, per right, lefts ascending.
+    ``match`` is a `Mapping` from each left instance to its matching
+    rights, a counter over the lefts plus one pointer per pair; when
+    every left has exactly one match the counter would be the identity
+    and is left out.  ``order`` holds the matchable left positions
+    stably sorted by value and ``keys`` their values in that order.
+    ``right_keys`` is the right key column in the left one's terms
+    (`_right_keys`).  The relation depends only on the store and is
+    shared by every later query on it, so its arrays are read-only.
     """
-    lpos = _join_keys(lvals, lvalid)
-    order = lpos[np.argsort(lvals[lpos], kind="stable")]
-    keys = lvals[order]
-    rpos = _join_keys(rvals, rvalid)
-    rkeys = rvals[rpos]
-    lo = np.searchsorted(keys, rkeys, side="left")
-    counts = np.searchsorted(keys, rkeys, side="right") - lo
-    r_pair = np.repeat(rpos, counts)
-    # offset of each pair inside its right's run of matching lefts
-    run_start = np.repeat(np.cumsum(counts) - counts, counts)
-    l_pair = order[np.repeat(lo, counts) + np.arange(r_pair.size) - run_start]
-    relation = (order, keys, l_pair, r_pair)
-    for arr in relation:
-        arr.flags.writeable = False  # shared by every later query on the store
-    return relation
+
+    def __init__(self, lvals, lvalid, rvals, rvalid):
+        self.right_keys = rvals
+        lpos = _join_keys(lvals, lvalid)
+        self.order = lpos[np.argsort(lvals[lpos], kind="stable")]
+        self.keys = lvals[self.order]
+        rpos = _join_keys(rvals, rvalid)
+        rorder = rpos[np.argsort(rvals[rpos], kind="stable")]
+        rsorted = rvals[rorder]
+        lkeys = lvals[lpos]
+        lo = np.searchsorted(rsorted, lkeys, side="left")
+        counts = np.searchsorted(rsorted, lkeys, side="right") - lo
+        # offset of each pair inside its left's run of matching rights
+        run_start = np.repeat(np.cumsum(counts) - counts, counts)
+        pointers = rorder[np.repeat(lo, counts) + np.arange(run_start.size) - run_start]
+        if lpos.size == len(lvals) and (counts == 1).all():
+            self.match = Mapping(len(rvals), pointers=pointers)
+        else:
+            per_left = np.zeros(len(lvals), dtype=np.int64)
+            per_left[lpos] = counts
+            self.match = Mapping(len(rvals), boundaries=np.cumsum(per_left), pointers=pointers)
+        for arr in (self.order, self.keys, self.match.pointers, self.match.boundaries):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(l_pair, r_pair)``: the pairs with rights ascending and, per
+        right, lefts ascending."""
+        m = self.match
+        lefts = np.arange(m.upper_cardinality) if m.boundaries is None else m.owner
+        by_right = np.argsort(m.pointers, kind="stable")
+        pairs = lefts[by_right], m.pointers[by_right]
+        for arr in pairs:
+            arr.flags.writeable = False
+        return pairs
 
 
 class JoinIndex:
     """Value-match index for one join, built from the two key columns.
 
-    Holds the full match relation as COO pairs (for bitset crossings in
-    either direction) and the value-sorted left keys used when rows are
-    regenerated across the join.  String keys are compared as left
-    dictionary codes.  The relation depends only on the store, so it is
-    built once and kept in ``store.joins``.
+    Crosses the join as one `Mapping` move in either direction, and
+    keeps the value-sorted left keys used when rows are regenerated
+    across the join.  String keys are compared as left dictionary
+    codes.  The relation depends only on the store, so it is built once
+    and kept in ``store.joins``.
     """
 
     def __init__(self, store: Store, join: JoinSpec):
@@ -162,12 +192,23 @@ class JoinIndex:
         relation = store.joins.get(cache_key)
         if relation is None:
             rkeys = _right_keys(store.column(lname, lnode), self.right)
-            relation = store.joins[cache_key] = (rkeys, *_build_match_relation(lvals, lvalid, rkeys, rvalid))
-        self.right_keys, self.order, self.keys, self.l_pair, self.r_pair = relation
-        self.nbytes = 8 * (self.l_pair.size + self.r_pair.size)
+            relation = store.joins[cache_key] = _MatchRelation(lvals, lvalid, rkeys, rvalid)
+        self._relation = relation
+        self.right_keys, self.order, self.keys = relation.right_keys, relation.order, relation.keys
+        self.match = relation.match
+        # as if each pair were read as two 8-byte positions
+        self.nbytes = 16 * self.match.pointers.size
         lpath = store.schema(lname).path_of(lnode)
         rpath = store.schema(rname).path_of(rnode)
         self._io_key = f"{lname}.{lpath}~{rname}.{rpath}#join"
+
+    @property
+    def l_pair(self) -> np.ndarray:
+        return self._relation.pairs[0]
+
+    @property
+    def r_pair(self) -> np.ndarray:
+        return self._relation.pairs[1]
 
     def host_of(self, rights: np.ndarray, valid_left: np.ndarray | None) -> np.ndarray:
         """The one left instance (among ``valid_left``) matching each right.
@@ -198,18 +239,12 @@ class JoinIndex:
     def up(self, store: Store, key_bits: np.ndarray) -> np.ndarray:
         """Right-key bits to left bits: lefts with a set matching right."""
         self._record(store)
-        out = np.zeros(self.left_cardinality, dtype=bool)
-        if self.l_pair.size:
-            out[self.l_pair[key_bits[self.r_pair]]] = True
-        return out
+        return self.match.up(key_bits)
 
     def down(self, store: Store, left_bits: np.ndarray) -> np.ndarray:
         """Left bits to right-key bits: member rights whose left is set."""
         self._record(store)
-        out = np.zeros(self.right_cardinality, dtype=bool)
-        if self.r_pair.size:
-            out[self.r_pair[left_bits[self.l_pair]]] = True
-        return out
+        return self.match.down(left_bits)
 
 
 # the clock a deadline is read on (`time.perf_counter`)
@@ -218,7 +253,7 @@ _clock = time.perf_counter
 
 class _Evaluation:
     def __init__(
-        self, store: Store, query: Query, plan: WanderingSequence, indexes: Mapping, deadline: float | None = None
+        self, store: Store, query: Query, plan: WanderingSequence, indexes: dict, deadline: float | None = None
     ):
         self.store = store
         self.q = query
@@ -257,8 +292,10 @@ class _Evaluation:
         drill-down only keeps them at the apex's granularity.  Any saved
         bitset whose meet with the destination sits strictly below the
         apex is delivered to the destination and ANDed back in.  Bits
-        that just crossed a join edge (``fresh``) carry nothing about
-        this schema yet, so every saved site here is re-imposed.
+        that entered this schema through a join edge without the context
+        they left it with (``fresh``: down into a guest, or up into a
+        host the walk started below) carry nothing about it yet, so
+        every saved site here is re-imposed.
         """
         out = self._deliver(name, src, dst, bits)
         dkey = (name, dst)
@@ -285,8 +322,9 @@ class _Evaluation:
         return out
 
     def _cross_down(self, join: JoinSpec, left_bits: np.ndarray) -> np.ndarray:
-        ji = self.join_index(join)
-        key_bits = ji.down(self.store, left_bits)
+        # the left context the walk leaves with; `_cross_up` keeps it
+        self.saved[(join.left.schema, join.left.node)] = left_bits
+        key_bits = self.join_index(join).down(self.store, left_bits)
         rkey = (join.right.schema, join.right.node)
         prev = self.saved.get(rkey)
         if prev is not None:
@@ -295,18 +333,27 @@ class _Evaluation:
         self.saved[rkey] = key_bits
         return key_bits
 
-    def _cross_up(self, join: JoinSpec, root_bits: np.ndarray, root_node: int) -> np.ndarray:
+    def _cross_up(self, join: JoinSpec, root_bits: np.ndarray, root_node: int) -> tuple[np.ndarray, bool]:
+        """Bits at the guest's root to bits at the join's left key, and
+        whether they return without the left context.
+
+        The composite is a tree, so a walk comes back through a join only
+        after leaving through it, with no stop in the left schema since,
+        unless it started below the join.  The bits that left are saved
+        at the left key, and the returning bits are ANDed with them: they
+        then carry every restriction the left schema's saved sites put on
+        the bits that left, each at its instance lineage.
+        """
         guest = join.right.schema
         key_bits = self._segment(guest, root_bits, root_node, join.right.node)
-        ji = self.join_index(join)
-        left_bits = ji.up(self.store, key_bits)
+        left_bits = self.join_index(join).up(self.store, key_bits)
         lkey = (join.left.schema, join.left.node)
         prev = self.saved.get(lkey)
         if prev is not None:
             left_bits = left_bits & prev
             self.store.io.bitset_ops += 1
         self.saved[lkey] = left_bits
-        return left_bits
+        return left_bits, prev is None
 
     def _move(self, bits: np.ndarray, src: Key, dst: Key) -> np.ndarray:
         if src == dst:
@@ -330,11 +377,11 @@ class _Evaluation:
                 join = self.tree.join_for[nxt[0]]
                 bits = self._cross_down(join, bits)
                 cur = join.right.node
+                fresh = True
             else:
                 join = self.tree.join_for[name]
-                bits = self._cross_up(join, bits, run[-1][1])
+                bits, fresh = self._cross_up(join, bits, run[-1][1])
                 cur = nxt[1]
-            fresh = True
         return bits
 
     # -- filter stops ---------------------------------------------------------
@@ -484,7 +531,7 @@ def evaluate(
     store: Store,
     query: Query,
     plan: WanderingSequence | None = None,
-    indexes: Mapping | None = None,
+    indexes: dict | None = None,
     audit: bool = False,
     deadline: float | None = None,
 ) -> ResultSet:

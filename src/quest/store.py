@@ -500,7 +500,7 @@ class Store:
         self.io = IOStats(block_size)
         # join match relations built from this store's key columns, keyed
         # by (left schema, left node, right schema, right node)
-        self.joins: dict[tuple, tuple] = {}
+        self.joins: dict[tuple, object] = {}
 
     def add(self, data: SchemaData) -> "Store":
         self.datasets[data.name] = data

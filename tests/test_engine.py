@@ -5,6 +5,7 @@ oracle suite pins the same values); the engine must also agree with the
 oracle under every valid filter order and with the skip index on.
 """
 import gc
+import random
 
 import numpy as np
 import pytest
@@ -658,3 +659,93 @@ def test_ingest_and_multi_column_fetches_build_no_kept_rows(people_schema):
     assert both == oracle_query(store, two)
     assert [row[:1] for row in both] == evaluate(store, one).rows
     assert dictionary._rowed.all()  # the one-column fetch read every entry
+
+
+# -- a join round trip stays inside its left context ------------------------------
+
+Q07 = next(wq for wq in WORKLOAD if wq.name.startswith("Q07"))
+
+
+def _q07_doc(word, credit):
+    doc = dict(Q07.doc)
+    doc["filters"] = [
+        {"path": "ads.Campaign.WordSet.Word", "op": "=", "value": word},
+        {"path": "people.credit_score", "op": ">", "value": credit},
+    ]
+    return doc
+
+
+def _rows_under_every_order(store, query):
+    """The rows of every valid filter order, with the skip index on and off."""
+    indexes = {name: build_skip_tree(store.data(name)) for name in query.schemas}
+    filters = _plan_filters(store, query)
+    fetch_keys = [(f.site.schema, f.site.node) for f in query.fetch]
+    for order in enumerate_valid_orders(query.composite, filters):
+        seq = derive_wandering(query.composite, list(order), fetch_keys)
+        for idx in (indexes, None):
+            yield order, idx is not None, evaluate(store, query, plan=seq, indexes=idx).rows
+
+
+def test_a_join_round_trip_keeps_its_left_context(ads_schema, people_schema):
+    # A's hot campaign was clicked only by p1 (low credit); p2 (credit 800)
+    # clicked A's cold campaign and B's hot one: only B has a hot campaign
+    # with a high-credit click
+    docs = [
+        {"Email": "A", "Campaign": [
+            {"WordSet": {"Word": ["hot"]}, "Clicks": [{"Person": ["p1"]}]},
+            {"WordSet": {"Word": ["cold"]}, "Clicks": [{"Person": ["p2"]}]},
+        ]},
+        {"Email": "B", "Campaign": [
+            {"WordSet": {"Word": ["hot"]}, "Clicks": [{"Person": ["p2"]}]},
+        ]},
+    ]
+    people = [
+        {"PID": "p1", "credit_score": 600.0, "balance": 1.0},
+        {"PID": "p2", "credit_score": 800.0, "balance": 1.0},
+    ]
+    store = Store().add(ingest_json(docs, ads_schema)).add(ingest_rows(people, people_schema))
+    query = parse_query({"ads": ads_schema, "people": people_schema}, _q07_doc("hot", 700))
+    assert oracle_query(store, query) == [("B",)]
+    firsts = set()
+    for order, indexed, rows in _rows_under_every_order(store, query):
+        firsts.add(order[0].key[0])
+        assert rows == [("B",)], ([f.key for f in order], indexed)
+    assert firsts == {"ads", "people"}
+
+
+def _repeating_clicks_store(rng, ads_schema, people_schema):
+    """A few advertisers whose campaigns are clicked from a pool of three
+    or four persons, so every key repeats across campaigns and advertisers."""
+    pids = [f"p{i}" for i in range(rng.randint(3, 4))]
+    docs = []
+    for a in range(rng.randint(2, 4)):
+        campaigns = [
+            {
+                "WordSet": {"Word": rng.sample(["hot", "cold", "warm"], rng.randint(0, 2))},
+                "Clicks": [{"Person": [rng.choice(pids + [None]) for _ in range(rng.randint(0, 3))]}],
+            }
+            for _ in range(rng.randint(1, 3))
+        ]
+        docs.append({"Email": f"a{a}", "Campaign": campaigns})
+    people = [
+        {"PID": pid, "credit_score": float(rng.choice([600, 650, 750, 800])), "balance": float(rng.randint(0, 9))}
+        for pid in pids
+        if rng.random() < 0.9
+    ]
+    return Store().add(ingest_json(docs, ads_schema)).add(ingest_rows(people, people_schema))
+
+
+def test_parity_under_every_valid_order_with_repeating_join_keys(ads_schema, people_schema):
+    rng = random.Random(20)
+    schemas = {"ads": ads_schema, "people": people_schema}
+    fetches = (["ads.Email"], ["ads.Campaign.Clicks.Person"], ["ads.Campaign.WordSet.Word", "ads.Email"])
+    evaluations = 0
+    for _ in range(300):
+        store = _repeating_clicks_store(rng, ads_schema, people_schema)
+        doc = {**_q07_doc(rng.choice(["hot", "cold"]), rng.choice([620, 700, 780])), "fetch": rng.choice(fetches)}
+        query = parse_query(schemas, doc)
+        want = oracle_query(store, query)
+        for order, indexed, rows in _rows_under_every_order(store, query):
+            assert rows == want, (doc, [f.key for f in order], indexed)
+            evaluations += 1
+    assert evaluations >= 1200

@@ -1260,6 +1260,9 @@ def test_ingest_pauses_the_collector_and_restores_it(people_schema, was_enabled)
         if phase == "start":
             started.append(info["generation"])
 
+    # a full collection zeroes every generation's count, so the young
+    # collections below cannot be promoted by what earlier tests allocated
+    gc.collect()
     threshold = gc.get_threshold()
     gc.set_threshold(100)
     gc.callbacks.append(count)
