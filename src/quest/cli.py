@@ -346,10 +346,14 @@ def explain(store_dir, query_doc):
     """Show the filter order, wandering, and cost terms without executing.
 
     Uses measured cost constants when ``bench --calibrate`` has written
-    a calibration.json into the store."""
+    a calibration.json into the store.  The instance counts it prices are
+    first checked against the column files' headers (no payload is read):
+    a count they contradict exits 3."""
     doc = _read_doc(query_doc)
     store = open_store(store_dir)
     q = _parse(store, doc)
+    for name in q.schemas:
+        store.data(name).check_counts(Path(store_dir) / "manifest.json")
     params = None
     cal_path = Path(store_dir) / "calibration.json"
     if cal_path.exists():

@@ -19,7 +19,6 @@ from the rows its dictionary keeps, so repeating it builds no tuple.
 
 from __future__ import annotations
 
-import operator
 import time
 from functools import cached_property
 from typing import Any
@@ -31,27 +30,7 @@ from .errors import BudgetError, QueryError
 from .optimizer import WanderingSequence, plan_query
 from .query import JoinSpec, Key, Predicate, Query, parse_query
 from .schema import Link
-from .store import PrimitiveColumn, Store, StringDictionary, collector_paused
-
-_OPS = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
-def _match(column: PrimitiveColumn, vals: np.ndarray, op: str, value: Any) -> np.ndarray:
-    """Compare stored values (a string column's codes) with the operand.
-
-    A string operand the dictionary lacks becomes code -1, which no
-    value holds.
-    """
-    if op == "in":
-        return np.isin(vals, np.asarray([column.encode(v) for v in value], dtype=vals.dtype))
-    return np.asarray(_OPS[op](vals, column.encode(value)), dtype=bool)
+from .store import PrimitiveColumn, Store, collector_paused
 
 
 def _row_tuples(columns: list[list]) -> list[tuple]:
@@ -71,14 +50,14 @@ def _row_tuples(columns: list[list]) -> list[tuple]:
 _NULL_ROW = np.fromiter([(None,)], dtype=object, count=1)
 
 
-def _kept_rows(dictionary: StringDictionary, codes: np.ndarray, valid: np.ndarray) -> list[tuple]:
+def _kept_rows(column: PrimitiveColumn, codes: np.ndarray, valid: np.ndarray) -> list[tuple]:
     """The rows of a one-string-column fetch: the dictionary's kept row of
     each code, and one shared ``(None,)`` for every null.
 
     A repeated fetch allocates no tuple, so it starts no collection.
     """
-    rows = dictionary.rows(codes)
-    if not valid.all():
+    rows = column.dictionary.rows(codes)
+    if column.has_nulls:
         rows[~valid] = _NULL_ROW
     return rows.tolist()
 
@@ -112,12 +91,19 @@ def _join_keys(vals: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return np.flatnonzero(valid)
 
 
-def _right_keys(left: PrimitiveColumn, right: PrimitiveColumn) -> np.ndarray:
+def _key_column(store: Store, name: str, node: int) -> tuple[np.ndarray, np.ndarray]:
+    """A join key column read whole, and its validity: a string column's
+    codes, or a number column's values.  Two number columns' offsets
+    have different bases, so they never compare as offsets."""
+    return store.scan_values(name, node, decode=store.column(name, node).dictionary is None)
+
+
+def _right_keys(left: PrimitiveColumn, right: PrimitiveColumn, rvals: np.ndarray) -> np.ndarray:
     """The right key column in the left one's terms: a string as its left
     code (-1 where the left never holds it), a number as it is."""
     if right.dictionary is None:
-        return right.stored
-    return left.dictionary.translate(right.dictionary)[right.stored]
+        return rvals
+    return left.dictionary.translate(right.dictionary)[rvals]
 
 
 class _MatchRelation:
@@ -137,7 +123,8 @@ class _MatchRelation:
         self.right_keys = rvals
         lpos = _join_keys(lvals, lvalid)
         self.order = lpos[np.argsort(lvals[lpos], kind="stable")]
-        self.keys = lvals[self.order]
+        # in the right keys' dtype, which `host_of` searches them with
+        self.keys = lvals[self.order].astype(rvals.dtype, copy=False)
         rpos = _join_keys(rvals, rvalid)
         rorder = rpos[np.argsort(rvals[rpos], kind="stable")]
         rsorted = rvals[rorder]
@@ -183,15 +170,15 @@ class JoinIndex:
     def __init__(self, store: Store, join: JoinSpec):
         lname, lnode = join.left.schema, join.left.node
         rname, rnode = join.right.schema, join.right.node
-        lvals, lvalid = store.scan_values(lname, lnode, decode=False)
-        rvals, rvalid = store.scan_values(rname, rnode, decode=False)
+        lvals, lvalid = _key_column(store, lname, lnode)
+        rvals, rvalid = _key_column(store, rname, rnode)
         self.left_cardinality = len(lvals)
         self.right_cardinality = len(rvals)
         self.right = store.column(rname, rnode)
         cache_key = (lname, lnode, rname, rnode)
         relation = store.joins.get(cache_key)
         if relation is None:
-            rkeys = _right_keys(store.column(lname, lnode), self.right)
+            rkeys = _right_keys(store.column(lname, lnode), self.right, rvals)
             relation = store.joins[cache_key] = _MatchRelation(lvals, lvalid, rkeys, rvalid)
         self._relation = relation
         self.right_keys, self.order, self.keys = relation.right_keys, relation.order, relation.keys
@@ -346,6 +333,8 @@ class _Evaluation:
         """
         guest = join.right.schema
         key_bits = self._segment(guest, root_bits, root_node, join.right.node)
+        # the guest context the walk leaves with; `_cross_down` keeps it
+        self.saved[(guest, join.right.node)] = key_bits
         left_bits = self.join_index(join).up(self.store, key_bits)
         lkey = (join.left.schema, join.left.node)
         prev = self.saved.get(lkey)
@@ -393,11 +382,13 @@ class _Evaluation:
         # a full context scans the whole column and needs no positions
         whole = count == ctx.size
         positions = None if whole else positions_of(ctx)
-        vals, valid = self.store.scan_values(name, node, positions, context_bits=ctx, decode=False)
+        vals, valid = self.store.scan_values(name, node, positions, context_bits=ctx, decode=False, exact=True)
         column = self.store.column(name, node)
-        mask = valid.copy()
-        for pred in preds:
-            mask &= _match(column, vals, pred.op, pred.value)
+        mask = column.match(vals, preds[0].op, preds[0].value)
+        for pred in preds[1:]:
+            mask &= column.match(vals, pred.op, pred.value)
+        if column.has_nulls:
+            mask &= valid
         self.store.io.bitset_ops += 1
         if whole:
             return mask.astype(bool, copy=False)
@@ -493,17 +484,18 @@ class _Evaluation:
         columns = []
         for spec in self.q.fetch:
             fkey = (spec.site.schema, spec.site.node)
-            if fkey == dkey:
+            exact = fkey == dkey
+            if exact:
                 idxs, ctx = positions, bits
             else:
                 ctx = self._move(bits, dkey, fkey)
                 idxs = self._map_positions(positions, dkey, fkey)
-            dictionary = self.store.column(*fkey).dictionary
-            if dictionary is not None and len(self.q.fetch) == 1:
-                codes, valid = self.store.scan_values(fkey[0], fkey[1], idxs, context_bits=ctx, decode=False)
-                return _kept_rows(dictionary, codes, valid)
-            vals, valid = self.store.scan_values(fkey[0], fkey[1], idxs, context_bits=ctx)
-            columns.append((vals if valid.all() else np.where(valid, vals, None)).tolist())
+            column = self.store.column(*fkey)
+            if column.dictionary is not None and len(self.q.fetch) == 1:
+                codes, valid = self.store.scan_values(*fkey, idxs, context_bits=ctx, decode=False, exact=exact)
+                return _kept_rows(column, codes, valid)
+            vals, valid = self.store.scan_values(*fkey, idxs, context_bits=ctx, exact=exact)
+            columns.append((np.where(valid, vals, None) if column.has_nulls else vals).tolist())
         return _row_tuples(columns)
 
     def _map_positions(self, positions: np.ndarray, src: Key, dst: Key) -> np.ndarray:

@@ -29,6 +29,7 @@ from .store import (
     SchemaData,
     StringDictionary,
     collector_paused,
+    number_column,
 )
 
 # ---------------------------------------------------------------------------
@@ -181,8 +182,9 @@ def _column(node, cells, path: str, ordinals) -> PrimitiveColumn:
         code_of.update(zip(ordered, range(len(ordered))))
         codes = np.fromiter(map(code_of.__getitem__, raw), dtype=np.int32, count=len(raw))
         return PrimitiveColumn(node.id, "string", codes, validity, StringDictionary.from_sorted(ordered))
-    dtype = bool if node.primitive == "boolean" else np.float64
-    return PrimitiveColumn(node.id, node.primitive, np.asarray(raw, dtype=dtype), validity)
+    if node.primitive == "boolean":
+        return PrimitiveColumn(node.id, "boolean", np.asarray(raw, dtype=bool), validity)
+    return number_column(node.id, node.primitive, raw, validity)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Every instance-bearing node owns exactly one column file:
 
 * Primitive nodes store their values (with a validity bitmap for nulls).
-  A string column stores int32 codes into a sorted per-column dictionary
-  of its distinct values (nulls hold ``""``).
+  A string column stores codes into a sorted per-column dictionary of
+  its distinct values (nulls hold ``""``).
 * Array nodes store a boundary array: entry ``i`` is the exclusive end of the
   children of parent instance ``i``, so parent ``i`` owns ``[b[i-1], b[i])``
   and the last entry equals the node's own cardinality.  Leaf arrays whose
@@ -20,10 +20,14 @@ CRC32 trailer.  Each integer array (string codes, dictionary entry lengths,
 boundaries, pointers) is written as a width tag and little-endian unsigned
 entries of the narrowest width in 1, 2, 4 or 8 bytes that holds its largest
 entry.  A number column whose values are all integers is written as a base
-and such offsets from it, else as ``<f8``.  The reader widens every array to
-its in-memory dtype: int32 codes, int64 lengths, boundaries and pointers, and
-float64 numbers.  The I/O model counts 8 bytes per boundary or pointer entry
-(`DEFAULT_METADATA_UNIT`), a logical width and not the width on disk.
+and such offsets from it, else as ``<f8``.  A value column is held in
+memory as it is written: string codes at the narrowest unsigned width that
+holds the dictionary's size, and an integral number column as its base plus
+its narrow offsets, so a scan reads the bytes the file holds (see
+`PrimitiveColumn`).  The reader widens only the index arrays: entry
+lengths, boundaries and pointers become int64.  The I/O model counts 8
+bytes per boundary or pointer entry (`DEFAULT_METADATA_UNIT`), a logical
+width and not the width on disk.
 An opened store reads a schema's files on the first use of its arrays (see
 `open_store`).  All reads go through the owning `Store` so that I/O counters
 reflect what a query actually touched.
@@ -34,6 +38,7 @@ import bisect
 import gc
 import json
 import math
+import operator
 import os
 import struct
 import zlib
@@ -199,20 +204,65 @@ class StringDictionary:
         return windows[self.offsets[at]]
 
 
-class PrimitiveColumn:
-    """Values and validity of one primitive node.
+_OPS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
-    A string column is given its int32 codes as `values`, plus the
-    `dictionary` they index.  Scans read `stored`: the values, or a
-    string column's codes.
+
+def _uint_dtype(top: int) -> np.dtype:
+    """The narrowest little-endian unsigned dtype in `_WIDTHS` that holds `top`."""
+    return np.dtype(f"<u{next(w for w in _WIDTHS if top < 1 << (8 * w))}")
+
+
+def _integral(value) -> bool:
+    """Whether a number operand is a finite integer once read as float64,
+    as a compare with a float64 column reads it."""
+    try:
+        return float(value).is_integer()
+    except OverflowError:  # an int past float64's range
+        return False
+
+
+class PrimitiveColumn:
+    """Values and validity of one primitive node, held as the file holds them.
+
+    `stored` is what scans read.  A string column's are codes into its
+    `dictionary`, at the narrowest unsigned width that holds the
+    dictionary's size.  A number column with a `base` stores offsets from
+    it (see `number_column`), each value being ``base + offset``; any
+    other number column stores float64 values.  `match` compares stored
+    values with an operand without decoding them.
+
+    `has_nulls` is set once, here.  A column without a null holds one
+    read-only all-True view as its `validity`, so a scan need not read it.
     """
 
-    def __init__(self, node: int, kind: str, values, validity, dictionary: StringDictionary | None = None):
+    def __init__(
+        self,
+        node: int,
+        kind: str,
+        values,
+        validity,
+        dictionary: StringDictionary | None = None,
+        base: int | None = None,
+    ):
         self.node = node
         self.kind = kind  # primitive kind of the values
-        self.validity = np.asarray(validity, dtype=bool)
-        self.stored = np.asarray(values)
         self.dictionary = dictionary
+        self.base = base
+        validity = np.asarray(validity, dtype=bool)
+        self.has_nulls = not validity.all()
+        self.validity = validity if self.has_nulls else np.broadcast_to(np.True_, validity.shape)
+        stored = np.asarray(values)
+        if dictionary is not None:  # a code is less than the dictionary's size
+            stored = stored.astype(_uint_dtype(max(len(dictionary) - 1, 0)), copy=False)
+        self.stored = stored
+        self._block_starts: dict[int, np.ndarray] = {}
         if (kind == "string") != (dictionary is not None):
             raise StoreError(f"column {node}: a string column needs a dictionary, and only it")
         if len(self.stored) != len(self.validity):
@@ -220,19 +270,50 @@ class PrimitiveColumn:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """The values; a string column's are decoded on first read.
+        """The values; a string column's are decoded, and a number
+        column's added to their base, on first read.
 
-        The oracle and the statistics read this; queries read `stored`.
+        The oracle, the statistics and join keys read this; filters read
+        `stored`.
         """
         return self.decode(self.stored)
 
-    def encode(self, value):
-        """The stored form of `value`: a string's code, else the value itself."""
-        return value if self.dictionary is None else self.dictionary.code_of(value)
-
     def decode(self, stored: np.ndarray) -> np.ndarray:
-        """Values from their stored form: a string column's codes decoded."""
-        return stored if self.dictionary is None else self.dictionary.decode(stored)
+        """Values from their stored form: a string column's codes decoded,
+        a number column's offsets added to its base."""
+        if self.dictionary is not None:
+            return self.dictionary.decode(stored)
+        if self.base is not None:
+            return _numbers_from_offsets(self.base, stored)
+        return stored
+
+    def match(self, stored: np.ndarray, op: str, operand) -> np.ndarray:
+        """``value <op> operand`` for the values `stored` holds, as a new
+        bool array.
+
+        A string operand is compared as its code: one the dictionary
+        lacks is code -1, which numpy compares exactly with unsigned codes,
+        so it equals none.  Against offsets, a finite integral operand
+        becomes the Python int ``operand - base``, which numpy compares
+        exactly even outside the offsets' dtype; any other operand is
+        compared with the decoded values.
+        """
+        if self.dictionary is not None:
+            if op == "in":
+                codes = [c for c in map(self.dictionary.code_of, operand) if c >= 0]
+                return np.isin(stored, np.asarray(codes, dtype=stored.dtype))
+            return _OPS[op](stored, self.dictionary.code_of(operand))
+        if self.base is not None:
+            if op == "in" and all(map(_integral, operand)):
+                top = np.iinfo(stored.dtype).max
+                offsets = [d for d in (int(float(v)) - self.base for v in operand) if 0 <= d <= top]
+                return np.isin(stored, np.asarray(offsets, dtype=stored.dtype))
+            if op != "in" and _integral(operand):
+                return _OPS[op](stored, int(float(operand)) - self.base)
+            stored = self.decode(stored)
+        if op == "in":
+            return np.isin(stored, np.asarray(operand, dtype=stored.dtype))
+        return _OPS[op](stored, operand)
 
     @property
     def cardinality(self) -> int:
@@ -255,6 +336,22 @@ class PrimitiveColumn:
             total = int(self.dictionary.lengths[self.stored].sum()) + 4 * self.cardinality
             return total / self.cardinality
         return 8.0
+
+    def block_starts(self, block_size: int) -> np.ndarray:
+        """The first position of each `block_size`-byte block of the
+        column, at `unit_size` bytes a value (`_block_of`); kept per block size."""
+        starts = self._block_starts.get(block_size)
+        if starts is None:
+            blocks = _block_of(np.arange(self.cardinality), self.unit_size, block_size)
+            starts = self._block_starts[block_size] = np.flatnonzero(np.diff(blocks, prepend=-1.0))
+        return starts
+
+
+def number_column(node: int, kind: str, values, validity) -> PrimitiveColumn:
+    """A number column held as the writer stores it: a base plus narrow
+    offsets when those give back every value's bits, else float64."""
+    base, stored = _split_numbers(np.asarray(values, dtype=np.float64))
+    return PrimitiveColumn(node, kind, stored, validity, base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +453,9 @@ class SchemaData:
         self._load = load
         self._arrays = None if load else ({}, {}, {})
         self._failure: str | None = None
+        # (node, path, kind code, cardinality, stamp) of each column file
+        # of data opened from disk, the middle two as the manifest gives them
+        self.files: list[tuple] = []
 
     @property
     def name(self) -> str:
@@ -394,6 +494,42 @@ class SchemaData:
                 self.skip_tree.link()
         return self._arrays
 
+    def check_counts(self, manifest) -> None:
+        """Check the instance counts the planner prices against the
+        column files' headers, reading no payload; a disagreement raises
+        `StoreError` naming the file and `quest ingest`.
+
+        A header counts the instances of one node: a value column or leaf
+        array its own, a counter file its parent's, a pointer file those
+        of the node that owns the pointers.  An identity-linked node
+        shares its parent's instances, so each count is compared with
+        every header that counts its instances, and where none does, with
+        the count of the nearest ancestor reached by a counter, pointer or
+        root link.  A counter's own count is in its payload, so
+        it is checked only where some header counts its instances.
+        """
+        sch = self.schema
+        space = {}  # node -> the nearest ancestor-or-self not linked by identity
+        for nid in sch.preorder:
+            node = sch.node(nid)
+            space[nid] = space[node.parent] if node.link is Link.IDENTITY else nid
+        counted: dict[int, list] = {}  # space -> (cardinality, file, "the header") per header counting it
+        for nid, fpath, kind_code, count, _ in self.files:
+            _check_header(fpath, read_header(fpath), kind_code, count)
+            node = sch.node(nid)
+            own = kind_code != K_COUNTER and (kind_code != K_INDICATOR or node.kind is Kind.INDICATOR)
+            owner = nid if own else node.parent
+            counted.setdefault(space[owner], []).append((count, fpath, "the header"))
+        for nid in sch.preorder:
+            rep = space[nid]
+            for want, source, by in counted.get(rep, [(self.cardinality[rep], manifest, f"its {sch.path_of(rep)}")]):
+                if self.cardinality[nid] != want:
+                    raise StoreError(
+                        f"{source}: manifest.json counts {self.cardinality[nid]} instances of "
+                        f"{sch.name}.{sch.path_of(nid)}, but {by} counts {want}; manifest.json disagrees "
+                        f"with the column files; {_REINGEST}"
+                    )
+
     def validate(self, fix: str = "") -> None:
         """Check each array's length against the schema's cardinalities;
         a fault's message ends with `fix`.
@@ -421,11 +557,20 @@ class SchemaData:
 # I/O instrumentation
 
 
+def _block_of(positions: np.ndarray, unit_size: float, block_size: int) -> np.ndarray:
+    """The block of each position of a column of `unit_size`-byte values,
+    as floats: ``floor(position * unit_size / block_size)``.  The block
+    size is a power of two, so multiplying by its reciprocal is exact."""
+    blocks = positions * unit_size
+    blocks *= 1.0 / block_size
+    return np.floor(blocks, out=blocks)
+
+
 class IOStats:
     """Counters for everything a query run pulled out of the store."""
 
     def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE):
-        # `record_column` divides by multiplying with the reciprocal, which
+        # `_block_of` divides by multiplying with the reciprocal, which
         # is exact only for a power of two
         if block_size < 1 or block_size & (block_size - 1):
             raise StoreError(f"block size {block_size} is not a power of two")
@@ -442,17 +587,24 @@ class IOStats:
         self.audit: list[dict] = []
         self.audit_violations = 0
 
-    def record_column(self, key, positions, unit_size, cardinality, context_bits=None):
+    def record_column(self, key, positions, unit_size, cardinality, context_bits=None, block_starts=None):
+        """Count one column read at `positions` (None: the whole column).
+
+        With `block_starts` (`PrimitiveColumn.block_starts`) the caller
+        says that `positions` are exactly the set bits of `context_bits`,
+        and the blocks holding one are counted from the bits.  Otherwise,
+        and in audit mode, each position's block is worked out.  Both
+        give the same count.
+        """
         self.columns_read += 1
         if positions is None:
             nblocks = max(1, math.ceil(cardinality * unit_size / self.block_size)) if cardinality else 0
         elif len(positions) == 0:
             nblocks = 0
+        elif block_starts is not None and not self.audit_enabled:
+            nblocks = int(np.count_nonzero(np.logical_or.reduceat(context_bits, block_starts)))
         else:
-            # the block size is a power of two, so this floor() equals //
-            starts = positions * unit_size
-            starts *= 1.0 / self.block_size
-            np.floor(starts, out=starts)
+            starts = _block_of(positions, unit_size, self.block_size)
             head, tail = starts[:-1], starts[1:]
             if (tail >= head).all():  # sorted, as every scan's positions are
                 nblocks = 1 + int(np.count_nonzero(tail != head))
@@ -528,20 +680,27 @@ class Store:
             raise StoreError(f"{self._key(schema_name, node_id)} has no value column")
         return col
 
-    def scan_values(self, schema_name, node_id, positions=None, context_bits=None, decode=True):
+    def scan_values(self, schema_name, node_id, positions=None, context_bits=None, decode=True, exact=False):
         """Read values (and validity) at `positions`, or the whole column.
 
-        A string column decodes only the dictionary entries it reads; with
-        ``decode=False`` it yields its codes instead (see `PrimitiveColumn.encode`).
+        A string column decodes only the dictionary entries it reads, and
+        a number column only the offsets it reads; with ``decode=False``
+        they yield their stored form instead (see `PrimitiveColumn`).  A
+        column without a null yields a read-only all-True validity and
+        gathers none.  With `exact`, `positions` are the set bits of
+        `context_bits`, and the read is counted from the bits
+        (`IOStats.record_column`).
         """
         col = self.column(schema_name, node_id)
+        starts = col.block_starts(self.io.block_size) if exact and positions is not None else None
         self.io.record_column(
-            self._key(schema_name, node_id), positions, col.unit_size, col.cardinality, context_bits
+            self._key(schema_name, node_id), positions, col.unit_size, col.cardinality, context_bits, starts
         )
         if positions is None:
             return (col.values if decode else col.stored), col.validity
         stored = col.stored[positions]
-        return (col.decode(stored) if decode else stored), col.validity[positions]
+        valid = col.validity[positions] if col.has_nulls else col.validity[: len(positions)]
+        return (col.decode(stored) if decode else stored), valid
 
     def read_link(self, schema_name, node_id) -> Mapping:
         """The counter or pointer array at a node; each read is recorded
@@ -599,9 +758,8 @@ def _encode_uints(array: np.ndarray) -> bytes:
     of the narrowest width in `_WIDTHS` that holds the largest."""
     if array.size and array.min() < 0:
         raise StoreError("cannot write a negative entry into an unsigned array")
-    top = int(array.max()) if array.size else 0
-    width = next(w for w in _WIDTHS if top < 1 << (8 * w))
-    return bytes([width]) + array.astype(f"<u{width}").tobytes()
+    dtype = _uint_dtype(int(array.max()) if array.size else 0)
+    return bytes([dtype.itemsize]) + array.astype(dtype, copy=False).tobytes()
 
 
 def _numbers_from_offsets(base: int, offsets: np.ndarray) -> np.ndarray:
@@ -612,21 +770,33 @@ def _numbers_from_offsets(base: int, offsets: np.ndarray) -> np.ndarray:
     return values
 
 
-def _encode_numbers(values: np.ndarray) -> bytes:
-    """An encoding tag, then the values: as an ``<i8`` base and narrow
-    offsets from it when those are narrower than 8 bytes and decode to
-    every value's bits, else as ``<f8`` (-0.0, NaN, infinities, fractions)."""
-    values = values.astype(np.float64, copy=False)
+def _split_numbers(values: np.ndarray) -> tuple[int | None, np.ndarray]:
+    """``(base, offsets)``, the offsets at their narrowest unsigned width,
+    when they are narrower than 8 bytes and decode to every value's bits;
+    else ``(None, values)`` (-0.0, NaN, infinities, fractions, no values)."""
     if values.size:
         with np.errstate(invalid="ignore"):  # NaN and infinities have no integer
             ints = values.astype(np.int64)
         base = int(ints.min())
         offsets = (ints - base).view(np.uint64)
-        if int(offsets.max()) < 1 << 32:
-            decoded = _numbers_from_offsets(base, offsets)
-            if np.array_equal(decoded.view(np.uint64), values.view(np.uint64)):
-                return bytes([_OFFSETS]) + struct.pack("<q", base) + _encode_uints(offsets)
-    return bytes([_FLOATS]) + values.astype("<f8").tobytes()
+        top = int(offsets.max())
+        if top < 1 << 32:
+            offsets = offsets.astype(_uint_dtype(top))
+            if np.array_equal(_numbers_from_offsets(base, offsets).view(np.uint64), values.view(np.uint64)):
+                return base, offsets
+    return None, values
+
+
+def _encode_numbers(col: PrimitiveColumn) -> bytes:
+    """An encoding tag, then the values: as an ``<i8`` base and narrow
+    offsets from it (see `_split_numbers`), else as ``<f8``."""
+    if col.base is not None:
+        base, stored = col.base, col.stored
+    else:
+        base, stored = _split_numbers(col.stored.astype(np.float64, copy=False))
+    if base is None:
+        return bytes([_FLOATS]) + stored.astype("<f8").tobytes()
+    return bytes([_OFFSETS]) + struct.pack("<q", base) + _encode_uints(stored)
 
 
 def _encode_values(col: PrimitiveColumn) -> bytes:
@@ -635,7 +805,7 @@ def _encode_values(col: PrimitiveColumn) -> bytes:
     entries' UTF-8 bytes back to back."""
     parts = [np.packbits(col.validity.astype(np.uint8)).tobytes()]
     if col.kind in ("number", "null"):
-        parts.append(_encode_numbers(col.stored))
+        parts.append(_encode_numbers(col))
     elif col.kind == "boolean":
         parts.append(col.stored.astype(np.uint8).tobytes())
     elif col.kind == "string":
@@ -680,21 +850,25 @@ class _Payload:
 
 
 def _decode_column(nid: int, kind: str, payload: _Payload, count: int) -> PrimitiveColumn:
-    """Decode a value payload; dictionary entries are decoded on first use."""
+    """Decode a value payload into a column held at the file's widths.
+
+    Codes and offsets are copied out of the file buffer, so they are
+    aligned and the buffer is not kept; dictionary entries are decoded
+    on first use.
+    """
     validity = np.unpackbits(np.frombuffer(payload.take((count + 7) // 8), dtype=np.uint8), count=count).astype(bool)
     if kind in ("number", "null"):
         encoding = payload.unpack("<B")
         if encoding == _FLOATS:
-            values = np.frombuffer(payload.take(8 * count), dtype="<f8").astype(np.float64)
-        elif encoding == _OFFSETS:
+            return PrimitiveColumn(nid, kind, np.frombuffer(payload.take(8 * count), dtype="<f8").copy(), validity)
+        if encoding == _OFFSETS:
             base = payload.unpack("<q")
-            values = _numbers_from_offsets(base, payload.uints(count))
-        else:
-            raise StoreError(f"unknown number encoding tag {encoding}")
-    elif kind == "boolean":
-        values = np.frombuffer(payload.take(count), dtype=np.uint8).astype(bool)
-    elif kind == "string":
-        codes = payload.uints(count)
+            return PrimitiveColumn(nid, kind, payload.uints(count).copy(), validity, base=base)
+        raise StoreError(f"unknown number encoding tag {encoding}")
+    if kind == "boolean":
+        return PrimitiveColumn(nid, kind, np.frombuffer(payload.take(count), dtype=np.uint8).astype(bool), validity)
+    if kind == "string":
+        codes = payload.uints(count).copy()
         size = payload.unpack("<I")
         lengths = payload.uints(size).astype(np.int64)
         blob = bytes(payload.rest())
@@ -702,10 +876,8 @@ def _decode_column(nid: int, kind: str, payload: _Payload, count: int) -> Primit
             raise StoreError("string lengths do not match the payload")
         if count and codes.max() >= size:
             raise StoreError("string codes fall outside the dictionary")
-        return PrimitiveColumn(nid, kind, codes.astype(np.int32), validity, StringDictionary(lengths, blob))
-    else:
-        raise StoreError(f"cannot decode primitive kind {kind!r}")
-    return PrimitiveColumn(node=nid, kind=kind, values=values, validity=validity)
+        return PrimitiveColumn(nid, kind, codes, validity, StringDictionary(lengths, blob))
+    raise StoreError(f"cannot decode primitive kind {kind!r}")
 
 
 def _encode_column_file(kind_code: int, cardinality: int, payload: bytes) -> bytes:
@@ -751,10 +923,30 @@ def read_column(path, stamp: tuple[int, int] | None = None) -> tuple[int, int, m
     (crc,) = struct.unpack("<I", raw[-4:])
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
         raise StoreError(f"{path}: checksum mismatch; {_REINGEST}")
-    version, kind_code, cardinality = struct.unpack("<HBQ", body[4:15])
+    return (*_header(path, body[:_HEADER]), body[_HEADER:])
+
+
+_HEADER = 15  # bytes: magic, version, kind code, cardinality
+
+
+def _header(path, head) -> tuple[int, int]:
+    """(kind_code, cardinality) from a column file's header."""
+    if len(head) < _HEADER or head[:4] != MAGIC:
+        raise StoreError(f"{path}: not a column file; {_REINGEST}")
+    version, kind_code, cardinality = struct.unpack("<HBQ", head[4:_HEADER])
     if version != FORMAT_VERSION:
         raise StoreError(f"{path}: format version {version}, not {FORMAT_VERSION}; {_REINGEST}")
-    return kind_code, int(cardinality), body[15:]
+    return kind_code, int(cardinality)
+
+
+def read_header(path) -> tuple[int, int]:
+    """(kind_code, cardinality) from a column file's header; no payload is read."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(_HEADER)
+    except OSError as exc:
+        raise StoreError(f"{path}: {exc.strerror}; {_REINGEST}") from exc
+    return _header(path, head)
 
 
 def _node_file_payload(data: SchemaData, node) -> tuple[int, int, bytes] | None:
@@ -948,7 +1140,7 @@ def open_store(path) -> Store:
         if faults:
             raise fault(where, ", ".join(faults))
         data = SchemaData(schema, load=partial(_read_schema_files, schema, cardinality, files))
-        data.cardinality, data.stats = cardinality, stats
+        data.cardinality, data.stats, data.files = cardinality, stats, files
         store.add(data)
     return store
 
@@ -963,6 +1155,15 @@ _PRIMITIVE_OF_KIND = {
 }
 
 
+def _check_header(fpath, found: tuple[int, int], kind_code: int, count: int) -> None:
+    """A file's header `found` must give the kind and cardinality its manifest entry does."""
+    if found != (kind_code, count):
+        raise StoreError(
+            f"{fpath}: the header gives kind {found[0]} and cardinality {found[1]}, the manifest "
+            f"kind {kind_code} and cardinality {count}; {_REINGEST}"
+        )
+
+
 def _read_schema_files(schema: Schema, cardinality: dict, files: list) -> tuple[dict, dict, dict]:
     """The columns, counters and indicators in one schema's files.
 
@@ -972,11 +1173,7 @@ def _read_schema_files(schema: Schema, cardinality: dict, files: list) -> tuple[
     columns, counters, indicators = {}, {}, {}
     for nid, fpath, kind_code, count, stamp in files:
         found = read_column(fpath, stamp)
-        if found[:2] != (kind_code, count):
-            raise StoreError(
-                f"{fpath}: the header gives kind {found[0]} and cardinality {found[1]}, the manifest "
-                f"kind {kind_code} and cardinality {count}; {_REINGEST}"
-            )
+        _check_header(fpath, found[:2], kind_code, count)
         payload = _Payload(found[2])
         node = schema.node(nid)
         try:

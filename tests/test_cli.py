@@ -221,10 +221,6 @@ BAD_CARDINALITIES = {
         "manifest.json disagrees with the column files",
     ),
 }
-# `explain` reads no column file, so it plans from these counts
-SEEN_BY_READING = {"one root instance too many", "one word set too many"}
-
-
 @pytest.mark.parametrize("case", list(BAD_CARDINALITIES))
 def test_a_manifest_must_name_exactly_its_schemas_nodes(store_dir, tmp_path, case):
     copy = tmp_path / "store"
@@ -235,11 +231,50 @@ def test_a_manifest_must_name_exactly_its_schemas_nodes(store_dir, tmp_path, cas
     (copy / "manifest.json").write_text(json.dumps(manifest))
     for args in (["query"], ["query", "--no-skiptree"], ["explain"]):
         result = invoke(*args, "--store", copy, WORD_QUERY)
-        if args == ["explain"] and case in SEEN_BY_READING:
-            assert result.exit_code == 0, result.output
-            continue
         assert result.exit_code == 3, (args, result.output)
         assert message in result.stderr and "quest ingest" in result.stderr, (args, result.stderr)
+
+
+ROOM_PATH = "Org.Region.Site.Building.Floor.Room"
+
+
+@pytest.mark.parametrize(
+    "node, count, named",
+    [(ROOM_PATH, 10**12, f"{ROOM_PATH}.label.col"), ("Org", 11, "Org.Region.col")],
+    ids=["room-1e12", "org-11"],
+)
+def test_explain_checks_the_counts_it_prices_against_the_file_headers(store_dir, tmp_path, node, count, named):
+    """A manifest count the column files contradict exits 3 in `explain`,
+    naming the file whose header counts those instances and `quest
+    ingest`, as `quest query` does once it reads the files.  Room's count
+    is in its counter's payload, so its label's header checks it."""
+    copy = tmp_path / "store"
+    shutil.copytree(store_dir, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    manifest["schemas"]["org"]["cardinalities"][node] = count
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    deep = json.dumps(next(q.doc for q in WORKLOAD if q.name.startswith("Q09")))
+    result = invoke("explain", "--store", copy, deep)
+    _assert_names_the_fix(result, named)
+    assert f"counts {count} instances of org.{node}," in result.stderr
+    assert "manifest.json disagrees with the column files" in result.stderr
+    _assert_names_the_fix(invoke("query", "--store", copy, deep), "quest ingest")
+
+
+def test_explain_reads_no_column_payload(store_dir, tmp_path):
+    """`explain` reads only each file's 15-byte header: a damaged payload
+    leaves its output unchanged, while `quest query` finds the damage."""
+    copy = tmp_path / "store"
+    shutil.copytree(store_dir, copy)
+    want = invoke("explain", "--store", copy, WORD_QUERY)
+    assert want.exit_code == 0, want.output
+    for path in (copy / "ads").glob("*.col"):
+        raw = bytearray(path.read_bytes())
+        raw[15:-4] = bytes(len(raw) - 19)
+        path.write_bytes(bytes(raw))
+    got = invoke("explain", "--store", copy, WORD_QUERY)
+    assert (got.exit_code, got.stdout) == (0, want.stdout)
+    _assert_names_the_fix(invoke("query", "--store", copy, WORD_QUERY), "checksum mismatch")
 
 
 def test_reingest_drops_the_stale_index(tmp_path):

@@ -10,6 +10,7 @@ import random
 import numpy as np
 import pytest
 
+from quest import datagen
 from quest.bench import WORKLOAD
 from quest.datagen import generate
 from quest.delivery import positions_of
@@ -20,7 +21,7 @@ from quest.oracle import oracle_query
 from quest.query import parse_query
 from quest.schema import parse_schema
 from quest.skiptree import build_skip_tree
-from quest.ingest import ingest_json, ingest_rows
+from quest.ingest import ingest_graph_tables, ingest_json, ingest_rows
 from quest.store import Store, open_store, write_store
 
 from conftest import PEOPLE_MANIFEST, PEOPLE_ROWS, PERSON
@@ -200,6 +201,45 @@ def test_nan_join_keys_never_match(people_schema):
     )
     _, want = _checked_join_pairs(store, query.joins[0])
     assert want == [(1, 0)]
+
+
+def test_number_join_keys_compare_values_across_bases(people_schema, tmp_path):
+    """Integral number keys are held as offsets from each column's least
+    value; the two columns' bases differ, so offset 0 is 700 on the left
+    and 5 on the right, and keys must match by value."""
+    other = parse_schema({**PEOPLE_MANIFEST, "name": "other"})
+    lefts = [700.0, 701.0, 702.0, 900.0]
+    rights = [5.0, 701.0, 702.0, 702.0, 1000.0, 700.5]
+    memory = (
+        Store()
+        .add(ingest_rows([{"PID": f"p{i}", "credit_score": v} for i, v in enumerate(lefts)], people_schema))
+        .add(ingest_rows([{"PID": f"q{i}", "credit_score": v, "balance": float(i)} for i, v in enumerate(rights)], other))
+    )
+    write_store(memory, tmp_path / "s")
+    query = parse_query(
+        {"people": people_schema, "other": other},
+        {
+            "from": ["people", "other"],
+            "joins": [{"left": "people.credit_score", "right": "other.credit_score"}],
+            "filters": [{"path": "other.balance", "op": "<", "value": 5}],
+            "fetch": ["people.PID"],
+        },
+    )
+    for store in (memory, open_store(tmp_path / "s")):
+        left, right = store.column("people", 2), store.column("other", 2)
+        assert (left.base, right.base) == (700, None)  # 700.5 is not integral
+        store.add(store.data("other"))  # drop the cached relation
+        _, want = _checked_join_pairs(store, query.joins[0])
+        assert want == [(1, 1), (2, 2), (2, 3)]
+        assert evaluate(store, query).rows == oracle_query(store, query) == [("p1",), ("p2",)]
+    rights[-1] = 7.0  # now integral: offsets from 5, and offset 2 is 702 on the left
+    shifted = Store().add(memory.data("people")).add(
+        ingest_rows([{"PID": f"q{i}", "credit_score": v, "balance": float(i)} for i, v in enumerate(rights)], other)
+    )
+    assert shifted.column("other", 2).base == 5
+    _, want = _checked_join_pairs(shifted, query.joins[0])
+    assert want == [(1, 1), (2, 2), (2, 3)]
+    assert evaluate(shifted, query).rows == oracle_query(shifted, query) == [("p1",), ("p2",)]
 
 
 def test_store_add_invalidates_cached_join(multi_store, schemas, people_schema):
@@ -749,3 +789,104 @@ def test_parity_under_every_valid_order_with_repeating_join_keys(ads_schema, peo
             assert rows == want, (doc, [f.key for f in order], indexed)
             evaluations += 1
     assert evaluations >= 1200
+
+
+# -- a walk that re-enters a guest keeps the bits that left it --------------------
+
+ROOM = "org.Region.Site.Building.Floor.Room"
+ORG_SOCIAL_JOIN = [{"left": f"{ROOM}.owner", "right": "social.Person.pid", "unique": False}]
+LIKED_TAG = "social.Person.like#.#Message.tag"
+
+
+def _org_social_store(rooms, persons, tags, likes):
+    """One org whose one floor holds `rooms` (dicts of label, owner and
+    sensor), and a social graph of `persons` ``(pid, city)`` named P0, P1,
+    ..., messages m0, m1, ... with `tags`, and `likes` ``(person, message)``."""
+    org = [{"name": "o0", "Region": [{"code": "R0", "Site": [{"city": "c0", "Building": [
+        {"tag": "b0", "Floor": [{"level": 0.0, "Room": rooms}]},
+    ]}]}]}]
+    vertices = {
+        "Person": [{"id": f"P{i}", "pid": pid, "name": f"n{i}", "city": city} for i, (pid, city) in enumerate(persons)],
+        "Message": [{"id": f"m{j}", "tag": tag} for j, tag in enumerate(tags)],
+    }
+    edges = {"know": [], "like": [(f"P{p}", f"m{m}") for p, m in likes]}
+    return (
+        Store()
+        .add(ingest_json(org, parse_schema(datagen.ORG_MANIFEST)))
+        .add(ingest_graph_tables(vertices, edges, datagen.social_schema()))
+    )
+
+
+def _org_social_schemas(store):
+    return {name: store.schema(name) for name in ("org", "social")}
+
+
+def test_a_walk_back_into_a_guest_keeps_the_bits_that_left_it():
+    # P1 and P2 share the key pA, but only P1 passes the city filter; the
+    # walk leaves `social` through the join and comes back down to fetch,
+    # so the key must not bring P2 (and its like of m1) back
+    store = _org_social_store(
+        rooms=[{"label": "r0", "owner": "pA", "sensor": [1.0]}],
+        persons=[("pA", "c0"), ("pA", "c9"), ("pZ", "c0")],
+        tags=["t0", "t1"],
+        likes=[(0, 0), (1, 1), (2, 1)],
+    )
+    doc = {
+        "from": ["org", "social"],
+        "joins": ORG_SOCIAL_JOIN,
+        "filters": [{"path": "social.Person.city", "op": "=", "value": "c0"}],
+        "fetch": [LIKED_TAG],
+    }
+    query = parse_query(_org_social_schemas(store), doc)
+    assert oracle_query(store, query) == [("t0",)]
+    runs = 0
+    for order, indexed, rows in _rows_under_every_order(store, query):
+        assert rows == [("t0",)], ([f.key for f in order], indexed)
+        runs += 1
+    assert runs == 4  # two orders, the index on and off
+
+
+def _repeating_pids_store(rng):
+    """Rooms and persons whose keys come from a pool of three, so a key
+    repeats on both sides of the join; some rooms have no owner."""
+    pool = ["pA", "pB", "pC"]
+    rooms = []
+    for _ in range(rng.randint(1, 4)):
+        room = {"label": rng.choice(["r0", "r1"]), "sensor": [float(rng.randint(0, 3)) for _ in range(rng.randint(0, 2))]}
+        if rng.random() < 0.9:
+            room["owner"] = rng.choice(pool)
+        rooms.append(room)
+    persons = [(rng.choice(pool), rng.choice(["c0", "c1"])) for _ in range(rng.randint(2, 8))]
+    tags = [f"t{j}" for j in range(rng.randint(1, 5))]
+    likes = [(p, rng.randrange(len(tags))) for p in range(len(persons)) for _ in range(rng.randint(0, 2))]
+    return _org_social_store(rooms, persons, tags, likes)
+
+
+def test_parity_under_every_valid_order_with_repeating_right_keys():
+    """`org` joined to `social` on `Person.pid`s drawn from three keys, so
+    the right key repeats, with filters on either side and fetches below
+    the shared `#Message` record.  Two of the 300 stores fail without the
+    guest context kept."""
+    rng = random.Random(21)
+    filters = [
+        {"path": "social.Person.city", "op": "=", "value": "c0"},
+        {"path": "social.Person.name", "op": "!=", "value": "n1"},
+        {"path": f"{ROOM}.label", "op": "=", "value": "r0"},
+        {"path": f"{ROOM}.sensor", "op": "<", "value": 2},
+    ]
+    fetches = ([LIKED_TAG], [LIKED_TAG], ["social.Person.name"], ["social.Person.city", "social.Person.name"])
+    evaluations = 0
+    for _ in range(300):
+        store = _repeating_pids_store(rng)
+        doc = {
+            "from": ["org", "social"],
+            "joins": ORG_SOCIAL_JOIN,
+            "filters": rng.sample(filters, rng.randint(1, 3)),
+            "fetch": rng.choice(fetches),
+        }
+        query = parse_query(_org_social_schemas(store), doc)
+        want = oracle_query(store, query)
+        for order, indexed, rows in _rows_under_every_order(store, query):
+            assert rows == want, (doc, [f.key for f in order], indexed)
+            evaluations += 1
+    assert evaluations >= 1800

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import operator
 import os
 import random
 import zlib
@@ -33,6 +34,7 @@ from quest.store import (
     K_COUNTER,
     K_INDICATOR,
     PrimitiveColumn,
+    IOStats,
     Store,
     StringDictionary,
     _decode_column,
@@ -41,6 +43,7 @@ from quest.store import (
     _Payload,
     _read_schema_files,
     estimate_selectivity,
+    number_column,
     open_store,
     write_column,
     write_store,
@@ -479,7 +482,9 @@ def test_string_columns_round_trip_encoded(tmp_path, docs):
     for nid, col in data.columns.items():
         want = _raw_strings(docs, schema.node(nid).name)
         other = loaded.columns[nid]
-        assert other.stored.dtype == np.int32
+        # fewer than 256 entries: one-byte codes, built and loaded alike
+        assert other.stored.dtype == col.stored.dtype == np.uint8
+        assert other.stored.tolist() == col.stored.tolist()
         assert other.unit_size == col.unit_size
         for column in (col, other):
             values = column.values.tolist()
@@ -636,7 +641,8 @@ def test_string_columns_take_the_narrowest_widths(tmp_path, strings, code_width,
         if col.kind != "string":
             continue
         back = loaded.columns[nid]
-        assert back.stored.dtype == np.int32 and back.stored.tobytes() == col.stored.astype(np.int32).tobytes()
+        assert back.stored.dtype == col.stored.dtype == np.dtype(f"<u{code_width}")
+        assert back.stored.tobytes() == col.stored.tobytes()
         assert back.validity.tobytes() == col.validity.tobytes()
         d = col.dictionary
         assert back.dictionary.lengths.dtype == np.int64 and back.dictionary.lengths.tolist() == d.lengths.tolist()
@@ -665,13 +671,17 @@ def test_string_columns_take_the_narrowest_widths(tmp_path, strings, code_width,
     ],
 )
 def test_number_columns_reload_bit_identical(tmp_path, numbers, offset_width):
-    """Integral numbers are written as offsets from their least at
-    `offset_width` bytes, every other column as ``<f8``."""
+    """Integral numbers are written, and held in memory, as offsets from
+    their least at `offset_width` bytes, every other column as ``<f8``."""
     written, loaded, sdir = _reload_table(tmp_path, [""] * len(numbers), numbers)
     nid = next(nid for nid, col in written.columns.items() if col.kind == "number")
-    back = loaded.columns[nid]
-    assert back.stored.dtype == np.float64
-    assert back.stored.tobytes() == written.columns[nid].stored.astype(np.float64).tobytes()
+    back, col = loaded.columns[nid], written.columns[nid]
+    want = np.dtype(np.float64) if offset_width is None else np.dtype(f"<u{offset_width}")
+    assert back.stored.dtype == col.stored.dtype == want
+    assert (back.base is None) == (offset_width is None) and back.base == col.base
+    assert back.stored.tobytes() == col.stored.tobytes()
+    values = np.array([0.0 if v is None else v for v in numbers], dtype=np.float64)  # nulls hold 0.0
+    assert back.values.dtype == np.float64 and back.values.tobytes() == values.tobytes()
     n = len(numbers)
     values = 1 + (8 * n if offset_width is None else 8 + 1 + offset_width * n)  # encoding tag first
     assert (sdir / "t.x.col").stat().st_size == 15 + (n + 7) // 8 + values + 4
@@ -684,7 +694,7 @@ def test_any_number_column_decodes_to_its_bits(values):
     payload = _Payload(memoryview(_encode_values(col)))
     back = _decode_column(0, "number", payload, len(values))
     payload.end()
-    assert back.stored.tobytes() == col.stored.tobytes()
+    assert back.values.tobytes() == col.stored.tobytes()
 
 
 @pytest.mark.parametrize("lengths, width", [([], 1), ([0, 0], 1), ([255, 0], 1), ([256], 2)])
@@ -1176,7 +1186,8 @@ def test_store_files_match_recorded_digests(tmp_path, config):
 
 def _array_digests(store) -> dict[str, str]:
     """``<schema>/<node path>/<array>`` -> ``<dtype>:<sha256 of its bytes>``
-    for every array an opened store loads."""
+    for every array an opened store loads, plus the decoded ``values`` of
+    each number column held as offsets."""
     out = {}
     for name, data in sorted(store.datasets.items()):
         path_of = data.schema.path_of
@@ -1184,6 +1195,8 @@ def _array_digests(store) -> dict[str, str]:
         for nid, col in data.columns.items():
             arrays[(nid, "validity")] = col.validity
             arrays[(nid, "stored")] = col.stored
+            if col.base is not None:
+                arrays[(nid, "values")] = col.values
             if col.dictionary is not None:
                 arrays[(nid, "lengths")] = col.dictionary.lengths
                 arrays[(nid, "blob")] = np.frombuffer(col.dictionary.blob, dtype=np.uint8)
@@ -1200,9 +1213,10 @@ def _array_digests(store) -> dict[str, str]:
 
 @pytest.mark.parametrize("config", ["tiny-3", "random-8"])
 def test_loaded_arrays_match_recorded_digests(tmp_path, config):
-    """An opened store loads the arrays, dtypes included, that the store
-    format of version 2 loaded; the digests were recorded from it, so
-    they hold whatever widths the files use."""
+    """An opened store loads the arrays, dtypes included, recorded in
+    `store_arrays_sha256.json`: value columns at the files' widths (string
+    codes and number offsets narrow, with each offset column's float64
+    values), the other integer arrays as int64."""
     want = json.loads((Path(__file__).parent / "data" / "store_arrays_sha256.json").read_text())[config]
     assert _array_digests(open_store(_config_store(tmp_path, config))) == want
 
@@ -1240,6 +1254,151 @@ def test_block_count_equals_the_float_formula(ads_store, block_size):
             io_stats.record_column("k", positions, unit_size, 100_000)
             blocks = np.unique((positions * unit_size // block_size).astype(np.int64)).size
             assert io_stats.bytes_read == blocks * block_size
+
+
+def _unit_columns() -> dict[str, PrimitiveColumn]:
+    """Columns of 100,000 values of unit size 1 (booleans), 8 (numbers) and
+    a non-integral string size."""
+    n = 100_000
+    rng = np.random.default_rng(3)
+    strings = StringDictionary.from_sorted(["a", "bbb", "cccccccccc"])
+    columns = {
+        "boolean": PrimitiveColumn(0, "boolean", rng.random(n) < 0.5, np.ones(n, dtype=bool)),
+        "number": number_column(1, "number", rng.integers(0, 50, n).astype(np.float64), np.ones(n, dtype=bool)),
+        "string": PrimitiveColumn(2, "string", rng.integers(0, 3, n), np.ones(n, dtype=bool), strings),
+    }
+    assert [c.unit_size for c in columns.values()][:2] == [1.0, 8.0]
+    assert not columns["string"].unit_size.is_integer()
+    return columns
+
+
+@pytest.mark.parametrize("block_size", [16, 4096])
+def test_block_count_from_the_bits_equals_the_count_from_positions(block_size):
+    """Counted from the context bits (`block_starts`) or from each
+    position's block, a read costs the same blocks, whatever the density."""
+    rng = np.random.default_rng(11)
+    for kind, col in _unit_columns().items():
+        starts = col.block_starts(block_size)
+        assert starts[0] == 0 and (np.diff(starts) > 0).all()
+        for density in (0.0, 1e-4, 0.01, 0.3, 0.99):
+            bits = rng.random(col.cardinality) < density
+            positions = np.flatnonzero(bits)
+            counts = []
+            for block_starts in (starts, None):
+                io_stats = IOStats(block_size)
+                io_stats.record_column("k", positions, col.unit_size, col.cardinality, bits, block_starts)
+                counts.append(io_stats.bytes_read)
+            want = np.unique((positions * col.unit_size // block_size).astype(np.int64)).size * block_size
+            assert counts == [want, want], (kind, density)
+
+
+def test_a_read_at_the_context_bits_costs_what_a_read_at_positions_costs(tmp_path):
+    write_store(generate("tiny", seed=2).store(), tmp_path / "s")
+    store = open_store(tmp_path / "s")
+    rng = np.random.default_rng(5)
+    for name, data in store.datasets.items():
+        for nid, col in data.columns.items():
+            bits = rng.random(col.cardinality) < 0.2
+            read = []
+            for exact in (True, False):
+                store.io.reset()
+                values, valid = store.scan_values(name, nid, np.flatnonzero(bits), context_bits=bits, exact=exact)
+                read.append((store.io.bytes_read, values.tolist(), valid.tolist()))
+            assert read[0] == read[1], (name, nid)
+
+
+def test_loaded_columns_keep_the_file_widths_and_index_arrays_are_intp(tmp_path):
+    """Codes and offsets are held at their file width, aligned and owning
+    their memory; counters, pointers and owners stay intp."""
+    write_store(generate("tiny", seed=3).store(), tmp_path / "s")
+    store = open_store(tmp_path / "s")
+    widths = Counter()
+    for name, data in store.datasets.items():
+        for nid, col in data.columns.items():
+            path = Path(tmp_path / "s" / name / f"{data.schema.path_of(nid)}.col")
+            payload = path.read_bytes()[15:-4]
+            if col.kind == "string":
+                at = (col.cardinality + 7) // 8
+                if data.schema.node(nid).kind is Kind.ARRAY:  # a leaf array's counter comes first
+                    at += 8 + 1 + payload[8] * data.counters[nid].upper_cardinality
+                assert col.stored.dtype == np.dtype(f"<u{payload[at]}"), path
+            elif col.base is not None:
+                assert col.stored.dtype.kind == "u" and col.stored.dtype.itemsize in (1, 2, 4), path
+            else:
+                assert col.stored.dtype in (np.float64, np.bool_), path
+            if col.dictionary is not None or col.base is not None:
+                widths[(col.kind, col.stored.dtype.str)] += 1
+                assert col.stored.flags.aligned and col.stored.flags.owndata and col.stored.flags.writeable, path
+            assert col.validity.dtype == np.bool_ and col.has_nulls == (not col.validity.all())
+        for links in (data.counters, data.indicators):
+            for link in links.values():
+                for array in (link.boundaries, link.pointers):
+                    assert array is None or array.dtype == np.intp
+                if link.boundaries is not None:
+                    assert link.owner.dtype == np.intp
+    assert {("string", "|u1"), ("number", "|u1")} <= set(widths), widths
+
+
+_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# integral operands far below and above any column, fractions, and the non-finite
+_NUMBER_OPERANDS = (
+    st.integers(-(2**60), 2**60)
+    | st.integers(-(2**33), 2**33).map(float)
+    | st.integers(-(2**33), 2**33).map(lambda i: i + 0.5)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 2.0**53 + 2, 10**30])
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    cells=st.lists(st.integers(-3, 70_000) | st.none(), min_size=1, max_size=40),
+    shift=st.integers(-(2**31), 2**31) | st.integers(-300, 300),
+    op=st.sampled_from([*_COMPARISONS, "in"]),
+    operands=st.lists(_NUMBER_OPERANDS | st.integers(-5, 70_005), min_size=1, max_size=4),
+    step=st.integers(1, 3),
+)
+def test_offset_compares_equal_float_compares(cells, shift, op, operands, step):
+    """A filter over offsets selects what the float64 compare selects, at
+    the same positions, with any operand and any null."""
+    values = np.array([0.0 if c is None else float(c + shift) for c in cells])  # a null holds 0.0
+    valid = np.array([c is not None for c in cells])
+    column = number_column(0, "number", values, valid)
+    assert column.base is not None and column.stored.dtype.kind == "u"
+    operand = operands if op == "in" else operands[0]
+    positions = np.arange(0, len(cells), step)
+    stored, validity = column.stored[positions], column.validity[positions]
+    got = column.match(stored, op, operand) & validity
+    floats = values[positions]
+    if op == "in":
+        want = np.isin(floats, np.asarray(operand, dtype=np.float64))
+    else:
+        want = _COMPARISONS[op](floats, operand)
+    assert got.tolist() == (want & validity).tolist()
+
+
+@pytest.mark.parametrize("entries, width", [(256, 1), (300, 2)], ids=["uint8", "uint16"])
+def test_absent_string_operands_match_no_code(tmp_path, people_schema, entries, width):
+    """An operand the dictionary lacks is code -1: it equals no code, even
+    code 255 of a full one-byte dictionary, and an ``in`` list drops it."""
+    rows = [{"PID": f"p{i:03d}", "credit_score": 1.0, "balance": float(i)} for i in range(entries)]
+    write_store(Store().add(ingest_rows(rows, people_schema)), tmp_path / "s")
+    last = f"p{entries - 1:03d}"
+    for store in (Store().add(ingest_rows(rows, people_schema)), open_store(tmp_path / "s")):
+        assert store.column("people", 1).stored.dtype == np.dtype(f"<u{width}")
+        for op, value, count in (
+            ("=", "zz", 0),
+            ("=", last, 1),
+            ("!=", "zz", entries),
+            ("!=", last, entries - 1),
+            ("in", ["zz"], 0),
+            ("in", ["zz", last, "p000"], 2),
+        ):
+            doc = {"from": "people", "filters": [{"path": "people.PID", "op": op, "value": value}], "fetch": ["people.PID"]}
+            rows_out = run_query(store, doc).rows
+            assert len(rows_out) == count, (op, value)
+            if op != "!=":
+                assert {r[0] for r in rows_out} <= {last, "p000"}
 
 
 @pytest.mark.parametrize("block_size", [0, 1000])
