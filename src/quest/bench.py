@@ -267,9 +267,12 @@ def run_workload(
 ) -> dict:
     """Run the workload with the skip index on and off; returns the report.
 
-    Each query is planned once and the plan is shared by both
-    configurations (the wandering does not depend on index presence),
-    so the timings isolate delivery work from planner overhead.
+    Each query is parsed and planned ``runs`` times, and ``parse_time``
+    and ``plan_time`` are the medians; the first parse of a lone-schema
+    query makes the composite tree every later one shares.  The last
+    plan is shared by both configurations (the wandering does not depend
+    on index presence), so the evaluate timings isolate delivery work
+    from the parser and the planner.
     """
     schemas = {name: store.data(name).schema for name in store.datasets}
     indexes = {name: build_skip_tree(store.data(name)) for name in store.datasets}
@@ -277,17 +280,22 @@ def run_workload(
     configs = {"skiptree_on": indexes, "skiptree_off": None}
     report = {"runs": runs, "timeout": timeout, "queries": []}
     for wq in queries:
-        query = parse_query(schemas, wq.doc)
-        t0 = time.perf_counter()
-        plan = plan_query(store, query)
-        plan_time = time.perf_counter() - t0
+        parse_times, plan_times = [], []
+        for _ in range(max(runs, 1)):
+            t0 = time.perf_counter()
+            query = parse_query(schemas, wq.doc)
+            t1 = time.perf_counter()
+            plan = plan_query(store, query)
+            plan_times.append(time.perf_counter() - t1)
+            parse_times.append(t1 - t0)
         report["queries"].append(
             {
                 "name": wq.name,
                 "models": wq.models,
                 "depth": wq.depth,
                 "level": wq.level,
-                "plan_time": plan_time,
+                "parse_time": statistics.median(parse_times),
+                "plan_time": statistics.median(plan_times),
                 "configs": time_query(store, query, configs, runs, timeout, plan=plan),
             }
         )
@@ -303,6 +311,8 @@ def report_csv(report: dict) -> str:
         "config",
         "rows",
         "wall_time",
+        "parse_time",
+        "plan_time",
         "peak_memory_estimate",
         *_COUNTER_KEYS,
         "timed_out",
@@ -318,6 +328,8 @@ def report_csv(report: dict) -> str:
                 config,
                 str(r["rows"]),
                 f"{r['wall_time']:.6f}",
+                f"{q['parse_time']:.6f}",
+                f"{q['plan_time']:.6f}",
                 str(r["peak_memory_estimate"]),
                 *(str(r[k]) for k in _COUNTER_KEYS),
                 str(r["timed_out"]).lower(),

@@ -410,6 +410,7 @@ def bench(store_dir, runs, timeout, out_dir, do_calibrate):
         off = q["configs"]["skiptree_off"]
         click.echo(
             f"{q['name']:<24} rows {on['rows']:>6}"
+            f"  parse {q['parse_time'] * 1e3:7.3f}  plan {q['plan_time'] * 1e3:7.3f}"
             f"  wall {on['wall_time'] * 1e3:9.3f} / {off['wall_time'] * 1e3:9.3f} ms"
             f"  meta {on['metadata_reads']:>5} / {off['metadata_reads']:>5}"
         )

@@ -19,7 +19,8 @@ keeps it, and a warm query repeats none of that work.
 `deliver` routes a bitset from one node to another through their lowest
 common ancestor in the jumps of a Skip-Tree: a skip index whose jumps cross
 several layers at once, or the height-0 tree whose jumps cross one boundary
-array each.
+array each.  The tree keeps each route, so `deliver` only records the
+reads and makes the moves.
 """
 from __future__ import annotations
 
@@ -200,16 +201,16 @@ def deliver(store, schema_name: str, src: int, dst: int, bits: np.ndarray, index
     """Move `bits` from node `src`'s instance space to node `dst`'s.
 
     The route runs through the two nodes' lowest common ancestor in the
-    jumps of `index.find_lca`.  Without `index` it is the schema's
-    height-0 Skip-Tree, whose jumps cross one boundary array each.
-    Returns the delivered bits; when ``src == dst`` that is `bits` itself.
+    jumps of `index`, which keeps it (`SkipTree.route`).  Without `index`
+    it is the schema's height-0 Skip-Tree, whose jumps cross one boundary
+    array each.  Returns the delivered bits; when ``src == dst`` that is
+    `bits` itself.
     """
     data = store.data(schema_name)
-    schema = data.schema
     if bits.shape[0] != data.cardinality[src]:
         raise DeliveryError(
             f"deliver: bitset length {bits.shape[0]} != cardinality "
-            f"{data.cardinality[src]} of {schema.path_of(src)}"
+            f"{data.cardinality[src]} of {data.schema.path_of(src)}"
         )
     if src == dst:
         return bits
@@ -217,19 +218,10 @@ def deliver(store, schema_name: str, src: int, dst: int, bits: np.ndarray, index
         from .skiptree import layered_tree  # skiptree imports this module
 
         index = layered_tree(data)
-
-    res = index.find_lca(src, dst)
-    route = [(jump, "up") for jump in res.src_jumps]
-    route += [(jump, "down") for jump in reversed(res.dst_jumps)]
-    for (node_id, level, mapping), way in route:
-        # a level-0 jump reads the node's own counter or pointer array, even
-        # an empty one, and an identity reads nothing; a higher jump reads
-        # its skip mapping, unless that is empty
-        if level == 0 and not mapping.is_identity:
-            store.read_link(schema_name, node_id)
-            store.io.bitset_ops += 1
-        elif level and mapping.nbytes:
-            store.io.record_metadata(f"{schema_name}/skip/{schema.path_of(node_id)}#{level}", mapping.nbytes)
-            store.io.bitset_ops += 1
-        bits = mapping.up(bits) if way == "up" else mapping.down(bits)
+    io = store.io
+    for move, key, nbytes in index.route(src, dst):
+        if key is not None:
+            io.record_metadata(key, nbytes)
+            io.bitset_ops += 1
+        bits = move(bits)
     return bits

@@ -117,9 +117,11 @@ class _MatchRelation:
     ``right_keys`` is the right key column in the left one's terms
     (`_right_keys`).  The relation depends only on the store and is
     shared by every later query on it, so its arrays are read-only.
+    A crossing records one metadata read of ``nbytes`` under ``io_key``.
     """
 
-    def __init__(self, lvals, lvalid, rvals, rvalid):
+    def __init__(self, lvals, lvalid, rvals, rvalid, io_key: str):
+        self.io_key = io_key
         self.right_keys = rvals
         lpos = _join_keys(lvals, lvalid)
         self.order = lpos[np.argsort(lvals[lpos], kind="stable")]
@@ -143,6 +145,8 @@ class _MatchRelation:
         for arr in (self.order, self.keys, self.match.pointers, self.match.boundaries):
             if arr is not None:
                 arr.flags.writeable = False
+        # as if each pair were read as two 8-byte positions
+        self.nbytes = 16 * self.match.pointers.size
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -179,15 +183,14 @@ class JoinIndex:
         relation = store.joins.get(cache_key)
         if relation is None:
             rkeys = _right_keys(store.column(lname, lnode), self.right, rvals)
-            relation = store.joins[cache_key] = _MatchRelation(lvals, lvalid, rkeys, rvalid)
+            lpath = store.schema(lname).path_of(lnode)
+            rpath = store.schema(rname).path_of(rnode)
+            relation = store.joins[cache_key] = _MatchRelation(
+                lvals, lvalid, rkeys, rvalid, f"{lname}.{lpath}~{rname}.{rpath}#join"
+            )
         self._relation = relation
         self.right_keys, self.order, self.keys = relation.right_keys, relation.order, relation.keys
         self.match = relation.match
-        # as if each pair were read as two 8-byte positions
-        self.nbytes = 16 * self.match.pointers.size
-        lpath = store.schema(lname).path_of(lnode)
-        rpath = store.schema(rname).path_of(rnode)
-        self._io_key = f"{lname}.{lpath}~{rname}.{rpath}#join"
 
     @property
     def l_pair(self) -> np.ndarray:
@@ -220,7 +223,7 @@ class JoinIndex:
         return self.order[first].astype(np.int64, copy=False)
 
     def _record(self, store: Store) -> None:
-        store.io.record_metadata(self._io_key, self.nbytes)
+        store.io.record_metadata(self._relation.io_key, self._relation.nbytes)
         store.io.bitset_ops += 1
 
     def up(self, store: Store, key_bits: np.ndarray) -> np.ndarray:
@@ -289,11 +292,7 @@ class _Evaluation:
         # drilling into a shared vertex record merges the walks of every
         # host that reaches it, so instance lineage is lost and the apex
         # rule below no longer holds; re-impose everything instead
-        sch = self.tree.schemas[name]
-        mixes = any(
-            sch.node(k[1]).link is Link.INDICATOR
-            for k in self.tree.route((name, src), dkey)[1:]
-        )
+        mixes = self.tree.passes_vertex((name, src), dkey)
         apex_depth = self.tree.depth(self.tree.lca((name, src), dkey))
         for fkey, fbits in list(self.saved.items()):
             if fkey[0] != name or fkey == (name, src):
@@ -441,12 +440,8 @@ class _Evaluation:
         drilled into.  Everywhere else the full column is reachable.
         """
         name = key[0]
-        sch = self.tree.schemas[name]
-        root = (name, sch.root.id)
-        if key != root and any(
-            sch.node(k[1]).link is Link.INDICATOR
-            for k in self.tree.route(root, key)
-        ):
+        root = (name, self.tree.schemas[name].root.id)
+        if key != root and self.tree.passes_vertex(root, key):
             return self._move(ones_bits(self._card(root)), root, key)
         return ones_bits(self._card(key))
 

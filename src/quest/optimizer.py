@@ -78,13 +78,10 @@ class CostParams:
     @classmethod
     def from_store(cls, store: Store, composite: CompositeTree, **kw) -> "CostParams":
         params = cls(**kw)
-        for key in composite.keys():
-            schema_name, node_id = key
-            data = store.data(schema_name)
-            params.G[key] = float(data.cardinality[node_id])
-            # the manifest's statistics, so that planning reads no column file
-            stats = data.stats.get(node_id)
-            params.S[key] = stats.unit_size if stats is not None else 0.0
+        for name in composite.schemas:
+            G, S = store.data(name).sizes
+            params.G.update(G)
+            params.S.update(S)
         return params
 
 

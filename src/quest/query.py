@@ -144,14 +144,6 @@ def _components(text: str) -> list[str]:
     return parts
 
 
-def _child_named(schema: Schema, node: SchemaNode, name: str) -> SchemaNode | None:
-    for cid in node.children:
-        child = schema.node(cid)
-        if child.name == name:
-            return child
-    return None
-
-
 def _is_indicator_leaf(node: SchemaNode) -> bool:
     return node.kind is Kind.INDICATOR
 
@@ -170,16 +162,16 @@ def resolve_path(schemas: Mapping[str, Schema], text: str) -> Site:
         raise QueryError(f"path {text!r}: schema {schema_name!r} is not listed in 'from'")
     schema = schemas[schema_name]
     rest = parts[1:]
-    if rest and rest[0] == schema.root.name and _child_named(schema, schema.root, rest[0]) is None:
+    if rest and rest[0] == schema.root.name and schema.child(schema.root.id, rest[0]) is None:
         rest = rest[1:]
     current = schema.root
     chain: list[int] = []
     for comp in rest:
-        child = _child_named(schema, current, comp)
+        child = schema.child(current.id, comp)
         if child is None and _is_indicator_leaf(current):
             chain.append(current.id)
             current = schema.node(current.target)
-            child = _child_named(schema, current, comp)
+            child = schema.child(current.id, comp)
         if child is None:
             raise QueryError(
                 f"unknown path {text!r}: no field {comp!r} under {schema.path_of(current.id)!r}"
@@ -228,7 +220,10 @@ class CompositeTree:
 
     Keys are ``(schema_name, node_id)`` pairs.  Depths, preorder indexes and
     subtree intervals are recomputed over the spliced shape, so LCA routing
-    and the wandering constraint work across models.
+    and the wandering constraint work across models.  The tree depends
+    only on the schemas' shapes, so each LCA, route and functional set
+    is worked out on first use and kept; a lone schema's tree is kept on
+    its `Schema` (`parse_query`), so every query over it shares them.
     """
 
     def __init__(self, schemas: Mapping[str, Schema], host: str, joins: Sequence[JoinSpec]):
@@ -244,6 +239,8 @@ class CompositeTree:
         self._depth: dict[Key, int] = {}
         self._index: dict[Key, int] = {}
         self._end: dict[Key, int] = {}
+        self._paths: dict[tuple[Key, Key], tuple] = {}  # `_path` of each pair
+        self.functional: dict[Key, frozenset[Key]] = {}  # `_functional_set` of each start
 
         def emit(schema_name: str, node: SchemaNode, parent: Key | None, depth: int) -> None:
             key = (schema_name, node.id)
@@ -303,32 +300,45 @@ class CompositeTree:
             cur = self._parent[cur]
 
     def lca(self, a: Key, b: Key) -> Key:
+        return self._path(a, b)[1]
+
+    def route(self, src: Key, dst: Key) -> list[Key]:
+        """Every node on the tree path src -> lca -> dst, inclusive; the
+        list is kept, so callers must not change it."""
+        return self._path(src, dst)[0]
+
+    def passes_vertex(self, src: Key, dst: Key) -> bool:
+        """Whether the route src -> dst passes a shared vertex record (a
+        node linked to its parent by a pointer array) after leaving src."""
+        return self._path(src, dst)[2]
+
+    def _path(self, a: Key, b: Key) -> tuple[list[Key], Key, bool]:
+        """The route a -> lca -> b, the lca, and whether the route passes
+        a vertex record; made on first use and kept."""
+        kept = self._paths.get((a, b))
+        if kept is not None:
+            return kept
+        pair = (a, b)
+        up: list[Key] = []
+        down: list[Key] = []
         da, db = self._depth[a], self._depth[b]
         while da > db:
+            up.append(a)
             a = self._parent[a]  # type: ignore[assignment]
             da -= 1
         while db > da:
+            down.append(b)
             b = self._parent[b]  # type: ignore[assignment]
             db -= 1
         while a != b:
+            up.append(a)
+            down.append(b)
             a = self._parent[a]  # type: ignore[assignment]
             b = self._parent[b]  # type: ignore[assignment]
-        return a
-
-    def route(self, src: Key, dst: Key) -> list[Key]:
-        """Every node on the tree path src -> lca -> dst, inclusive."""
-        meet = self.lca(src, dst)
-        up: list[Key] = []
-        cur = src
-        while cur != meet:
-            up.append(cur)
-            cur = self._parent[cur]  # type: ignore[assignment]
-        down: list[Key] = []
-        cur = dst
-        while cur != meet:
-            down.append(cur)
-            cur = self._parent[cur]  # type: ignore[assignment]
-        return up + [meet] + list(reversed(down))
+        path = up + [a] + down[::-1]
+        vertex = any(self.node(k).link is Link.INDICATOR for k in path[1:])
+        kept = self._paths[pair] = (path, a, vertex)
+        return kept
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +544,9 @@ def _identity_reachable(schema: Schema, node_id: int) -> bool:
         nid = node.parent
 
 
-def _functional_set(composite: CompositeTree, start: Key) -> set[Key]:
-    """Keys whose instance is determined by an instance of ``start``.
+def _functional_set(composite: CompositeTree, start: Key) -> frozenset[Key]:
+    """Keys whose instance is determined by an instance of ``start``;
+    worked out on first use and kept on the composite.
 
     Walking up is functional through identity and counter links (every
     instance has one parent) and through unique-key joins, but not out of a
@@ -543,6 +554,9 @@ def _functional_set(composite: CompositeTree, start: Key) -> set[Key]:
     through identity links and through indicator pointers (an edge names its
     one target), but not into an array.
     """
+    kept = composite.functional.get(start)
+    if kept is not None:
+        return kept
     allowed: set[Key] = set()
     for anc in composite.ancestors(start):
         allowed.add(anc)
@@ -568,7 +582,8 @@ def _functional_set(composite: CompositeTree, start: Key) -> set[Key]:
                 continue
             allowed.add(ckey)
             grow.append(ckey)
-    return allowed
+    kept = composite.functional[start] = frozenset(allowed)
+    return kept
 
 
 def _validate_fetch(query: Query) -> None:
@@ -610,7 +625,14 @@ def parse_query(schemas: Mapping[str, Schema], doc: Any) -> Query:
     graph_paths = _parse_graph_paths(doc, visible)
     _attach_chain_filters(filters, graph_paths)
 
-    composite = CompositeTree(visible, host, joins)
+    if joins:
+        composite = CompositeTree(visible, host, joins)
+    else:
+        # a lone schema's tree depends on its shape alone: keep it there
+        schema = visible[host]
+        composite = schema.composite
+        if composite is None or composite.host != host:
+            composite = schema.composite = CompositeTree(visible, host, joins)
     query = Query(
         schemas=from_list,
         filters=filters,

@@ -89,6 +89,9 @@ class Schema:
         self.name = name
         self.nodes = nodes
         self.model_tag = model_tag
+        # the composite tree of a query over this schema alone, made by
+        # `quest.query` on first use and shared by every later parse
+        self.composite = None
         self._validate()
         self._index()
 
@@ -131,15 +134,15 @@ class Schema:
             cur = self.nodes[cur].parent
         return ".".join(reversed(parts))
 
+    def child(self, node_id: int, name: str) -> SchemaNode | None:
+        """The child of a node with the given name, if it has one."""
+        return self._named[node_id].get(name)
+
     def resolve(self, parts: list[str]) -> SchemaNode:
         """Resolve a dotted path (components below the root) to a node."""
         cur = self.root
         for part in parts:
-            nxt = None
-            for cid in cur.children:
-                if self.nodes[cid].name == part:
-                    nxt = self.nodes[cid]
-                    break
+            nxt = self.child(cur.id, part)
             if nxt is None:
                 raise SchemaError(f"no field {part!r} under {self.path_of(cur.id)!r}")
             cur = nxt
@@ -203,6 +206,7 @@ class Schema:
             (self._preorder[nid], self._preorder[nid] + sizes[nid] - 1) for nid in range(len(self.nodes))
         ]
         self.preorder = order
+        self._named = [{self.nodes[c].name: self.nodes[c] for c in n.children} for n in self.nodes]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@ bitset jumps several nested layers in one kernel call instead of climbing
 them one boundary array at a time; where it crosses one, it is that
 array, as the store holds it.
 
+`SkipTree.find_lca` finds two nodes' LCA by skip jumps, then lifts each
+side from its own node straight to the LCA's depth, not first to the
+other side's depth and on from there in single steps.  A tree over a schema keeps each route it
+is asked for (`SkipTree.route`): a warm delivery neither searches for
+the LCA nor names the arrays it reads.
+
 Every mapping is one `quest.delivery.Mapping`: a counter, a pointer array,
 both, or neither (the identity).  The same machinery expresses multi-hop graph
 traversals: one hop (a counter into an edge array plus its pointer array) is
@@ -159,10 +165,14 @@ class SkipTree:
     else its one link's own Mapping from `links`, or node v's identity,
     which every tree over one `SchemaData` shares with its `layered_tree`.
     `links` may be a function, called on the first mapping asked for.
+    A tree over a `schema` also keeps the `route` of every node pair
+    asked for, so a warm delivery only records and moves.
     """
 
-    def __init__(self, parents: list, depths: list, real: list, links=None, H: int | None = None):
+    def __init__(self, parents: list, depths: list, real: list, links=None, H: int | None = None,
+                 schema: Schema | None = None):
         self.parents = parents
+        self.schema = schema
         self.depths = depths
         self.H = tree_height(max(depths, default=0)) if H is None else H
         self.heights = [set_height(d, self.H) for d in depths]
@@ -178,8 +188,9 @@ class SkipTree:
                     crossed += (a,) if real[a] else ()
                     a = parents[a]
                 self.jumps[v].append((a, crossed))
-        # filled on a miss; `_lift` and `find_lca` read it on every delivery
+        # both filled on a miss: a new route reads a mapping for each jump it takes
         self.mappings: list[list[Mapping | None]] = [[None] * len(row) for row in self.jumps]
+        self.routes: dict[tuple[int, int], list[tuple]] = {}
 
     def __len__(self) -> int:
         return len(self.parents)
@@ -207,51 +218,75 @@ class SkipTree:
     def skip_ancestors(self, node: int) -> list[int]:
         return [a for a, _ in self.jumps[node]]
 
-    def _lift(self, v: int, target_depth: int, jumps: list) -> int:
-        """Raise `v` to `target_depth` greedily from the top layer down."""
-        jumps_of, mappings = self.jumps, self.mappings
-        while self.depths[v] > target_depth:
+    def _lift(self, v: int, target_depth: int, jumps: list | None = None) -> int:
+        """Raise `v` to its ancestor at `target_depth`, greedily from the
+        top layer down; each jump taken is appended to `jumps`, if given."""
+        jumps_of, depths = self.jumps, self.depths
+        while depths[v] > target_depth:
             i = self.heights[v]
-            while True:
-                a = jumps_of[v][i][0]
-                if self.depths[a] >= target_depth:
-                    jumps.append((v, i, mappings[v][i] or self.mapping(v, i)))
-                    v = a
-                    break
+            while depths[jumps_of[v][i][0]] < target_depth:
                 i -= 1
+            if jumps is not None:
+                jumps.append((v, i, self.mapping(v, i)))
+            v = jumps_of[v][i][0]
         return v
 
     def find_lca(self, a: int, b: int) -> LCAResult:
-        """LCA of two nodes plus the skip jumps that carry bitsets to it."""
+        """LCA of two nodes plus the skip jumps that carry bitsets to it:
+        each side is lifted from its own node straight to the LCA's depth."""
         if a == b:
             return LCAResult(lca=a)
+        # the LCA, found by skip jumps: align the depths, then skip both
+        # sides together while their ancestors differ
+        x = self._lift(a, self.depths[b])
+        y = self._lift(b, self.depths[a])
+        if x != y:
+            # equal depths imply equal heights, so both sides skip synchronously
+            jumps = self.jumps
+            j = self.heights[x]
+            while j >= 0:
+                px, py = jumps[x][j][0], jumps[y][j][0]
+                if px != py:
+                    x, y = px, py
+                    j = self.heights[x]
+                else:
+                    j -= 1
+            x = self.parents[x]
         src_jumps: list = []
         dst_jumps: list = []
-        # align depths; the deeper side lifts to the shallower side's depth
-        if self.depths[a] > self.depths[b]:
-            a = self._lift(a, self.depths[b], src_jumps)
-        elif self.depths[b] > self.depths[a]:
-            b = self._lift(b, self.depths[a], dst_jumps)
-        if a == b:
-            return LCAResult(lca=a, src_jumps=src_jumps, dst_jumps=dst_jumps,
-                             steps=len(src_jumps) + len(dst_jumps))
-        # equal depths imply equal heights, so both sides skip synchronously
-        jumps, mappings = self.jumps, self.mappings
-        j = self.heights[a]
-        while j >= 0:
-            pa, pb = jumps[a][j][0], jumps[b][j][0]
-            if pa != pb:
-                src_jumps.append((a, j, mappings[a][j] or self.mapping(a, j)))
-                dst_jumps.append((b, j, mappings[b][j] or self.mapping(b, j)))
-                a, b = pa, pb
-                j = self.heights[a]
-            else:
-                j -= 1
-        # parents coincide: one last hop on both sides lands on the LCA
-        src_jumps.append((a, 0, mappings[a][0] or self.mapping(a, 0)))
-        dst_jumps.append((b, 0, mappings[b][0] or self.mapping(b, 0)))
-        return LCAResult(lca=jumps[a][0][0], src_jumps=src_jumps, dst_jumps=dst_jumps,
+        self._lift(a, self.depths[x], src_jumps)
+        self._lift(b, self.depths[x], dst_jumps)
+        return LCAResult(lca=x, src_jumps=src_jumps, dst_jumps=dst_jumps,
                          steps=len(src_jumps) + len(dst_jumps))
+
+    def route(self, src: int, dst: int) -> list[tuple]:
+        """The moves that carry bits from node `src` to node `dst` through
+        their LCA, made on the pair's first use and kept.
+
+        A move is ``(call, key, nbytes)``: the `Mapping.up` or `down` to
+        call, and the metadata read to record first, or None.  A level-0
+        jump reads the node's own counter or pointer array, even an empty
+        one; a higher jump reads its skip mapping, unless that is empty.
+        An identity moves nothing and has no move.
+        """
+        moves = self.routes.get((src, dst))
+        if moves is None:
+            res = self.find_lca(src, dst)
+            ways = [(jump, "up") for jump in res.src_jumps]
+            ways += [(jump, "down") for jump in reversed(res.dst_jumps)]
+            moves = []
+            for (v, level, m), way in ways:
+                if m.is_identity:
+                    continue
+                path = self.schema.path_of(v)
+                if level == 0:
+                    suffix = "#counter" if self.schema.node(v).link is Link.COUNTER else "#indicator"
+                    key = f"{self.schema.name}/{path}{suffix}"
+                else:
+                    key = f"{self.schema.name}/skip/{path}#{level}" if m.nbytes else None
+                moves.append((m.up if way == "up" else m.down, key, m.nbytes))
+            self.routes[(src, dst)] = moves
+        return moves
 
 
 def naive_lca(parents: list, a: int, b: int) -> int:
@@ -282,7 +317,7 @@ def build_skip_structure(parents: list) -> SkipTree:
 def _schema_tree(schema: Schema, links, H: int | None = None) -> SkipTree:
     nodes = schema.nodes
     real = [n.link in (Link.COUNTER, Link.INDICATOR) for n in nodes]
-    return SkipTree([n.parent for n in nodes], [n.depth for n in nodes], real, links, H)
+    return SkipTree([n.parent for n in nodes], [n.depth for n in nodes], real, links, H, schema)
 
 
 def layered_tree(data: SchemaData) -> SkipTree:

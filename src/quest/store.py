@@ -473,6 +473,24 @@ class SchemaData:
     def indicators(self) -> dict[int, Mapping]:
         return self._loaded()[2]
 
+    @cached_property
+    def sizes(self) -> tuple[dict, dict]:
+        """Each node's instance count ``G`` and value width ``S`` (0
+        without statistics), keyed by ``(schema name, node)`` as the
+        optimizer prices them; made on first use from the manifest's
+        counts and statistics, so it reads no column file."""
+        keys = [(self.name, n.id) for n in self.schema.nodes]
+        stats = self.stats
+        return (
+            {key: float(self.cardinality[key[1]]) for key in keys},
+            {key: stats[key[1]].unit_size if key[1] in stats else 0.0 for key in keys},
+        )
+
+    @cached_property
+    def io_keys(self) -> list[str]:
+        """Each node's ``<schema>/<path>``, the name its reads are recorded under."""
+        return [f"{self.name}/{self.schema.path_of(n.id)}" for n in self.schema.nodes]
+
     @property
     def loaded(self) -> bool:
         """Whether the arrays are in memory: ingested, or read from disk."""
@@ -671,8 +689,7 @@ class Store:
     # -- instrumented access ------------------------------------------------
 
     def _key(self, schema_name: str, node_id: int, suffix: str = "") -> str:
-        path = self.data(schema_name).schema.path_of(node_id)
-        return f"{schema_name}/{path}{suffix}"
+        return self.data(schema_name).io_keys[node_id] + suffix
 
     def column(self, schema_name, node_id) -> PrimitiveColumn:
         col = self.data(schema_name).columns.get(node_id)

@@ -41,7 +41,7 @@ def test_run_workload_subset(tiny_store):
             assert r["wall_time"] > 0
             assert r["peak_memory_estimate"] > 0
             assert not r["timed_out"]
-        assert q["plan_time"] > 0
+        assert q["plan_time"] > 0 and q["parse_time"] > 0
 
 
 def test_counters_are_deterministic(tiny_store):

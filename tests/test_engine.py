@@ -13,7 +13,7 @@ import pytest
 from quest import datagen
 from quest.bench import WORKLOAD
 from quest.datagen import generate
-from quest.delivery import positions_of
+from quest.delivery import deliver, positions_of
 from quest.engine import JoinIndex, ResultSet, evaluate, run_query
 from quest.errors import QueryError
 from quest.optimizer import _plan_filters, derive_wandering, enumerate_valid_orders
@@ -890,3 +890,94 @@ def test_parity_under_every_valid_order_with_repeating_right_keys():
             assert rows == want, (doc, [f.key for f in order], indexed)
             evaluations += 1
     assert evaluations >= 1800
+
+
+# -- kept state is never stale -------------------------------------------------
+
+
+def _answers(store, schemas) -> dict:
+    """Rows and I/O counters of every workload query, index on and off."""
+    indexes = {name: build_skip_tree(store.data(name)) for name in store.datasets}
+    out = {}
+    for wq in WORKLOAD:
+        for idx in (indexes, None):
+            rs = evaluate(store, parse_query(schemas, wq.doc), indexes=idx)
+            stats = {k: rs.stats[k] for k in ("columns_read", "metadata_reads", "bytes_read", "bitset_ops")}
+            out[wq.name, idx is None] = (rs.rows, stats, dict(store.io.metadata_log))
+    return out
+
+
+def test_a_kept_route_delivers_as_it_did_the_first_time():
+    store = generate("tiny", seed=0).store()
+    data = store.data("org")
+    schema = data.schema
+    sensor = schema.resolve(["Region", "Site", "Building", "Floor", "Room", "sensor"]).id
+    rng = np.random.default_rng(5)
+    for src, dst in ((sensor, schema.root.id), (schema.root.id, sensor), (sensor, schema.resolve(["name"]).id)):
+        bits = rng.random(data.cardinality[src]) < 0.3
+        for index in (build_skip_tree(data), None):
+            seen = []
+            for _ in range(2):
+                store.io.reset()
+                out = deliver(store, "org", src, dst, bits, index=index)
+                seen.append((out, dict(store.io.metadata_log), store.io.bitset_ops))
+            (first, log1, ops1), (second, log2, ops2) = seen
+            assert np.array_equal(first, second)
+            assert log1 == log2 and ops1 == ops2
+            assert log1  # the route reads at least one array
+
+
+def test_new_data_for_a_schema_is_answered_from_its_new_arrays():
+    store = generate("tiny", seed=3).store()
+    schemas = {name: store.schema(name) for name in store.datasets}
+    before = _answers(store, schemas)  # makes every kept table
+    other = generate("tiny", seed=4, high=0.2, low=0.3)
+    # the same Schema objects, so their kept composites are reused
+    new = {
+        "org": ingest_json(other.records["org"], schemas["org"]),
+        "people": ingest_rows(other.records["people"], schemas["people"]),
+    }
+    for data in new.values():
+        store.add(data)
+    after = _answers(store, schemas)
+
+    fresh_new = {
+        "org": ingest_json(other.records["org"], datagen.org_schema()),
+        "people": ingest_rows(other.records["people"], datagen.people_schema()),
+    }
+    fresh = Store()
+    for name, data in generate("tiny", seed=3).datasets.items():
+        fresh.add(fresh_new.get(name, data))
+    assert after == _answers(fresh, {name: fresh.schema(name) for name in fresh.datasets})
+    assert after != before
+    for wq in WORKLOAD:
+        assert after[wq.name, False][0] == oracle_query(store, parse_query(schemas, wq.doc)), wq.name
+
+
+def test_two_parses_of_one_lone_schema_document_share_one_composite():
+    store = generate("tiny", seed=0).store()
+    schemas = {name: store.schema(name) for name in store.datasets}
+    doc = next(wq.doc for wq in WORKLOAD if wq.name.startswith("Q09"))
+    first, second = parse_query(schemas, doc), parse_query(schemas, doc)
+    assert first.composite is second.composite is schemas["org"].composite
+    assert first is not second
+    assert first.filters is not second.filters and first.filters[0] is not second.filters[0]
+    first.filters[0].value = -1.0
+    assert second.filters[0].value == 999.0
+    assert evaluate(store, second).rows == oracle_query(store, second) != []
+    assert evaluate(store, first).rows == oracle_query(store, first) == []
+    # a joined query's composite is its own
+    joined = next(wq.doc for wq in WORKLOAD if wq.name.startswith("Q11"))
+    assert parse_query(schemas, joined).composite is not parse_query(schemas, joined).composite
+
+
+@pytest.mark.parametrize("indexed", [True, False])
+def test_engine_equals_oracle_on_the_workload_after_a_warm_pass(indexed):
+    store = generate("tiny", seed=6).store()
+    schemas = {name: store.schema(name) for name in store.datasets}
+    indexes = {name: build_skip_tree(store.data(name)) for name in store.datasets} if indexed else None
+    for wq in WORKLOAD:
+        evaluate(store, parse_query(schemas, wq.doc), indexes=indexes)
+    for wq in WORKLOAD:
+        query = parse_query(schemas, wq.doc)
+        assert evaluate(store, query, indexes=indexes).rows == oracle_query(store, query), wq.name

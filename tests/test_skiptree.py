@@ -126,6 +126,60 @@ def test_chain_step_bound():
             assert res.steps <= 2 * (int(math.log2(dist)) + 1) + tree.H, (deep, shallow, res.steps)
 
 
+def _greedy_jumps(tree, v, depth) -> int:
+    """Jumps from v to its ancestor at `depth`, each one the highest skip
+    ancestor not above that depth."""
+    n = 0
+    while tree.depths[v] > depth:
+        v = next(a for a in reversed(tree.skip_ancestors(v)) if tree.depths[a] >= depth)
+        n += 1
+    return n
+
+
+def test_each_side_jumps_from_its_own_node_straight_to_the_lca():
+    # trees drawn as criterion 4 draws them
+    rng = random.Random(404)
+    for _ in range(60):
+        parents = _random_parents(rng, rng.randrange(2, 65))
+        tree = build_skip_structure(parents)
+        n = len(parents)
+        for a in range(n):
+            for b in range(n):
+                res = tree.find_lca(a, b)
+                lca = naive_lca(parents, a, b)
+                assert res.lca == lca
+                for start, jumps in ((a, res.src_jumps), (b, res.dst_jumps)):
+                    at = start
+                    for v, j, _ in jumps:
+                        assert v == at, (a, b)
+                        at = tree.jumps[v][j][0]
+                    assert at == lca, (a, b)
+                    assert len(jumps) == _greedy_jumps(tree, start, tree.depths[lca]), (a, b)
+                assert res.steps == len(res.src_jumps) + len(res.dst_jumps)
+
+
+def test_a_deep_org_sensor_reaches_the_org_name_in_two_jumps():
+    data = generate("tiny", seed=0).store().data("org")
+    schema = data.schema
+    sensor = schema.resolve(["Region", "Site", "Building", "Floor", "Room", "sensor"]).id
+    floor = schema.resolve(["Region", "Site", "Building", "Floor"]).id
+    name = schema.resolve(["name"]).id
+    tree = build_skip_tree(data)
+    res = tree.find_lca(sensor, name)
+    assert res.lca == schema.root.id
+    # Room's counter up to Floor, then Floor, Building, Site and Region's at once
+    assert [(v, j) for v, j, _ in res.src_jumps] == [(sensor, 1), (floor, 2)]
+    assert [(v, j) for v, j, _ in res.dst_jumps] == [(name, 0)]
+    # the name side is an identity, which the route leaves out
+    route = tree.route(sensor, name)
+    assert len(route) == 2
+    assert [key for _, key, _ in route] == [
+        f"org/skip/{schema.path_of(sensor)}#1",
+        f"org/skip/{schema.path_of(floor)}#2",
+    ]
+    assert tree.route(sensor, name) is route
+
+
 # -- mappings ---------------------------------------------------------------
 
 
