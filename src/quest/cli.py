@@ -347,8 +347,9 @@ def explain(store_dir, query_doc):
 
     Uses measured cost constants when ``bench --calibrate`` has written
     a calibration.json into the store.  The instance counts it prices are
-    first checked against the column files' headers (no payload is read):
-    a count they contradict exits 3."""
+    first checked against the column files' headers and each counter
+    file's last boundary (no other payload is read): a count they
+    contradict exits 3."""
     doc = _read_doc(query_doc)
     store = open_store(store_dir)
     q = _parse(store, doc)

@@ -13,7 +13,11 @@ A counter move is one gather through the counter's owner index, the upper
 instance of every entry (`owner_index`): a roll-up scatters the owners of
 the set entries, a drill-down reads each entry's owner bit.  The owner
 depends on the store alone, so a `Mapping` builds it on its first move and
-keeps it, and a warm query repeats none of that work.
+keeps it, and a warm query repeats none of that work.  An all-ones input
+moves nothing: a drill-down or a pointer gather gives all-ones, a
+roll-up the owners of non-empty ranges and a scatter the image (the
+lower instances some pointer names), each kept read-only by the
+mapping on first use, as `owner` is.
 `roll_up` / `drill_down` take a bare counter and build the owner per call.
 
 `deliver` routes a bitset from one node to another through their lowest
@@ -59,6 +63,11 @@ def ones_bits(n: int) -> np.ndarray:
 
 def positions_of(bits: np.ndarray) -> np.ndarray:
     return np.flatnonzero(bits)
+
+
+def _read_only(bits: np.ndarray) -> np.ndarray:
+    bits.flags.writeable = False
+    return bits
 
 
 def owner_index(boundaries: np.ndarray) -> np.ndarray:
@@ -169,7 +178,25 @@ class Mapping:
         """Read-only: the upper instance of each counter entry (`owner_index`)."""
         return owner_index(self.boundaries)
 
+    @cached_property
+    def _full_up(self) -> np.ndarray:
+        """Read-only: `up` of all-ones bits.  A pointer gather gives
+        all-ones and a roll-up the owners of non-empty ranges."""
+        if self.boundaries is None:
+            return _read_only(ones_bits(self.upper_cardinality))
+        return _read_only(np.diff(self.boundaries, prepend=0) > 0)
+
+    @cached_property
+    def _full_down(self) -> np.ndarray:
+        """Read-only: `down` of all-ones bits.  A drill-down gives all-ones
+        and a scatter the image: the lower instances some pointer names."""
+        if self.pointers is None:
+            return _read_only(ones_bits(self.lower_cardinality))
+        return _read_only(new_bits(self.lower_cardinality, self.pointers))
+
     def up(self, bits: np.ndarray) -> np.ndarray:
+        if bits.shape[0] == self.lower_cardinality and bits.all():
+            return self._full_up
         if self.pointers is not None:
             bits = indicator_gather(bits, self.pointers)
         if self.boundaries is not None:
@@ -177,6 +204,8 @@ class Mapping:
         return bits
 
     def down(self, bits: np.ndarray) -> np.ndarray:
+        if bits.shape[0] == self.upper_cardinality and bits.all():
+            return self._full_down
         if self.boundaries is not None:
             bits = owner_drill_down(bits, self.owner, self.upper_cardinality)
         if self.pointers is not None:

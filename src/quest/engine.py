@@ -392,7 +392,7 @@ class _Evaluation:
         if whole:
             return mask.astype(bool, copy=False)
         out = np.zeros_like(ctx)
-        out[positions[mask]] = True
+        out[positions] = mask
         return out
 
     def _pattern_bits(self, gp, anchor_bits: np.ndarray) -> np.ndarray:

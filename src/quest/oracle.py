@@ -631,7 +631,8 @@ class _Oracle:
         return i
 
     def _join_up(self, guest_root: Key, index: int) -> int:
-        join = self.composite.join_for[guest_root[0]]
+        # this query's own join, whose paths are as it spelled them
+        join = next(j for j in self.q.joins if j.right.schema == guest_root[0])
         rt = self.tables[join.right.schema]
         # the key is identity-reachable from the guest root, so it shares
         # the root's instance index

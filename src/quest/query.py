@@ -222,8 +222,9 @@ class CompositeTree:
     subtree intervals are recomputed over the spliced shape, so LCA routing
     and the wandering constraint work across models.  The tree depends
     only on the schemas' shapes, so each LCA, route and functional set
-    is worked out on first use and kept; a lone schema's tree is kept on
-    its `Schema` (`parse_query`), so every query over it shares them.
+    is worked out on first use and kept; the tree is kept on its host
+    `Schema`, one per join shape (`parse_query`), so every query of that
+    shape shares them.
     """
 
     def __init__(self, schemas: Mapping[str, Schema], host: str, joins: Sequence[JoinSpec]):
@@ -625,14 +626,14 @@ def parse_query(schemas: Mapping[str, Schema], doc: Any) -> Query:
     graph_paths = _parse_graph_paths(doc, visible)
     _attach_chain_filters(filters, graph_paths)
 
-    if joins:
-        composite = CompositeTree(visible, host, joins)
-    else:
-        # a lone schema's tree depends on its shape alone: keep it there
-        schema = visible[host]
-        composite = schema.composite
-        if composite is None or composite.host != host:
-            composite = schema.composite = CompositeTree(visible, host, joins)
+    # the tree depends on its join shape alone: keep one per shape on the
+    # host schema, keyed by schema nodes and objects, never by document
+    shape = (host, *((j.left.schema, j.left.node, j.right.schema, visible[j.right.schema], j.right.node, j.unique)
+                     for j in joins))
+    composites = visible[host].composites
+    composite = composites.get(shape)
+    if composite is None:
+        composite = composites[shape] = CompositeTree(visible, host, joins)
     query = Query(
         schemas=from_list,
         filters=filters,

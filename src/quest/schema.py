@@ -89,9 +89,9 @@ class Schema:
         self.name = name
         self.nodes = nodes
         self.model_tag = model_tag
-        # the composite tree of a query over this schema alone, made by
-        # `quest.query` on first use and shared by every later parse
-        self.composite = None
+        # the composite tree of each join shape hosted here, made by
+        # `quest.query.parse_query` on first use and shared by every later parse
+        self.composites: dict[tuple, object] = {}
         self._validate()
         self._index()
 

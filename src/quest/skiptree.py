@@ -14,9 +14,15 @@ array, as the store holds it.
 
 `SkipTree.find_lca` finds two nodes' LCA by skip jumps, then lifts each
 side from its own node straight to the LCA's depth, not first to the
-other side's depth and on from there in single steps.  A tree over a schema keeps each route it
-is asked for (`SkipTree.route`): a warm delivery neither searches for
-the LCA nor names the arrays it reads.
+other side's depth and on from there in single steps.  A tree over a
+schema keeps each route it is asked for (`SkipTree.route`): a warm
+delivery neither searches for the LCA nor names the arrays it reads.
+In an index, a side of a route (src up to the LCA, or the LCA down to
+dst) whose jumps cross real links in two or more moves is one move: the
+composition of every link it crosses, made from the links themselves
+on the side's first use (`SkipTree.side`) and read as one metadata
+read.  The height-0 tree, used without an index, moves through one
+array at a time.
 
 Every mapping is one `quest.delivery.Mapping`: a counter, a pointer array,
 both, or neither (the identity).  The same machinery expresses multi-hop graph
@@ -166,7 +172,8 @@ class SkipTree:
     which every tree over one `SchemaData` shares with its `layered_tree`.
     `links` may be a function, called on the first mapping asked for.
     A tree over a `schema` also keeps the `route` of every node pair
-    asked for, so a warm delivery only records and moves.
+    asked for, and each composed route `side`, so a warm delivery only
+    records and moves.
     """
 
     def __init__(self, parents: list, depths: list, real: list, links=None, H: int | None = None,
@@ -188,9 +195,11 @@ class SkipTree:
                     crossed += (a,) if real[a] else ()
                     a = parents[a]
                 self.jumps[v].append((a, crossed))
-        # both filled on a miss: a new route reads a mapping for each jump it takes
+        # filled on a miss: a new route reads a mapping for each jump it
+        # makes alone, or the `side` of the links its jumps cross
         self.mappings: list[list[Mapping | None]] = [[None] * len(row) for row in self.jumps]
         self.routes: dict[tuple[int, int], list[tuple]] = {}
+        self.sides: dict[tuple, tuple[Mapping, str | None]] = {}
 
     def __len__(self) -> int:
         return len(self.parents)
@@ -220,22 +229,21 @@ class SkipTree:
 
     def _lift(self, v: int, target_depth: int, jumps: list | None = None) -> int:
         """Raise `v` to its ancestor at `target_depth`, greedily from the
-        top layer down; each jump taken is appended to `jumps`, if given."""
+        top layer down; each jump taken is appended to `jumps` as
+        ``(node, level)``, if given."""
         jumps_of, depths = self.jumps, self.depths
         while depths[v] > target_depth:
             i = self.heights[v]
             while depths[jumps_of[v][i][0]] < target_depth:
                 i -= 1
             if jumps is not None:
-                jumps.append((v, i, self.mapping(v, i)))
+                jumps.append((v, i))
             v = jumps_of[v][i][0]
         return v
 
-    def find_lca(self, a: int, b: int) -> LCAResult:
-        """LCA of two nodes plus the skip jumps that carry bitsets to it:
-        each side is lifted from its own node straight to the LCA's depth."""
-        if a == b:
-            return LCAResult(lca=a)
+    def _sides(self, a: int, b: int) -> tuple[int, list, list]:
+        """The LCA of two nodes, and the jumps ``(node, level)`` that lift
+        each side from its own node straight to the LCA's depth."""
         # the LCA, found by skip jumps: align the depths, then skip both
         # sides together while their ancestors differ
         x = self._lift(a, self.depths[b])
@@ -252,41 +260,76 @@ class SkipTree:
                 else:
                     j -= 1
             x = self.parents[x]
-        src_jumps: list = []
-        dst_jumps: list = []
-        self._lift(a, self.depths[x], src_jumps)
-        self._lift(b, self.depths[x], dst_jumps)
-        return LCAResult(lca=x, src_jumps=src_jumps, dst_jumps=dst_jumps,
-                         steps=len(src_jumps) + len(dst_jumps))
+        up: list = []
+        down: list = []
+        self._lift(a, self.depths[x], up)
+        self._lift(b, self.depths[x], down)
+        return x, up, down
+
+    def find_lca(self, a: int, b: int) -> LCAResult:
+        """LCA of two nodes plus the skip jumps that carry bitsets to it:
+        each side is lifted from its own node straight to the LCA's depth."""
+        if a == b:
+            return LCAResult(lca=a)
+        lca, up, down = self._sides(a, b)
+        return LCAResult(
+            lca=lca,
+            src_jumps=[(v, j, self.mapping(v, j)) for v, j in up],
+            dst_jumps=[(v, j, self.mapping(v, j)) for v, j in down],
+            steps=len(up) + len(down),
+        )
 
     def route(self, src: int, dst: int) -> list[tuple]:
         """The moves that carry bits from node `src` to node `dst` through
         their LCA, made on the pair's first use and kept.
 
         A move is ``(call, key, nbytes)``: the `Mapping.up` or `down` to
-        call, and the metadata read to record first, or None.  A level-0
-        jump reads the node's own counter or pointer array, even an empty
-        one; a higher jump reads its skip mapping, unless that is empty.
-        An identity moves nothing and has no move.
+        call, and the metadata read to record first, or None.  Each side
+        (src up to the LCA, the LCA down to dst) of a tree with skip
+        layers that crosses real links in two or more jumps is one move
+        through their composition (`side`).  Otherwise each jump that
+        crosses a real link is a move: a level-0 jump reads the node's
+        own counter or pointer array, even an empty one; a higher jump
+        reads its skip mapping, unless that is empty.  An identity moves
+        nothing and has no move.
         """
         moves = self.routes.get((src, dst))
         if moves is None:
-            res = self.find_lca(src, dst)
-            ways = [(jump, "up") for jump in res.src_jumps]
-            ways += [(jump, "down") for jump in reversed(res.dst_jumps)]
-            moves = []
-            for (v, level, m), way in ways:
-                if m.is_identity:
-                    continue
-                path = self.schema.path_of(v)
-                if level == 0:
-                    suffix = "#counter" if self.schema.node(v).link is Link.COUNTER else "#indicator"
-                    key = f"{self.schema.name}/{path}{suffix}"
-                else:
-                    key = f"{self.schema.name}/skip/{path}#{level}" if m.nbytes else None
-                moves.append((m.up if way == "up" else m.down, key, m.nbytes))
-            self.routes[(src, dst)] = moves
+            _, up, down = self._sides(src, dst)
+            moves = self.routes[(src, dst)] = self._moves(up, "up") + self._moves(down, "down")[::-1]
         return moves
+
+    def _moves(self, jumps: list, way: str) -> list[tuple]:
+        """One side's moves, bottom-up; `way` is ``"up"`` or ``"down"``."""
+        jumps = [(v, level) for v, level in jumps if self.jumps[v][level][1]]
+        if self.H and len(jumps) > 1:
+            m, key = self.side(tuple(u for v, level in jumps for u in self.jumps[v][level][1]))
+            return [(getattr(m, way), key, m.nbytes)]
+        name, moves = self.schema.name, []
+        for v, level in jumps:
+            m = self.mapping(v, level)
+            path = self.schema.path_of(v)
+            if level == 0:
+                suffix = "#counter" if self.schema.node(v).link is Link.COUNTER else "#indicator"
+                key = f"{name}/{path}{suffix}"
+            else:
+                key = f"{name}/skip/{path}#{level}" if m.nbytes else None
+            moves.append((getattr(m, way), key, m.nbytes))
+        return moves
+
+    def side(self, crossed: tuple) -> tuple[Mapping, str | None]:
+        """The composition of the real links of the nodes in `crossed`
+        (bottom-up), made on first use and kept, and the metadata key it
+        is read under: ``<schema>/skip/<lowest path>><highest path>``,
+        or None when it is empty."""
+        kept = self.sides.get(crossed)
+        if kept is None:
+            self.link()
+            m = reduce(compose, [self.links[u] for u in crossed])
+            path = self.schema.path_of
+            key = f"{self.schema.name}/skip/{path(crossed[0])}>{path(crossed[-1])}" if m.nbytes else None
+            kept = self.sides[crossed] = (m, key)
+        return kept
 
 
 def naive_lca(parents: list, a: int, b: int) -> int:

@@ -514,30 +514,36 @@ class SchemaData:
 
     def check_counts(self, manifest) -> None:
         """Check the instance counts the planner prices against the
-        column files' headers, reading no payload; a disagreement raises
-        `StoreError` naming the file and `quest ingest`.
+        column files' headers and each counter file's last boundary,
+        reading no other payload; a disagreement raises `StoreError`
+        naming the file and `quest ingest`.
 
         A header counts the instances of one node: a value column or leaf
         array its own, a counter file its parent's, a pointer file those
-        of the node that owns the pointers.  An identity-linked node
-        shares its parent's instances, so each count is compared with
-        every header that counts its instances, and where none does, with
-        the count of the nearest ancestor reached by a counter, pointer or
-        root link.  A counter's own count is in its payload, so
-        it is checked only where some header counts its instances.
+        of the node that owns the pointers.  A counter file's last
+        boundary, its payload's final entry, counts its own node's.  An
+        identity-linked node shares its parent's instances, so each count
+        is compared with every file that counts its instances, and where
+        none does, with the count of the nearest ancestor reached by a
+        counter, pointer or root link.
         """
         sch = self.schema
         space = {}  # node -> the nearest ancestor-or-self not linked by identity
         for nid in sch.preorder:
             node = sch.node(nid)
             space[nid] = space[node.parent] if node.link is Link.IDENTITY else nid
-        counted: dict[int, list] = {}  # space -> (cardinality, file, "the header") per header counting it
-        for nid, fpath, kind_code, count, _ in self.files:
+        counted: dict[int, list] = {}  # space -> (cardinality, file, what counts it) per file counting it
+        lasts = []  # after every header, so a count some header contradicts names that header
+        for nid, fpath, kind_code, count, stamp in self.files:
             _check_header(fpath, read_header(fpath), kind_code, count)
             node = sch.node(nid)
             own = kind_code != K_COUNTER and (kind_code != K_INDICATOR or node.kind is Kind.INDICATOR)
             owner = nid if own else node.parent
             counted.setdefault(space[owner], []).append((count, fpath, "the header"))
+            if kind_code == K_COUNTER:
+                lasts.append((nid, (_last_boundary(fpath, count, stamp[0]), fpath, "its last boundary")))
+        for nid, last in lasts:
+            counted.setdefault(nid, []).append(last)
         for nid in sch.preorder:
             rep = space[nid]
             for want, source, by in counted.get(rep, [(self.cardinality[rep], manifest, f"its {sch.path_of(rep)}")]):
@@ -964,6 +970,24 @@ def read_header(path) -> tuple[int, int]:
     except OSError as exc:
         raise StoreError(f"{path}: {exc.strerror}; {_REINGEST}") from exc
     return _header(path, head)
+
+
+def _last_boundary(path, count: int, size: int) -> int:
+    """A counter file's last boundary, the final entry of its payload,
+    read at its stored width (0 when the counter has no entry).  The
+    width follows from the file's `size` (`_stamp`): a width tag and
+    `count` entries lie between the header and the checksum."""
+    if count == 0:
+        return 0
+    width, odd = divmod(size - _HEADER - 5, count)
+    if odd or width not in _WIDTHS:
+        raise StoreError(f"{path}: {size} bytes cannot hold a counter of {count} entries; {_REINGEST}")
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(size - 4 - width)
+            return int.from_bytes(fh.read(width), "little")
+    except OSError as exc:
+        raise StoreError(f"{path}: {exc.strerror}; {_REINGEST}") from exc
 
 
 def _node_file_payload(data: SchemaData, node) -> tuple[int, int, bytes] | None:

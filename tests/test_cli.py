@@ -262,19 +262,53 @@ def test_explain_checks_the_counts_it_prices_against_the_file_headers(store_dir,
 
 
 def test_explain_reads_no_column_payload(store_dir, tmp_path):
-    """`explain` reads only each file's 15-byte header: a damaged payload
-    leaves its output unchanged, while `quest query` finds the damage."""
+    """`explain` reads only each file's 15-byte header and each counter
+    file's last boundary: a damaged payload elsewhere leaves its output
+    unchanged, while `quest query` finds the damage."""
     copy = tmp_path / "store"
     shutil.copytree(store_dir, copy)
     want = invoke("explain", "--store", copy, WORD_QUERY)
     assert want.exit_code == 0, want.output
     for path in (copy / "ads").glob("*.col"):
         raw = bytearray(path.read_bytes())
-        raw[15:-4] = bytes(len(raw) - 19)
+        kind, count = raw[6], int.from_bytes(raw[7:15], "little")
+        keep = (len(raw) - 20) // count if kind == K_COUNTER and count else 0
+        raw[15 : len(raw) - 4 - keep] = bytes(len(raw) - 19 - keep)
         path.write_bytes(bytes(raw))
     got = invoke("explain", "--store", copy, WORD_QUERY)
     assert (got.exit_code, got.stdout) == (0, want.stdout)
     _assert_names_the_fix(invoke("query", "--store", copy, WORD_QUERY), "checksum mismatch")
+
+
+def test_explain_checks_counter_nodes_no_header_counts(store_dir, tmp_path):
+    """Campaign's instances, which WordSet and Clicks share, are counted
+    only by the last boundary of Campaign's counter file: a manifest that
+    adds one to all three exits 3 in `explain`, naming that file and
+    `quest ingest`, as `quest query` does once it reads the files."""
+    copy = tmp_path / "store"
+    shutil.copytree(store_dir, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    cards = manifest["schemas"]["ads"]["cardinalities"]
+    campaign = "Advertiser.Campaign"
+    for node in (campaign, f"{campaign}.WordSet", f"{campaign}.Clicks"):
+        cards[node] += 1
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    result = invoke("explain", "--store", copy, WORD_QUERY)
+    _assert_names_the_fix(result, str(copy / "ads" / f"{campaign}.col"))
+    assert f"counts {cards[campaign]} instances of ads.{campaign}, but its last boundary counts " in result.stderr
+    _assert_names_the_fix(invoke("query", "--store", copy, WORD_QUERY), "quest ingest")
+    # a last boundary that disagrees with the manifest is found the same way
+    shutil.copy(store_dir / "manifest.json", copy / "manifest.json")
+    assert invoke("explain", "--store", copy, WORD_QUERY).exit_code == 0
+    path = copy / "ads" / f"{campaign}.col"
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-5] + bytes([raw[-5] ^ 1]) + raw[-4:])
+    _assert_names_the_fix(invoke("explain", "--store", copy, WORD_QUERY), str(path))
+    # and so is a counter file whose size no width gives
+    path.write_bytes(raw[:-4] + b"\0" + raw[-4:])
+    result = invoke("explain", "--store", copy, WORD_QUERY)
+    _assert_names_the_fix(result, str(path))
+    assert "cannot hold a counter" in result.stderr
 
 
 def test_reingest_drops_the_stale_index(tmp_path):

@@ -4,6 +4,7 @@ Expected rows here are frozen by hand from the conftest datasets (the
 oracle suite pins the same values); the engine must also agree with the
 oracle under every valid filter order and with the skip index on.
 """
+import copy
 import gc
 import random
 
@@ -14,9 +15,9 @@ from quest import datagen
 from quest.bench import WORKLOAD
 from quest.datagen import generate
 from quest.delivery import deliver, positions_of
-from quest.engine import JoinIndex, ResultSet, evaluate, run_query
+from quest.engine import JoinIndex, ResultSet, _Evaluation, evaluate, run_query
 from quest.errors import QueryError
-from quest.optimizer import _plan_filters, derive_wandering, enumerate_valid_orders
+from quest.optimizer import _plan_filters, derive_wandering, enumerate_valid_orders, plan_query
 from quest.oracle import oracle_query
 from quest.query import parse_query
 from quest.schema import parse_schema
@@ -907,6 +908,45 @@ def _answers(store, schemas) -> dict:
     return out
 
 
+def test_a_partial_filter_scan_equals_the_compress_it_replaces():
+    """`_scan_mask` on a partial context writes each scanned position's
+    match in place; that equals compressing the positions by the match,
+    and the whole column's match ANDed with the context."""
+    rng = random.Random(23)
+    bits_rng = np.random.default_rng(23)
+    stores = [(generate("tiny", seed=3).store(), [wq.doc for wq in WORKLOAD])]
+    for _ in range(12):
+        store = datagen.random_corpus(rng).store()
+        stores.append((store, [datagen.random_query_doc(rng) for _ in range(8)]))
+    checked = nulls = 0
+    for store, docs in stores:
+        schemas = {name: store.schema(name) for name in store.datasets}
+        for doc in docs:
+            try:
+                query = parse_query(schemas, doc)
+            except QueryError:
+                continue
+            ev = _Evaluation(store, query, plan_query(store, query), {})
+            for pred in query.filters:
+                name, node = pred.site.schema, pred.site.node
+                n = store.data(name).cardinality[node]
+                column = store.column(name, node)
+                whole = ev._scan_mask(name, node, np.ones(n, bool), [pred])
+                for density in (0.05, 0.5, 0.95):
+                    ctx = bits_rng.random(n) < density
+                    positions = np.flatnonzero(ctx)
+                    vals, valid = store.scan_values(name, node, positions, decode=False)
+                    mask = column.match(vals, pred.op, pred.value) & valid
+                    compressed = np.zeros(n, bool)
+                    compressed[positions[mask]] = True
+                    got = ev._scan_mask(name, node, ctx, [pred])
+                    assert got.dtype == bool
+                    assert np.array_equal(got, compressed) and np.array_equal(got, whole & ctx), doc
+                    checked += 1
+                nulls += column.has_nulls
+    assert checked > 100 and nulls
+
+
 def test_a_kept_route_delivers_as_it_did_the_first_time():
     store = generate("tiny", seed=0).store()
     data = store.data("org")
@@ -959,16 +999,45 @@ def test_two_parses_of_one_lone_schema_document_share_one_composite():
     schemas = {name: store.schema(name) for name in store.datasets}
     doc = next(wq.doc for wq in WORKLOAD if wq.name.startswith("Q09"))
     first, second = parse_query(schemas, doc), parse_query(schemas, doc)
-    assert first.composite is second.composite is schemas["org"].composite
+    assert first.composite is second.composite is schemas["org"].composites[("org",)]
     assert first is not second
     assert first.filters is not second.filters and first.filters[0] is not second.filters[0]
     first.filters[0].value = -1.0
     assert second.filters[0].value == 999.0
     assert evaluate(store, second).rows == oracle_query(store, second) != []
     assert evaluate(store, first).rows == oracle_query(store, first) == []
-    # a joined query's composite is its own
-    joined = next(wq.doc for wq in WORKLOAD if wq.name.startswith("Q11"))
-    assert parse_query(schemas, joined).composite is not parse_query(schemas, joined).composite
+
+
+def test_two_parses_of_one_join_shape_share_one_composite():
+    store = generate("tiny", seed=0).store()
+    schemas = {name: store.schema(name) for name in store.datasets}
+    docs = {wq.name[:3]: wq.doc for wq in WORKLOAD}
+    first, second = parse_query(schemas, docs["Q07"]), parse_query(schemas, docs["Q07"])
+    assert first.composite is second.composite
+    assert first is not second and first.joins[0] is not second.joins[0]
+    # the same shape spelled with the root's name is the same shape
+    spelled = copy.deepcopy(docs["Q07"])
+    spelled["joins"][0]["left"] = "ads.Advertiser.Campaign.Clicks.Person"
+    assert parse_query(schemas, spelled).composite is first.composite
+    # another `unique` flag, or another guest Schema, is another shape
+    flipped = copy.deepcopy(docs["Q07"])
+    flipped["joins"][0]["unique"] = True
+    unique = parse_query(schemas, flipped)
+    assert unique.composite is not first.composite
+    assert parse_query(schemas, flipped).composite is unique.composite
+    guest = parse_query(dict(schemas, people=datagen.people_schema()), docs["Q07"])
+    assert guest.composite not in (first.composite, unique.composite)
+    assert len(schemas["ads"].composites) == 3
+    three = [parse_query(schemas, docs["Q11"]) for _ in range(2)]
+    assert three[0].composite is three[1].composite
+    # new data for a guest schema, ingested with the same Schema object
+    other = generate("tiny", seed=4, high=0.2, low=0.3)
+    store.add(ingest_rows(other.records["people"], schemas["people"]))
+    for query in (first, unique, parse_query(schemas, docs["Q07"]), *three, parse_query(schemas, docs["Q11"])):
+        assert query.composite in (first.composite, unique.composite, three[0].composite)
+        for indexes in (None, {name: build_skip_tree(store.data(name)) for name in store.datasets}):
+            assert evaluate(store, query, indexes=indexes).rows == oracle_query(store, query)
+    assert len(schemas["ads"].composites) == 3 and len(schemas["org"].composites) == 1
 
 
 @pytest.mark.parametrize("indexed", [True, False])

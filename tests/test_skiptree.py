@@ -7,7 +7,16 @@ import pytest
 
 from quest.bench import WORKLOAD
 from quest.datagen import generate, random_corpus
-from quest.delivery import deliver, drill_down, indicator_gather, indicator_scatter, owner_index, roll_up
+from quest.delivery import (
+    deliver,
+    drill_down,
+    indicator_gather,
+    indicator_scatter,
+    owner_drill_down,
+    owner_index,
+    owner_roll_up,
+    roll_up,
+)
 from quest.engine import evaluate
 from quest.errors import DeliveryError, StoreError
 from quest.oracle import oracle_query
@@ -26,8 +35,8 @@ from quest.skiptree import (
     tree_height,
     write_skiptree,
 )
-from quest.schema import Link
-from quest.store import write_store, open_store
+from quest.schema import Kind, Link, Schema, SchemaNode
+from quest.store import SchemaData, Store, open_store, write_store
 
 from conftest import ADVERTISER, CAMPAIGN, CLICKS, PERSON, WORD, WORDSET, dense_relation
 
@@ -170,14 +179,101 @@ def test_a_deep_org_sensor_reaches_the_org_name_in_two_jumps():
     # Room's counter up to Floor, then Floor, Building, Site and Region's at once
     assert [(v, j) for v, j, _ in res.src_jumps] == [(sensor, 1), (floor, 2)]
     assert [(v, j) for v, j, _ in res.dst_jumps] == [(name, 0)]
-    # the name side is an identity, which the route leaves out
+    # the name side is an identity, which the route leaves out; the
+    # sensor side is one move through the composition of every counter
+    # from the sensor's up to the Region's
     route = tree.route(sensor, name)
-    assert len(route) == 2
-    assert [key for _, key, _ in route] == [
-        f"org/skip/{schema.path_of(sensor)}#1",
-        f"org/skip/{schema.path_of(floor)}#2",
-    ]
+    region = schema.resolve(["Region"]).id
+    assert [key for _, key, _ in route] == [f"org/skip/{schema.path_of(sensor)}>{schema.path_of(region)}"]
+    counters = (sensor, *(v for v in schema.ancestors(sensor) if schema.node(v).link is Link.COUNTER))
+    assert counters[-1] == region
+    ((move, _, nbytes),) = route
+    assert move.__self__ is tree.side(counters)[0]
+    assert nbytes == 8 * data.cardinality[schema.root.id]
     assert tree.route(sensor, name) is route
+
+
+def _random_data(parents, rng) -> SchemaData:
+    """Arrays over a tree of records: each non-root node is linked to its
+    parent by an identity, a counter with empty ranges, or pointers into
+    a space some of whose instances no pointer reaches."""
+    nodes = [SchemaNode(0, "n0", Kind.RECORD, None, 0, link=Link.ROOT)]
+    cards = [int(rng.integers(1, 4))]
+    counters, indicators = {}, {}
+    for v, p in enumerate(parents[1:], 1):
+        link = (Link.IDENTITY, Link.COUNTER, Link.INDICATOR)[int(rng.integers(3))]
+        nodes.append(SchemaNode(v, f"n{v}", Kind.RECORD, p, nodes[p].depth + 1, link=link))
+        nodes[p].children.append(v)
+        if link is Link.COUNTER:
+            boundaries = np.cumsum(rng.integers(0, 3, size=cards[p]))
+            cards.append(int(boundaries[-1]) if boundaries.size else 0)
+            counters[v] = Mapping(cards[v], boundaries=boundaries)
+        elif link is Link.INDICATOR:
+            cards.append(int(rng.integers(1, 5)))
+            indicators[v] = Mapping(cards[v], pointers=rng.integers(0, cards[v], size=cards[p]))
+        else:
+            cards.append(cards[p])
+    data = SchemaData(Schema("t", nodes))
+    data.cardinality = dict(enumerate(cards))
+    data.counters.update(counters)
+    data.indicators.update(indicators)
+    data.validate()
+    return data
+
+
+def _one_link_at_a_time(data, owners, src, dst, bits):
+    """`bits` moved from src to dst by the bare kernels, one parent link
+    at a time, through the LCA `naive_lca` finds; `owners` holds each
+    counter's `owner_index`."""
+    parents = [n.parent for n in data.schema.nodes]
+    lca = naive_lca(parents, src, dst)
+
+    def chain(v):  # the nodes below the LCA, bottom-up
+        out = []
+        while v != lca:
+            out.append(v)
+            v = parents[v]
+        return out
+
+    for v in chain(src):
+        if v in data.counters:
+            bits = owner_roll_up(bits, owners[v], data.counters[v].upper_cardinality)
+        elif v in data.indicators:
+            bits = indicator_gather(bits, data.indicators[v].pointers)
+    for v in reversed(chain(dst)):
+        if v in data.counters:
+            bits = owner_drill_down(bits, owners[v], data.counters[v].upper_cardinality)
+        elif v in data.indicators:
+            bits = indicator_scatter(bits, data.indicators[v].pointers, data.cardinality[v])
+    return bits
+
+
+def test_composed_route_sides_deliver_as_the_links_one_at_a_time():
+    # trees drawn as criterion 4 draws them
+    rng = random.Random(404)
+    arrays = np.random.default_rng(405)
+    composed = 0
+    for _ in range(60):
+        parents = _random_parents(rng, rng.randrange(2, 65))
+        data = _random_data(parents, arrays)
+        store = Store().add(data)
+        index = build_skip_tree(data)
+        owners = {v: owner_index(m.boundaries) for v, m in data.counters.items()}
+        n = len(parents)
+        for src in range(n):
+            for dst in range(n):
+                density = (0.0, 0.4, 1.0)[(src + dst) % 3]
+                bits = arrays.random(data.cardinality[src]) < density
+                want = _one_link_at_a_time(data, owners, src, dst, bits)
+                for tree in (index, None):
+                    got = deliver(store, "t", src, dst, bits, index=tree)
+                    assert np.array_equal(got, want), (parents, src, dst, tree is None)
+        composed += len(index.sides)
+        # the height-0 tree still makes one move per link
+        layered = layered_tree(data)
+        assert all(len(moves) == sum(1 for _, key, _ in moves if "/skip/" not in key) for moves in layered.routes.values())
+        assert layered.sides == {}
+    assert composed > 500
 
 
 # -- mappings ---------------------------------------------------------------
@@ -260,6 +356,50 @@ def test_owner_is_built_once_per_mapping_and_read_only(monkeypatch):
     # a fresh mapping over the same counter builds its own
     Mapping(7, boundaries=m.boundaries).up(np.zeros(7, bool))
     assert len(built) == 2
+
+
+def _general_up(m, bits):
+    if m.pointers is not None:
+        bits = indicator_gather(bits, m.pointers)
+    return bits if m.boundaries is None else roll_up(bits, m.boundaries)
+
+
+def _general_down(m, bits):
+    if m.boundaries is not None:
+        bits = drill_down(bits, m.boundaries)
+    return bits if m.pointers is None else indicator_scatter(bits, m.pointers, m.lower_cardinality)
+
+
+def test_all_ones_moves_equal_the_general_path():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        upper, lower = (int(x) for x in rng.integers(1, 12, size=2))
+        boundaries = np.cumsum(rng.integers(0, 3, size=upper))  # with empty ranges
+        entries = int(boundaries[-1])
+        counter = Mapping(entries, boundaries=boundaries)
+        # pointers that leave some lower instances unreached
+        pointer = Mapping(lower, pointers=rng.integers(0, lower, size=upper))
+        hop = Mapping(lower, boundaries=boundaries, pointers=rng.integers(0, lower, size=entries))
+        below = np.cumsum(rng.integers(0, 3, size=entries))
+        composed = [
+            compose(Mapping(lower, pointers=rng.integers(0, lower, size=entries)), counter),
+            compose(Mapping(int(below[-1]) if below.size else 0, boundaries=below), counter),
+        ]
+        for m in (counter, pointer, hop, *composed):
+            for way, n, general in (("up", m.lower_cardinality, _general_up), ("down", m.upper_cardinality, _general_down)):
+                got = getattr(m, way)(np.ones(n, bool))
+                assert np.array_equal(got, general(m, np.ones(n, bool))), (m, way)
+                # the mapping keeps the answer, read-only
+                assert getattr(m, way)(np.ones(n, bool)) is got and not got.flags.writeable
+                if n:
+                    some = np.ones(n, bool)
+                    some[int(rng.integers(n))] = False
+                    assert np.array_equal(getattr(m, way)(some), general(m, some)), (m, way)
+    ctr = Mapping(5, boundaries=np.array([2, 2, 5]))
+    with pytest.raises(DeliveryError, match="drill_down: bitset length 4 != counter length 3"):
+        ctr.down(np.ones(4, bool))
+    with pytest.raises(DeliveryError, match="roll_up: bitset length 4 != counter end 5"):
+        ctr.up(np.ones(4, bool))
 
 
 def test_compose_contiguous_equals_counter_union(ads_data):
@@ -540,10 +680,13 @@ def test_trees_over_one_schema_data_share_link_mappings(tmp_path, monkeypatch):
             for anc in data.schema.ancestors(node):
                 deliver(store, "org", node, anc, rng.random(data.cardinality[node]) < 0.5, index=index)
                 deliver(store, "org", anc, node, rng.random(data.cardinality[anc]) < 0.5, index=index)
-    # one owner per counter and per composed jump, whichever trees move bits over it
+    # one owner per counter, per composed jump a route makes alone and per
+    # composed route side, whichever trees move bits over it
     assert len(owners) == len({id(b) for b in owners})
     counters = [m for m in links if m is not None and m.boundaries is not None]
-    assert len(owners) == len(counters) + len(composed)
+    moved = {id(move.__self__) for moves in built.routes.values() for move, _, _ in moves}
+    alone = [(v, j) for v, j in composed if id(built.mapping(v, j)) in moved]
+    assert len(owners) == len(counters) + len(alone) + len(built.sides)
 
 
 def _shift_one_child(store) -> None:
