@@ -15,13 +15,9 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 
-import numpy as np
-
-from .delivery import deliver, ones_bits
 from .engine import evaluate
 from .optimizer import plan_query
 from .query import parse_query
-from .schema import Kind
 from .skiptree import build_skip_tree
 
 DEFAULT_RUNS = 5
@@ -340,62 +336,3 @@ def report_csv(report: dict) -> str:
 
 def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# micro-calibration for the simplified cost model
-
-
-def _widest_column_node(schema, data):
-    best, size = None, -1
-    for n in schema.nodes:
-        if n.kind is Kind.PRIMITIVE and n.id in data.columns:
-            card = data.cardinality[n.id]
-            if card > size:
-                best, size = n, card
-    return best, size
-
-
-def calibrate(store, repeats: int = 5) -> dict:
-    """Measure the simplified model's unit costs on this store.
-
-    ``a`` is seconds per scanned value (a gather at every position of
-    the widest column plus one comparison over the stored values, as a
-    filter compares them), ``bp``
-    seconds per bitset delivery unit (a full leaf-to-root roll).  Both
-    are medians over every schema and repetition.
-    """
-    a_samples = []
-    bp_samples = []
-    for name in store.datasets:
-        data = store.data(name)
-        schema = data.schema
-        node, card = _widest_column_node(schema, data)
-        if node is None or card == 0:
-            continue
-        positions = np.arange(card)
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            vals, valid = store.scan_values(name, node.id, positions, decode=False)
-            np.count_nonzero(valid & (vals == vals[0]))
-            a_samples.append((time.perf_counter() - t0) / card)
-
-        # deepest leaf-to-root delivery and its run-unit count
-        units = 0
-        walk = node
-        while walk.parent is not None:
-            parent = schema.node(walk.parent)
-            units += data.cardinality[parent.id]
-            walk = parent
-        if units == 0:
-            continue
-        bits = ones_bits(card)
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            deliver(store, name, node.id, schema.root.id, bits)
-            bp_samples.append((time.perf_counter() - t0) / units)
-    return {
-        "a": statistics.median(a_samples) if a_samples else 1.0,
-        "bp": statistics.median(bp_samples) if bp_samples else 1.0,
-        "samples": {"a": len(a_samples), "bp": len(bp_samples)},
-    }

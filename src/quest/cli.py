@@ -42,7 +42,7 @@ from .errors import (
     SchemaError,
     StoreError,
 )
-from .optimizer import CostParams, explain_plan, plan_query
+from .optimizer import explain_plan, plan_query
 from .query import parse_query
 from .skiptree import build_skip_tree
 from .store import Store, open_store, write_store
@@ -345,25 +345,16 @@ def query(store_dir, no_skiptree, use_oracle, fmt, timeout, query_doc):
 def explain(store_dir, query_doc):
     """Show the filter order, wandering, and cost terms without executing.
 
-    Uses measured cost constants when ``bench --calibrate`` has written
-    a calibration.json into the store.  The instance counts it prices are
-    first checked against the column files' headers and each counter
-    file's last boundary (no other payload is read): a count they
-    contradict exits 3."""
+    The instance counts it prices are first checked against the column
+    files' headers and each counter file's last boundary (no other
+    payload is read): a count they contradict exits 3."""
     doc = _read_doc(query_doc)
     store = open_store(store_dir)
     q = _parse(store, doc)
     for name in q.schemas:
         store.data(name).check_counts(Path(store_dir) / "manifest.json")
-    params = None
-    cal_path = Path(store_dir) / "calibration.json"
-    if cal_path.exists():
-        cal = json.loads(cal_path.read_text(encoding="utf-8"))
-        params = CostParams.from_store(store, q.composite, a=cal["a"], bp=cal["bp"])
-    seq = plan_query(store, q, params=params)
-    out = explain_plan(q.composite, seq)
-    out["calibrated"] = params is not None
-    click.echo(json.dumps(out, indent=2, sort_keys=True))
+    seq = plan_query(store, q)
+    click.echo(json.dumps(explain_plan(q.composite, seq), indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +363,7 @@ def explain(store_dir, query_doc):
 
 @main.command()
 @_store_option
-@click.option("--runs", default=5, show_default=True, type=int)
+@click.option("--runs", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option(
     "--timeout",
     default=300.0,
@@ -387,22 +378,14 @@ def explain(store_dir, query_doc):
     type=click.Path(file_okay=False),
     help="report directory [default: the store]",
 )
-@click.option("--calibrate", "do_calibrate", is_flag=True, help="measure cost-model constants instead")
 @_guard
-def bench(store_dir, runs, timeout, out_dir, do_calibrate):
+def bench(store_dir, runs, timeout, out_dir):
     """Run the benchmark workload with the skip index on and off."""
     from . import bench as bench_mod
 
     store = open_store(store_dir)
     out = Path(out_dir or store_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if do_calibrate:
-        cal = bench_mod.calibrate(store)
-        (out / "calibration.json").write_text(
-            json.dumps(cal, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        click.echo(json.dumps({"a": cal["a"], "bp": cal["bp"]}, sort_keys=True))
-        return
     report = bench_mod.run_workload(store, runs=runs, timeout=timeout)
     (out / "bench_report.json").write_text(bench_mod.report_json(report), encoding="utf-8")
     (out / "bench_report.csv").write_text(bench_mod.report_csv(report), encoding="utf-8")

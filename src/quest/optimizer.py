@@ -36,7 +36,6 @@ __all__ = [
     "check_constraint",
     "cumulative_selectivity",
     "estimate_cost",
-    "metadata_blocks",
     "order_filters",
     "derive_wandering",
     "plan_query",
@@ -51,23 +50,13 @@ class CostParams:
     ``G`` is instance cardinality, ``S`` the per-value width in bytes; a
     block is ``DEFAULT_BLOCK_SIZE`` bytes and a metadata entry
     ``DEFAULT_METADATA_UNIT``.
-    ``a`` and ``bp`` price the simplified model; they default to 1 so the
-    terms stay readable, and ``bench --calibrate`` measures them.
     """
 
-    __slots__ = ("G", "S", "a", "bp")
+    __slots__ = ("G", "S")
 
-    def __init__(
-        self,
-        G: dict[Key, float] | None = None,
-        S: dict[Key, float] | None = None,
-        a: float = 1.0,
-        bp: float = 1.0,
-    ):
+    def __init__(self, G: dict[Key, float] | None = None, S: dict[Key, float] | None = None):
         self.G = {} if G is None else G
         self.S = {} if S is None else S
-        self.a = a
-        self.bp = bp
 
     def size_of(self, key: Key) -> tuple[float, float]:
         try:
@@ -76,8 +65,8 @@ class CostParams:
             raise QueryError(f"no stats for node {key[0]}.{key[1]}") from None
 
     @classmethod
-    def from_store(cls, store: Store, composite: CompositeTree, **kw) -> "CostParams":
-        params = cls(**kw)
+    def from_store(cls, store: Store, composite: CompositeTree) -> "CostParams":
+        params = cls()
         for name in composite.schemas:
             G, S = store.data(name).sizes
             params.G.update(G)
@@ -260,18 +249,6 @@ def derive_wandering(
 # cost model
 
 
-def metadata_blocks(tree: CompositeTree, seq: WanderingSequence, params: CostParams) -> dict[Key, float]:
-    """Predicted metadata blocks per boundary array touched by the walk,
-    counting both directions (a drill reads the same array a roll does)."""
-    out: dict[Key, float] = {}
-    for key in set(seq.rollups) | set(seq.drilldowns):
-        runs = seq.rollups.get(key, 0) + seq.drilldowns.get(key, 0)
-        parent = tree.parent_of(key)
-        g_parent, _ = params.size_of(parent) if parent is not None else (0.0, 0.0)
-        out[key] = runs * g_parent * DEFAULT_METADATA_UNIT / DEFAULT_BLOCK_SIZE
-    return out
-
-
 def estimate_cost(tree: CompositeTree, seq: WanderingSequence, params: CostParams) -> dict:
     """The I/O and CPU terms, exactly as modeled.
 
@@ -280,8 +257,7 @@ def estimate_cost(tree: CompositeTree, seq: WanderingSequence, params: CostParam
     io_fetch_scan    sum over fetch nodes of G_v * S_v * sigma_T / B
     cpu: deserialization and filtering over scanned units, bitset delivery
     runs (both directions), fetch deserialization and regeneration over the
-    total-selectivity survivors.  The simplified score is
-    a * sum_F G_v * sigma_v(W) + bp * sum_W (G_p(v) * #r_v + G_v * #d_v).
+    total-selectivity survivors.
     """
     scans = [f for f in seq.order if f.kind == "scan"]
     scanned_units = 0.0
@@ -317,7 +293,6 @@ def estimate_cost(tree: CompositeTree, seq: WanderingSequence, params: CostParam
     # deserialize and filter each scanned unit, move each run unit,
     # deserialize and regenerate each fetched unit
     c_cpu = scanned_units + run_units + scanned_units + fetch_units + fetch_units
-    simplified = params.a * scanned_units + params.bp * run_units
     return {
         "io_filter_scan": io_filter_scan,
         "io_metadata": io_metadata,
@@ -325,7 +300,6 @@ def estimate_cost(tree: CompositeTree, seq: WanderingSequence, params: CostParam
         "c_io": c_io,
         "c_cpu": c_cpu,
         "total": c_io + c_cpu,
-        "simplified": simplified,
         "sigma_total": sigma_total,
     }
 
@@ -378,7 +352,7 @@ def _plan_filters(store: Store, query: Query) -> list[PlanFilter]:
     return ordered
 
 
-def plan_query(store: Store, query: Query, params: CostParams | None = None) -> WanderingSequence:
+def plan_query(store: Store, query: Query) -> WanderingSequence:
     """Order the query's filters, derive the wandering, and price it."""
     tree = query.composite
     filters = _plan_filters(store, query)
@@ -391,9 +365,7 @@ def plan_query(store: Store, query: Query, params: CostParams | None = None) -> 
             raise PlanConstraintError(
                 f"derived wandering re-enters a subtree at step {where}"
             )
-    if params is None:
-        params = CostParams.from_store(store, tree)
-    seq.cost = estimate_cost(tree, seq, params)
+    seq.cost = estimate_cost(tree, seq, CostParams.from_store(store, tree))
     return seq
 
 

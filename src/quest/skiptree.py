@@ -4,25 +4,22 @@ Every schema node gets a height from its depth alone (a node is lifted to
 layer ``j`` exactly when ``2**j`` divides its depth, up to the tree height
 ``H = ceil(log2(max_depth))``).  A node of height ``h`` keeps ``h + 1``
 skip ancestors: entry 0 is its parent, entry ``j`` the nearest proper
-ancestor of height at least ``j``.  Each entry also carries the instance
-mapping from the node's space to that ancestor's space.  Where the jump
-crosses several counter or pointer arrays that mapping is their
-composition, made from the store's arrays on the jump's first use, so a
-bitset jumps several nested layers in one kernel call instead of climbing
-them one boundary array at a time; where it crosses one, it is that
-array, as the store holds it.
+ancestor of height at least ``j``, each with the nodes whose real
+(counter or pointer) links the jump crosses.
 
 `SkipTree.find_lca` finds two nodes' LCA by skip jumps, then lifts each
 side from its own node straight to the LCA's depth, not first to the
 other side's depth and on from there in single steps.  A tree over a
 schema keeps each route it is asked for (`SkipTree.route`): a warm
 delivery neither searches for the LCA nor names the arrays it reads.
-In an index, a side of a route (src up to the LCA, or the LCA down to
-dst) whose jumps cross real links in two or more moves is one move: the
-composition of every link it crosses, made from the links themselves
-on the side's first use (`SkipTree.side`) and read as one metadata
-read.  The height-0 tree, used without an index, moves through one
-array at a time.
+A route side (src up to the LCA, or the LCA down to dst) is the only
+thing an index composes: in an index, a side whose jumps cross two or
+more real links is one move through their composition, made from the
+links themselves on the side's first use (`SkipTree.side`) and read as
+one metadata read, so a bitset jumps several nested layers in one kernel
+call instead of climbing them one boundary array at a time.  A side over
+one link moves through that link's array, as the store holds it, and the
+height-0 tree, used without an index, moves through one array at a time.
 
 Every mapping is one `quest.delivery.Mapping`: a counter, a pointer array,
 both, or neither (the identity).  The same machinery expresses multi-hop graph
@@ -156,7 +153,7 @@ class LCAResult:
 
     def __init__(self, lca: int, src_jumps: list | None = None, dst_jumps: list | None = None, steps: int = 0):
         self.lca = lca
-        self.src_jumps = [] if src_jumps is None else src_jumps  # (node, layer, mapping), bottom-up
+        self.src_jumps = [] if src_jumps is None else src_jumps  # (node, level), bottom-up
         self.dst_jumps = [] if dst_jumps is None else dst_jumps
         self.steps = steps
 
@@ -165,15 +162,12 @@ class SkipTree:
     """Skip index over one schema tree; nodes are referenced by id.
 
     `jumps[v][j]` is node v's level-j jump: its ancestor, and the nodes
-    whose real (counter or pointer) links it crosses.  `mapping(v, j)` is
-    its instance mapping: the composition of those links when it crosses
-    two or more, made on the jump's first use and kept in `mappings`;
-    else its one link's own Mapping from `links`, or node v's identity,
-    which every tree over one `SchemaData` shares with its `layered_tree`.
-    `links` may be a function, called on the first mapping asked for.
-    A tree over a `schema` also keeps the `route` of every node pair
-    asked for, and each composed route `side`, so a warm delivery only
-    records and moves.
+    whose real (counter or pointer) links it crosses.  `links` holds
+    each node's own link Mapping, which every tree over one `SchemaData`
+    shares with its `layered_tree`; it may be a function, called on the
+    first route that crosses a link.  A tree over a `schema` keeps the
+    `route` of every node pair asked for, and each composed route
+    `side`, so a warm delivery only records and moves.
     """
 
     def __init__(self, parents: list, depths: list, real: list, links=None, H: int | None = None,
@@ -195,9 +189,8 @@ class SkipTree:
                     crossed += (a,) if real[a] else ()
                     a = parents[a]
                 self.jumps[v].append((a, crossed))
-        # filled on a miss: a new route reads a mapping for each jump it
-        # makes alone, or the `side` of the links its jumps cross
-        self.mappings: list[list[Mapping | None]] = [[None] * len(row) for row in self.jumps]
+        # filled on a miss: a new route reads the `side` of the links its
+        # jumps cross
         self.routes: dict[tuple[int, int], list[tuple]] = {}
         self.sides: dict[tuple, tuple[Mapping, str | None]] = {}
 
@@ -208,21 +201,6 @@ class SkipTree:
         """Call `links` if it is a function, and keep what it returns."""
         if callable(self.links):
             self.links = self.links()
-
-    def mapping(self, v: int, j: int) -> Mapping | None:
-        """Node v's level-j mapping, composed on its first use."""
-        m = self.mappings[v][j]
-        if m is None:
-            self.link()
-            if self.links is None:  # a bare structure carries no mappings
-                return None
-            crossed = self.jumps[v][j][1]
-            if len(crossed) > 1:
-                m = reduce(compose, [self.links[u] for u in crossed])
-            else:
-                m = self.links[(crossed or (v,))[0]]
-            self.mappings[v][j] = m
-        return m
 
     def skip_ancestors(self, node: int) -> list[int]:
         return [a for a, _ in self.jumps[node]]
@@ -272,12 +250,7 @@ class SkipTree:
         if a == b:
             return LCAResult(lca=a)
         lca, up, down = self._sides(a, b)
-        return LCAResult(
-            lca=lca,
-            src_jumps=[(v, j, self.mapping(v, j)) for v, j in up],
-            dst_jumps=[(v, j, self.mapping(v, j)) for v, j in down],
-            steps=len(up) + len(down),
-        )
+        return LCAResult(lca=lca, src_jumps=up, dst_jumps=down, steps=len(up) + len(down))
 
     def route(self, src: int, dst: int) -> list[tuple]:
         """The moves that carry bits from node `src` to node `dst` through
@@ -286,12 +259,11 @@ class SkipTree:
         A move is ``(call, key, nbytes)``: the `Mapping.up` or `down` to
         call, and the metadata read to record first, or None.  Each side
         (src up to the LCA, the LCA down to dst) of a tree with skip
-        layers that crosses real links in two or more jumps is one move
-        through their composition (`side`).  Otherwise each jump that
-        crosses a real link is a move: a level-0 jump reads the node's
-        own counter or pointer array, even an empty one; a higher jump
-        reads its skip mapping, unless that is empty.  An identity moves
-        nothing and has no move.
+        layers whose jumps cross two or more real links is one move
+        through their composition (`side`).  Otherwise each real link a
+        side crosses is a move that reads the node's own counter or
+        pointer array, even an empty one.  An identity moves nothing and
+        has no move.
         """
         moves = self.routes.get((src, dst))
         if moves is None:
@@ -301,20 +273,16 @@ class SkipTree:
 
     def _moves(self, jumps: list, way: str) -> list[tuple]:
         """One side's moves, bottom-up; `way` is ``"up"`` or ``"down"``."""
-        jumps = [(v, level) for v, level in jumps if self.jumps[v][level][1]]
-        if self.H and len(jumps) > 1:
-            m, key = self.side(tuple(u for v, level in jumps for u in self.jumps[v][level][1]))
+        crossed = tuple(u for v, level in jumps for u in self.jumps[v][level][1])
+        if self.H and len(crossed) > 1:
+            m, key = self.side(crossed)
             return [(getattr(m, way), key, m.nbytes)]
-        name, moves = self.schema.name, []
-        for v, level in jumps:
-            m = self.mapping(v, level)
-            path = self.schema.path_of(v)
-            if level == 0:
-                suffix = "#counter" if self.schema.node(v).link is Link.COUNTER else "#indicator"
-                key = f"{name}/{path}{suffix}"
-            else:
-                key = f"{name}/skip/{path}#{level}" if m.nbytes else None
-            moves.append((getattr(m, way), key, m.nbytes))
+        self.link()
+        moves = []
+        for u in crossed:
+            m = self.links[u]
+            suffix = "#counter" if self.schema.node(u).link is Link.COUNTER else "#indicator"
+            moves.append((getattr(m, way), f"{self.schema.name}/{self.schema.path_of(u)}{suffix}", m.nbytes))
         return moves
 
     def side(self, crossed: tuple) -> tuple[Mapping, str | None]:
@@ -346,7 +314,7 @@ def naive_lca(parents: list, a: int, b: int) -> int:
 
 
 def build_skip_structure(parents: list) -> SkipTree:
-    """Build the index over a bare tree (no instance data, no mappings)."""
+    """Build the index over a bare tree (no instance data, no links)."""
     depths = [0] * len(parents)
     for v in range(1, len(parents)):
         if parents[v] is None:
@@ -387,7 +355,7 @@ def build_skip_tree(data: SchemaData) -> SkipTree:
     """The index of one ingested schema, built on the first call and kept
     on `data` like its `layered_tree`, so every caller shares its
     compositions.  While the arrays are on disk its links are fetched on
-    the first mapping asked for, so building it reads no column file.
+    the first route that crosses one, so building it reads no column file.
     Arrays in memory are linked at once, and arrays read later link the
     tree as they load (`SchemaData.skip_tree`): a tree referring back to
     `data` would keep both alive until the cyclic collector runs."""

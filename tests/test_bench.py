@@ -60,9 +60,3 @@ def test_report_csv_shape(tiny_store):
     assert len(lines) == 3  # header + one query under two configs
     assert json.loads(bench.report_json(report))["runs"] == 1
 
-
-def test_calibrate_measures_positive_unit_costs(tiny_store):
-    cal = bench.calibrate(tiny_store, repeats=2)
-    assert cal["a"] > 0
-    assert cal["bp"] > 0
-    assert cal["samples"]["a"] and cal["samples"]["bp"]

@@ -800,24 +800,14 @@ def test_explain_prints_plan_without_rows(store_dir):
     doc = json.loads(result.stdout)
     assert {"order", "wandering", "stops", "cost"} <= set(doc)
     assert "rows" not in doc
-    assert doc["calibrated"] is False
     assert doc["cost"]["total"] > 0
 
 
-def test_bench_calibrate_feeds_explain(store_dir):
-    cal = invoke("bench", "--store", store_dir, "--calibrate")
-    assert cal.exit_code == 0, cal.output
-    cal_path = Path(store_dir) / "calibration.json"
-    assert cal_path.exists()
-    try:
-        result = invoke("explain", "--store", store_dir, WORD_QUERY)
-        doc = json.loads(result.stdout)
-        assert doc["calibrated"] is True
-        # calibrated units are seconds, so the simplified term drops far
-        # below the unit-count scale
-        assert doc["cost"]["simplified"] < 1.0
-    finally:
-        cal_path.unlink()
+def test_bench_runs_below_one_is_a_usage_error(store_dir, tmp_path):
+    result = invoke("bench", "--store", store_dir, "--runs", "0", "--out", tmp_path / "reports")
+    assert result.exit_code == 2
+    assert "--runs" in result.stderr
+    assert not (tmp_path / "reports").exists()
 
 
 def test_bench_writes_reports(store_dir, tmp_path):

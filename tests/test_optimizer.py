@@ -23,7 +23,6 @@ from quest.optimizer import (
     estimate_selectivity,
     exhaustive_rank,
     explain_plan,
-    metadata_blocks,
     order_filters,
     plan_query,
 )
@@ -202,7 +201,6 @@ def test_cost_terms_reproduce_by_hand(multi_store, schemas):
         cost["io_filter_scan"] + cost["io_metadata"] + cost["io_fetch_scan"]
     )
     assert cost["total"] == pytest.approx(cost["c_io"] + cost["c_cpu"])
-    assert cost["simplified"] == pytest.approx(28.142857142857142)
 
 
 def test_params_read_store_shape(multi_store, schemas):
@@ -269,15 +267,6 @@ def test_engine_metadata_reads_match_model_runs(multi_store, schemas):
         key: entry["reads"] for key, entry in multi_store.io.metadata_log.items()
     }
     assert observed == expected
-
-
-def test_metadata_blocks_price_both_directions(multi_store, schemas):
-    query = parse_query(schemas, WORKED)
-    seq = plan_query(multi_store, query)
-    params = CostParams.from_store(multi_store, query.composite)
-    blocks = metadata_blocks(query.composite, seq, params)
-    assert blocks[("ads", WORD)] == pytest.approx(2 * 3 * 8 / 4096)  # one roll + one drill
-    assert blocks[("ads", PERSON)] == pytest.approx(4 * 8 / 4096)
 
 
 # -- random trees --------------------------------------------------------------------

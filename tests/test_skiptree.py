@@ -89,8 +89,8 @@ def test_tree18_lca_walkthrough():
     assert res.lca == 4
     assert naive_lca(TREE18_PARENTS, 14, 17) == 4
     # the deep side aligns 14 -> 7, then both sides descend through 5 and 15
-    assert [(v, j) for v, j, _ in res.src_jumps] == [(14, 2), (7, 1), (5, 0)]
-    assert [(v, j) for v, j, _ in res.dst_jumps] == [(17, 1), (15, 0)]
+    assert res.src_jumps == [(14, 2), (7, 1), (5, 0)]
+    assert res.dst_jumps == [(17, 1), (15, 0)]
 
 
 def test_tree18_all_pairs_match_naive():
@@ -159,7 +159,7 @@ def test_each_side_jumps_from_its_own_node_straight_to_the_lca():
                 assert res.lca == lca
                 for start, jumps in ((a, res.src_jumps), (b, res.dst_jumps)):
                     at = start
-                    for v, j, _ in jumps:
+                    for v, j in jumps:
                         assert v == at, (a, b)
                         at = tree.jumps[v][j][0]
                     assert at == lca, (a, b)
@@ -177,8 +177,8 @@ def test_a_deep_org_sensor_reaches_the_org_name_in_two_jumps():
     res = tree.find_lca(sensor, name)
     assert res.lca == schema.root.id
     # Room's counter up to Floor, then Floor, Building, Site and Region's at once
-    assert [(v, j) for v, j, _ in res.src_jumps] == [(sensor, 1), (floor, 2)]
-    assert [(v, j) for v, j, _ in res.dst_jumps] == [(name, 0)]
+    assert res.src_jumps == [(sensor, 1), (floor, 2)]
+    assert res.dst_jumps == [(name, 0)]
     # the name side is an identity, which the route leaves out; the
     # sensor side is one move through the composition of every counter
     # from the sensor's up to the Region's
@@ -274,6 +274,43 @@ def test_composed_route_sides_deliver_as_the_links_one_at_a_time():
         assert all(len(moves) == sum(1 for _, key, _ in moves if "/skip/" not in key) for moves in layered.routes.values())
         assert layered.sides == {}
     assert composed > 500
+
+
+def test_an_index_route_side_is_one_link_or_one_composition():
+    # the trees of the test above, over arrays of their own
+    rng = random.Random(404)
+    arrays = np.random.default_rng(406)
+    suffixes = {Link.COUNTER: "#counter", Link.INDICATOR: "#indicator"}
+    sides = {1: 0, 2: 0}
+    for _ in range(60):
+        parents = _random_parents(rng, rng.randrange(2, 65))
+        data = _random_data(parents, arrays)
+        schema = data.schema
+        index = build_skip_tree(data)
+        links = layered_tree(data).links
+        n = len(parents)
+        for src in range(n):
+            for dst in range(n):
+                res = index.find_lca(src, dst)
+                route = iter(index.route(src, dst))
+                for way, jumps in (("up", res.src_jumps), ("down", res.dst_jumps)):
+                    # the real links the side's jumps cross, bottom-up
+                    crossed = tuple(u for v, j in jumps for u in index.jumps[v][j][1])
+                    if not crossed:
+                        continue
+                    move, key, nbytes = next(route)
+                    assert move.__name__ == way, (parents, src, dst)
+                    if len(crossed) == 1:
+                        (u,) = crossed
+                        link = links[u]
+                        assert key == f"t/{schema.path_of(u)}{suffixes[schema.node(u).link]}", (parents, src, dst)
+                    else:
+                        link, side_key = index.side(crossed)
+                        assert key == side_key, (parents, src, dst)
+                    assert move.__self__ is link and nbytes == link.nbytes, (parents, src, dst)
+                    sides[min(len(crossed), 2)] += 1
+                assert next(route, None) is None, (parents, src, dst)
+    assert all(count > 500 for count in sides.values()), sides
 
 
 # -- mappings ---------------------------------------------------------------
@@ -528,8 +565,10 @@ def test_ads_skiptree_entries(ads_data):
     assert tree.heights == [2, 0, 0, 1, 0, 1, 0]
     assert tree.skip_ancestors(WORDSET) == [CAMPAIGN, ADVERTISER]
     assert tree.skip_ancestors(CLICKS) == [CAMPAIGN, ADVERTISER]
-    # the composite over Clicks' second entry folds Campaign's counter in
-    top = tree.mapping(CLICKS, 1)
+    # Clicks' second entry crosses Clicks' and Campaign's counters, and
+    # the side over both folds Campaign's counter in
+    assert tree.jumps[CLICKS][1] == (ADVERTISER, (CLICKS, CAMPAIGN))
+    top, _ = tree.side((CLICKS, CAMPAIGN))
     assert top.pointers is None and top.boundaries.tolist() == [2, 4]
 
 
@@ -537,13 +576,14 @@ def test_skip_up_down_equal_iterated(ads_data, ads_store):
     # deliver over the index, deliver without it (the height-0 tree), and
     # the parent links applied one at a time all agree
     tree = build_skip_tree(ads_data)
+    links = layered_tree(ads_data).links
     schema = ads_data.schema
     rng = np.random.default_rng(83)
     for node in range(len(schema)):
         chain = []
         cur = node
         for anc in schema.ancestors(node):
-            chain.append(tree.mapping(cur, 0))
+            chain.append(links[cur])
             cur = anc
             bits = rng.random(ads_data.cardinality[node]) < 0.5
             iterated = bits
@@ -570,20 +610,22 @@ def test_skiptree_round_trip(tmp_path, ads_data, ads_store):
     assert loaded.H == tree.H and loaded.heights == tree.heights
     for v in range(len(tree)):
         assert loaded.skip_ancestors(v) == tree.skip_ancestors(v)
-        for j in range(len(tree.jumps[v])):
-            m, o = tree.mapping(v, j), loaded.mapping(v, j)
-            assert m.lower_cardinality == o.lower_cardinality
-            for name in ("boundaries", "pointers"):
-                mine_array, other_array = getattr(m, name), getattr(o, name)
-                assert (mine_array is None) == (other_array is None), (v, name)
-                if mine_array is not None:
-                    assert np.array_equal(mine_array, other_array), (v, name)
-    res = loaded.find_lca(WORD, PERSON)
-    assert res.lca == CAMPAIGN
+        for u in range(len(tree)):
+            mine, other = tree.route(v, u), loaded.route(v, u)
+            assert [(move.__name__, key, nbytes) for move, key, nbytes in mine] == [
+                (move.__name__, key, nbytes) for move, key, nbytes in other
+            ], (v, u)
+            for (move, _, _), (o_move, _, _) in zip(mine, other):
+                m, o = move.__self__, o_move.__self__
+                assert m.lower_cardinality == o.lower_cardinality
+                for name in ("boundaries", "pointers"):
+                    mine_array, other_array = getattr(m, name), getattr(o, name)
+                    assert (mine_array is None) == (other_array is None), (v, u, name)
+                    if mine_array is not None:
+                        assert np.array_equal(mine_array, other_array), (v, u, name)
+    assert loaded.find_lca(WORD, PERSON).lca == CAMPAIGN
     bits = np.array([1, 0, 0, 1, 0, 0, 0, 0], dtype=bool)
-    out = bits
-    for _, _, m in res.src_jumps:
-        out = m.up(out)
+    out = deliver(loaded_store, "ads", WORD, CAMPAIGN, bits, index=loaded)
     assert out.tolist() == [True, True, False]
 
 
@@ -597,30 +639,50 @@ def test_persisted_index_holds_only_its_stamp(tmp_path, config):
     corpus = generate("tiny", seed=3) if config == "tiny-3" else random_corpus(random.Random(8))
     store = corpus.store()
     write_store(store, tmp_path)
-    composed = []
     for name, data in sorted(store.datasets.items()):
-        tree = build_skip_tree(data)
-        write_skiptree(tree, tmp_path, data.schema)
+        write_skiptree(build_skip_tree(data), tmp_path, data.schema)
         root = tmp_path / name / "_skiptree"
         assert [p.name for p in root.iterdir()] == ["skiptree.json"]
         assert (root / "skiptree.json").read_text() == '{"format_version": 2}\n'
-        loaded = load_skiptree(open_store(tmp_path), name)
-        for v, j in _composed_jumps(tree):
-            composed.append(f"{name}/{data.schema.path_of(v)}.{j}")
-            # composed on first use, from the opened store's own arrays
-            assert loaded.mappings[v][j] is None
-            mine, other = tree.mapping(v, j), loaded.mapping(v, j)
-            assert loaded.mappings[v][j] is other
+    opened = open_store(tmp_path)
+    composed = []
+    for name in sorted(opened.datasets):
+        tree = load_skiptree(opened, name)
+        assert tree.sides == {}
+        for src in range(len(tree)):
+            for dst in range(len(tree)):
+                tree.route(src, dst)
+        # composed on first use, from the opened store's own arrays
+        links = layered_tree(opened.data(name)).links
+        assert tree.links is links
+        path = opened.schema(name).path_of
+        for crossed, (other, _) in tree.sides.items():
+            composed.append(f"{name}/{path(crossed[0])}>{path(crossed[-1])}")
+            mine = build_skip_tree(store.data(name)).side(crossed)[0]
             for array in ("boundaries", "pointers"):
-                assert np.array_equal(getattr(mine, array), getattr(other, array)), (v, j, array)
-    # which jumps compose two real links depends on the schemas alone
+                assert np.array_equal(getattr(mine, array), getattr(other, array)), (crossed, array)
+    # which route sides compose two or more real links depends on the
+    # schemas alone (a query's routes also depend on its data: an empty
+    # context ends it early)
     assert sorted(composed) == [
-        "org/Org.Region.Site.1",
-        "org/Org.Region.Site.Building.Floor.1",
-        "org/Org.Region.Site.Building.Floor.2",
-        "org/Org.Region.Site.Building.Floor.Room.sensor.1",
-        "org/Org.Region.Site.Building.tag.2",
-        "social/Person.like#.#Message.1",
+        "ads/Advertiser.Campaign.Clicks.Person>Advertiser.Campaign",
+        "ads/Advertiser.Campaign.WordSet.Word>Advertiser.Campaign",
+        "org/Org.Region.Site.Building.Floor.Room.sensor>Org.Region",
+        "org/Org.Region.Site.Building.Floor.Room.sensor>Org.Region.Site",
+        "org/Org.Region.Site.Building.Floor.Room.sensor>Org.Region.Site.Building",
+        "org/Org.Region.Site.Building.Floor.Room.sensor>Org.Region.Site.Building.Floor",
+        "org/Org.Region.Site.Building.Floor.Room.sensor>Org.Region.Site.Building.Floor.Room",
+        "org/Org.Region.Site.Building.Floor.Room>Org.Region",
+        "org/Org.Region.Site.Building.Floor.Room>Org.Region.Site",
+        "org/Org.Region.Site.Building.Floor.Room>Org.Region.Site.Building",
+        "org/Org.Region.Site.Building.Floor.Room>Org.Region.Site.Building.Floor",
+        "org/Org.Region.Site.Building.Floor>Org.Region",
+        "org/Org.Region.Site.Building.Floor>Org.Region.Site",
+        "org/Org.Region.Site.Building.Floor>Org.Region.Site.Building",
+        "org/Org.Region.Site.Building>Org.Region",
+        "org/Org.Region.Site.Building>Org.Region.Site",
+        "org/Org.Region.Site>Org.Region",
+        "social/Person.like#.#Message>Person.like#",
     ]
 
 
@@ -658,14 +720,6 @@ def test_trees_over_one_schema_data_share_link_mappings(tmp_path, monkeypatch):
     assert loaded is built  # one index per schema data
     layered = layered_tree(data)
     links = layered.links
-    composed = _composed_jumps(built)
-    for v in range(len(built)):
-        for j in range(len(built.jumps[v])):
-            mine = built.mapping(v, j)
-            if (v, j) not in composed:
-                assert any(mine is m for m in links), (v, j)
-        if v:
-            assert layered.mapping(v, 0) is built.mapping(v, 0) is links[v]
 
     owners = []
 
@@ -680,13 +734,25 @@ def test_trees_over_one_schema_data_share_link_mappings(tmp_path, monkeypatch):
             for anc in data.schema.ancestors(node):
                 deliver(store, "org", node, anc, rng.random(data.cardinality[node]) < 0.5, index=index)
                 deliver(store, "org", anc, node, rng.random(data.cardinality[anc]) < 0.5, index=index)
-    # one owner per counter, per composed jump a route makes alone and per
-    # composed route side, whichever trees move bits over it
+    # every move over one link is bound to the store's own link Mapping,
+    # whichever tree makes it, and every other move to a composed side
+    assert built.links is links
+    suffixes = {Link.COUNTER: "#counter", Link.INDICATOR: "#indicator"}
+    own = {
+        f"org/{data.schema.path_of(n.id)}{suffixes[n.link]}": links[n.id]
+        for n in data.schema.nodes
+        if n.link in suffixes
+    }
+    composed = {id(m) for m, _ in built.sides.values()}
+    for tree in (built, layered):
+        for moves in tree.routes.values():
+            for move, key, _ in moves:
+                assert (move.__self__ is own[key]) if key in own else (id(move.__self__) in composed), key
+    # one owner per counter and per composed route side, whichever trees
+    # move bits over it
     assert len(owners) == len({id(b) for b in owners})
     counters = [m for m in links if m is not None and m.boundaries is not None]
-    moved = {id(move.__self__) for moves in built.routes.values() for move, _, _ in moves}
-    alone = [(v, j) for v, j in composed if id(built.mapping(v, j)) in moved]
-    assert len(owners) == len(counters) + len(alone) + len(built.sides)
+    assert len(owners) == len(counters) + len(built.sides)
 
 
 def _shift_one_child(store) -> None:
@@ -730,12 +796,12 @@ def test_a_copied_in_column_file_cannot_leave_the_index_stale(tmp_path):
     write_store(store, first)
     for name in store.datasets:
         write_skiptree(build_skip_tree(store.data(name)), first, store.schema(name))
-    # every jump of an index over the original arrays, composed before the copy
+    # an index over the original arrays, whose route sides the workload
+    # composes before the copy
     before = open_store(first)
     old = {name: load_skiptree(before, name) for name in before.datasets}
-    for tree in old.values():
-        for v, j in _composed_jumps(tree):
-            tree.mapping(v, j)
+    _answers_match_the_oracle(before, old)
+    assert old["org"].sides
     _shift_one_child(store)
     write_store(store, second)
     copied = []
@@ -747,7 +813,7 @@ def test_a_copied_in_column_file_cannot_leave_the_index_stale(tmp_path):
 
     after = open_store(first)
     _answers_match_the_oracle(after, {name: load_skiptree(after, name) for name in after.datasets})
-    # the copy is one that jumps composed from the original arrays answer wrongly
+    # the copy is one that sides composed from the original arrays answer wrongly
     schemas = {name: after.schema(name) for name in after.datasets}
     wrong = []
     for wq in WORKLOAD:

@@ -373,7 +373,7 @@ def test_a_malformed_link_array_on_disk_is_a_data_error(tmp_path, multi_store, f
 
 
 def test_planning_and_index_load_read_no_column_file(tmp_path):
-    from quest.optimizer import CostParams, plan_query
+    from quest.optimizer import plan_query
     from quest.query import parse_query
     from quest.skiptree import build_skip_tree, load_skiptree, write_skiptree
 
@@ -391,7 +391,7 @@ def test_planning_and_index_load_read_no_column_file(tmp_path):
     }
     schemas = {name: store.schema(name) for name in store.datasets}
     q = parse_query(schemas, doc)
-    plan = plan_query(store, q, params=CostParams.from_store(store, q.composite))
+    plan = plan_query(store, q)
     indexes = {name: load_skiptree(store, name) for name in store.datasets}
     assert all(build_skip_tree(store.data(name)) is indexes[name] for name in store.datasets)
     with pytest.raises(StoreError, match="changed after the store was opened"):
