@@ -9,15 +9,20 @@ four moves below are the only ways bits ever change address space:
 A `Mapping` holds one counter, one pointer array or both, and is the only
 in-memory form of either: the store holds each of its arrays as one, and
 the Skip-Tree composes them.  Its constructor checks the arrays, once.
-A counter move is one gather through the counter's owner index, the upper
-instance of every entry (`owner_index`): a roll-up scatters the owners of
-the set entries, a drill-down reads each entry's owner bit.  The owner
-depends on the store alone, so a `Mapping` builds it on its first move and
-keeps it, and a warm query repeats none of that work.  An all-ones input
-moves nothing: a drill-down or a pointer gather gives all-ones, a
-roll-up the owners of non-empty ranges and a scatter the image (the
-lower instances some pointer names), each kept read-only by the
-mapping on first use, as `owner` is.
+A counter picks its move kernel once, from its own boundaries.  A wide
+counter, whose non-empty ranges hold `WIDE_RANGE` entries or more on
+average, moves by whole ranges: a roll-up is one `np.logical_or.reduceat`
+over the non-empty range starts, a drill-down one `np.repeat` over the
+range lengths.  A narrower counter moves by one gather through its owner
+index, the upper instance of every entry (`owner_index`): a roll-up
+scatters the owners of the set entries, a drill-down reads each entry's
+owner bit.  The ranges and the owner depend on the store alone, so a
+`Mapping` makes them on its first move and keeps them, and a warm query
+repeats none of that work.  An all-ones input moves nothing: a
+drill-down or a pointer gather gives all-ones, a roll-up the owners of
+non-empty ranges and a scatter the image (the lower instances some
+pointer names), each kept read-only by the mapping on first use, as
+`owner` is.
 `roll_up` / `drill_down` take a bare counter and build the owner per call.
 
 `deliver` routes a bitset from one node to another through their lowest
@@ -48,6 +53,15 @@ __all__ = [
     "positions_of",
     "deliver",
 ]
+
+
+# The average entries per non-empty range from which a counter moves by
+# whole ranges.  Over 100k entries (numpy 2.4.6, 2 vCPUs), a roll-up by
+# `reduceat` over 96-entry ranges took 11-24 us against 24-215 us for the
+# owner gather, and a drill-down by `repeat` 8 us against 72-77 us; over
+# 10-entry ranges `reduceat` took 210-370 us against 40-215 us, and over
+# 5-entry ranges 400-600 us against 40-290 us.
+WIDE_RANGE = 32
 
 
 def new_bits(n: int, positions=None) -> np.ndarray:
@@ -144,8 +158,9 @@ class Mapping:
 
     The constructor raises `StoreError` unless the counter never decreases
     and ends at the number of entries it ranges over, and every pointer
-    is a lower instance.  A counter's moves go through its `owner` index,
-    built on the first move and kept for the mapping's life.
+    is a lower instance.  A counter's moves go through its `_ranges` when
+    it is wide, else through its `owner` index; either is made on the
+    first move and kept for the mapping's life.
     """
 
     def __init__(self, lower_cardinality: int, boundaries=None, pointers=None):
@@ -194,20 +209,57 @@ class Mapping:
             return _read_only(ones_bits(self.lower_cardinality))
         return _read_only(new_bits(self.lower_cardinality, self.pointers))
 
+    @cached_property
+    def _ranges(self) -> tuple | None:
+        """A wide counter's ranges (see `WIDE_RANGE`), else None:
+        ``(filled, starts, lengths)``, the non-empty upper instances (None
+        when every range is), their range starts, and every range's length."""
+        lengths = np.diff(self.boundaries, prepend=0)
+        filled = np.flatnonzero(lengths)
+        if not filled.size or int(self.boundaries[-1]) < WIDE_RANGE * filled.size:
+            return None
+        starts = (self.boundaries - lengths)[filled]
+        return (None if filled.size == lengths.size else filled), starts, lengths
+
+    def _roll_up(self, bits: np.ndarray) -> np.ndarray:
+        ranges = self._ranges
+        if ranges is None:
+            return owner_roll_up(bits, self.owner, self.upper_cardinality)
+        end = int(self.boundaries[-1])
+        if bits.shape[0] != end:
+            raise DeliveryError(f"roll_up: bitset length {bits.shape[0]} != counter end {end}")
+        filled, starts, _ = ranges
+        hit = np.logical_or.reduceat(bits, starts)
+        if filled is None:
+            return hit
+        out = np.zeros(self.upper_cardinality, dtype=bool)
+        out[filled] = hit
+        return out
+
+    def _drill_down(self, bits: np.ndarray) -> np.ndarray:
+        ranges = self._ranges
+        if ranges is None:
+            return owner_drill_down(bits, self.owner, self.upper_cardinality)
+        if bits.shape[0] != self.upper_cardinality:
+            raise DeliveryError(
+                f"drill_down: bitset length {bits.shape[0]} != counter length {self.upper_cardinality}"
+            )
+        return np.repeat(bits, ranges[2])
+
     def up(self, bits: np.ndarray) -> np.ndarray:
         if bits.shape[0] == self.lower_cardinality and bits.all():
             return self._full_up
         if self.pointers is not None:
             bits = indicator_gather(bits, self.pointers)
         if self.boundaries is not None:
-            bits = owner_roll_up(bits, self.owner, self.upper_cardinality)
+            bits = self._roll_up(bits)
         return bits
 
     def down(self, bits: np.ndarray) -> np.ndarray:
         if bits.shape[0] == self.upper_cardinality and bits.all():
             return self._full_down
         if self.boundaries is not None:
-            bits = owner_drill_down(bits, self.owner, self.upper_cardinality)
+            bits = self._drill_down(bits)
         if self.pointers is not None:
             bits = indicator_scatter(bits, self.pointers, self.lower_cardinality)
         return bits
@@ -249,8 +301,7 @@ def deliver(store, schema_name: str, src: int, dst: int, bits: np.ndarray, index
         index = layered_tree(data)
     io = store.io
     for move, key, nbytes in index.route(src, dst):
-        if key is not None:
-            io.record_metadata(key, nbytes)
-            io.bitset_ops += 1
+        io.record_metadata(key, nbytes)
+        io.bitset_ops += 1
         bits = move(bits)
     return bits

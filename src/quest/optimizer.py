@@ -96,7 +96,15 @@ class PlanFilter:
 
 
 class WanderingSequence:
-    __slots__ = ("order", "w", "stops", "filter_end", "rollups", "drilldowns", "fetch_keys", "cost")
+    """A filter order expanded into its per-level walk ``w``.
+
+    The run counts (``rollups``, ``drilldowns``) and the ``cost`` are
+    worked out on first read, as `explain_plan` reads them: evaluation
+    reads only the order.  ``cost`` is None for a walk derived without a
+    store to price it against.
+    """
+
+    __slots__ = ("order", "w", "stops", "filter_end", "fetch_keys", "tree", "store", "_runs", "_cost")
 
     def __init__(
         self,
@@ -104,18 +112,51 @@ class WanderingSequence:
         w: list[Key],
         stops: list[Key],
         filter_end: int,  # prefix of ``w`` covered by the revisit constraint
-        rollups: dict[Key, int],
-        drilldowns: dict[Key, int],
         fetch_keys: list[Key],
+        tree: CompositeTree,
+        store: Store | None = None,
     ):
         self.order = order
         self.w = w
         self.stops = stops
         self.filter_end = filter_end
-        self.rollups = rollups
-        self.drilldowns = drilldowns
         self.fetch_keys = fetch_keys
-        self.cost: dict | None = None
+        self.tree = tree
+        self.store = store
+        self._runs: tuple[dict[Key, int], dict[Key, int]] | None = None
+        self._cost: dict | None = None
+
+    @property
+    def rollups(self) -> dict[Key, int]:
+        """Steps up the walk takes over each moved-over node's link (#r)."""
+        return self._run_counts()[0]
+
+    @property
+    def drilldowns(self) -> dict[Key, int]:
+        """Steps down the walk takes over each moved-over node's link (#d)."""
+        return self._run_counts()[1]
+
+    def _run_counts(self) -> tuple[dict[Key, int], dict[Key, int]]:
+        if self._runs is None:
+            tree = self.tree
+            rollups: dict[Key, int] = {}
+            drilldowns: dict[Key, int] = {}
+            for a, b in zip(self.w, self.w[1:]):
+                if tree.parent_of(a) == b:
+                    moved, counts = a, rollups
+                else:
+                    moved, counts = b, drilldowns
+                if tree.is_join_root(moved) or tree.node(moved).link in (Link.COUNTER, Link.INDICATOR):
+                    counts[moved] = counts.get(moved, 0) + 1
+            self._runs = rollups, drilldowns
+        return self._runs
+
+    @property
+    def cost(self) -> dict | None:
+        """`estimate_cost`'s terms, priced against ``store`` on first read."""
+        if self._cost is None and self.store is not None:
+            self._cost = estimate_cost(self.tree, self, CostParams.from_store(self.store, self.tree))
+        return self._cost
 
 
 # ---------------------------------------------------------------------------
@@ -224,24 +265,13 @@ def derive_wandering(
     for key in fetch_keys:
         extend_to(key)
 
-    rollups: dict[Key, int] = {}
-    drilldowns: dict[Key, int] = {}
-    for a, b in zip(w, w[1:]):
-        if tree.parent_of(a) == b:
-            moved, counts = a, rollups
-        else:
-            moved, counts = b, drilldowns
-        if tree.is_join_root(moved) or tree.node(moved).link in (Link.COUNTER, Link.INDICATOR):
-            counts[moved] = counts.get(moved, 0) + 1
-
     return WanderingSequence(
         order=list(order),
         w=w,
         stops=stops,
         filter_end=filter_end,
-        rollups=rollups,
-        drilldowns=drilldowns,
         fetch_keys=list(fetch_keys),
+        tree=tree,
     )
 
 
@@ -353,7 +383,9 @@ def _plan_filters(store: Store, query: Query) -> list[PlanFilter]:
 
 
 def plan_query(store: Store, query: Query) -> WanderingSequence:
-    """Order the query's filters, derive the wandering, and price it."""
+    """Order the query's filters, derive the wandering, and check it
+    against the constraint.  The plan is priced against `store` when its
+    ``cost`` is first read."""
     tree = query.composite
     filters = _plan_filters(store, query)
     order = order_filters(tree, filters)
@@ -365,7 +397,7 @@ def plan_query(store: Store, query: Query) -> WanderingSequence:
             raise PlanConstraintError(
                 f"derived wandering re-enters a subtree at step {where}"
             )
-    seq.cost = estimate_cost(tree, seq, CostParams.from_store(store, tree))
+    seq.store = store
     return seq
 
 

@@ -17,9 +17,14 @@ thing an index composes: in an index, a side whose jumps cross two or
 more real links is one move through their composition, made from the
 links themselves on the side's first use (`SkipTree.side`) and read as
 one metadata read, so a bitset jumps several nested layers in one kernel
-call instead of climbing them one boundary array at a time.  A side over
-one link moves through that link's array, as the store holds it, and the
-height-0 tree, used without an index, moves through one array at a time.
+call instead of climbing them one boundary array at a time.  That call
+costs what a move through one link of the composition's shape costs: a
+pure counter composes to a counter whose ranges span every layer it
+crosses, so it is often wide enough to move by whole ranges
+(`quest.delivery.WIDE_RANGE`), and a composition with pointers gathers
+or scatters its pointers too.  A side over one link moves through that
+link's array, as the store holds it, and the height-0 tree, used without
+an index, moves through one array at a time.
 
 Every mapping is one `quest.delivery.Mapping`: a counter, a pointer array,
 both, or neither (the identity).  The same machinery expresses multi-hop graph
@@ -192,7 +197,7 @@ class SkipTree:
         # filled on a miss: a new route reads the `side` of the links its
         # jumps cross
         self.routes: dict[tuple[int, int], list[tuple]] = {}
-        self.sides: dict[tuple, tuple[Mapping, str | None]] = {}
+        self.sides: dict[tuple, tuple[Mapping, str]] = {}
 
     def __len__(self) -> int:
         return len(self.parents)
@@ -257,7 +262,7 @@ class SkipTree:
         their LCA, made on the pair's first use and kept.
 
         A move is ``(call, key, nbytes)``: the `Mapping.up` or `down` to
-        call, and the metadata read to record first, or None.  Each side
+        call, and the metadata read to record first.  Each side
         (src up to the LCA, the LCA down to dst) of a tree with skip
         layers whose jumps cross two or more real links is one move
         through their composition (`side`).  Otherwise each real link a
@@ -285,18 +290,17 @@ class SkipTree:
             moves.append((getattr(m, way), f"{self.schema.name}/{self.schema.path_of(u)}{suffix}", m.nbytes))
         return moves
 
-    def side(self, crossed: tuple) -> tuple[Mapping, str | None]:
+    def side(self, crossed: tuple) -> tuple[Mapping, str]:
         """The composition of the real links of the nodes in `crossed`
         (bottom-up), made on first use and kept, and the metadata key it
-        is read under: ``<schema>/skip/<lowest path>><highest path>``,
-        or None when it is empty."""
+        is read under: ``<schema>/skip/<lowest path>><highest path>``.
+        An empty one is read too, as 0 bytes, as an empty link is."""
         kept = self.sides.get(crossed)
         if kept is None:
             self.link()
             m = reduce(compose, [self.links[u] for u in crossed])
             path = self.schema.path_of
-            key = f"{self.schema.name}/skip/{path(crossed[0])}>{path(crossed[-1])}" if m.nbytes else None
-            kept = self.sides[crossed] = (m, key)
+            kept = self.sides[crossed] = (m, f"{self.schema.name}/skip/{path(crossed[0])}>{path(crossed[-1])}")
         return kept
 
 

@@ -70,9 +70,10 @@ _VALUE_KIND_BY_PRIM = {"number": K_NUMBER, "string": K_STRING, "boolean": K_BOOL
 
 def _unmarked(codes: np.ndarray, marked: np.ndarray) -> np.ndarray:
     """The distinct entries among `codes` that `marked` does not mark, ascending."""
-    missing = codes[~marked[codes]]
-    if not missing.size:
-        return missing
+    hit = marked[codes]
+    if hit.all():  # one gather, and no compaction, when every entry is marked
+        return codes[:0]
+    missing = codes[~hit]
     need = np.zeros(marked.size, dtype=bool)
     need[missing] = True
     return np.flatnonzero(need)

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from quest.delivery import (
+    WIDE_RANGE,
+    Mapping,
     deliver,
     drill_down,
     indicator_gather,
     indicator_scatter,
     new_bits,
     ones_bits,
+    owner_index,
     positions_of,
     roll_up,
 )
 from quest.engine import evaluate
 from quest.errors import DeliveryError
 from quest.query import parse_query
-from quest.skiptree import build_skip_tree, layered_tree, load_skiptree, write_skiptree
+from quest.skiptree import build_skip_tree, compose, layered_tree, load_skiptree, write_skiptree
 from quest.ingest import ingest_json
 from quest.store import Store, collector_paused, open_store, write_store
 
@@ -35,26 +38,34 @@ def test_roll_up_handles_empty_ranges():
     assert roll_up(np.zeros(0, bool), np.array([], dtype=np.int64)).tolist() == []
 
 
+def _roll_up_loop(bits, boundaries) -> list[bool]:
+    starts = [0, *boundaries[:-1].tolist()]
+    return [bool(bits[lo:hi].any()) for lo, hi in zip(starts, boundaries.tolist())]
+
+
+def _drill_down_loop(bits, boundaries) -> list[bool]:
+    starts = [0, *boundaries[:-1].tolist()]
+    return [bool(bit) for bit, lo, hi in zip(bits.tolist(), starts, boundaries.tolist()) for _ in range(lo, hi)]
+
+
+def _density_cases(n: int, rng) -> dict:
+    one_last = np.zeros(n, bool)
+    one_last[n - 1] = True
+    return {
+        "all zero": np.zeros(n, bool),
+        "one bit": one_last,
+        "3%": rng.random(n) < 0.03,
+        "50%": rng.random(n) < 0.5,
+        "all one": np.ones(n, bool),
+    }
+
+
 def test_roll_up_kernels_equal_a_loop():
     # empty ranges at the start, in the middle and at the end
     boundaries = np.array([0, 0, 3, 3, 40, 41, 100, 100])
-
-    def loop(bits):
-        starts = [0, *boundaries[:-1].tolist()]
-        return [bool(bits[lo:hi].any()) for lo, hi in zip(starts, boundaries.tolist())]
-
     rng = np.random.default_rng(11)
-    one_last = np.zeros(100, bool)
-    one_last[99] = True
-    cases = {
-        "all zero": np.zeros(100, bool),
-        "one bit": one_last,
-        "3%": rng.random(100) < 0.03,
-        "50%": rng.random(100) < 0.5,
-        "all one": np.ones(100, bool),
-    }
-    for name, bits in cases.items():
-        assert roll_up(bits, boundaries).tolist() == loop(bits), name
+    for name, bits in _density_cases(100, rng).items():
+        assert roll_up(bits, boundaries).tolist() == _roll_up_loop(bits, boundaries), name
 
 
 def test_drill_down_golden():
@@ -63,10 +74,6 @@ def test_drill_down_golden():
 
 
 def test_drill_down_equals_a_loop():
-    def loop(bits, boundaries):
-        starts = [0, *boundaries[:-1].tolist()]
-        return [bool(bit) for bit, lo, hi in zip(bits.tolist(), starts, boundaries.tolist()) for _ in range(lo, hi)]
-
     rng = np.random.default_rng(12)
     counters = {
         # empty ranges at the start, in the middle and at the end
@@ -76,7 +83,57 @@ def test_drill_down_equals_a_loop():
     }
     for name, boundaries in counters.items():
         for bits in (np.zeros(boundaries.size, bool), np.ones(boundaries.size, bool), rng.random(boundaries.size) < 0.5):
-            assert drill_down(bits, boundaries).tolist() == loop(bits, boundaries), name
+            assert drill_down(bits, boundaries).tolist() == _drill_down_loop(bits, boundaries), name
+
+
+def _ragged(total: int) -> np.ndarray:
+    """A counter over `total` entries in four non-empty ranges of uneven
+    length, with empty ranges at the start, in the middle and at the end."""
+    quarter = total // 4
+    lengths = [0, 0, quarter - 7, quarter + 7, 0, quarter - 1, total - 3 * quarter + 1, 0, 0]
+    return np.cumsum(lengths)
+
+
+def test_mapping_kernels_equal_a_loop_either_side_of_the_wide_threshold(monkeypatch):
+    """`Mapping.up` and `down` over counters whose non-empty ranges
+    average just above and just below `WIDE_RANGE` entries, alone and
+    composed over distinct pointers: a wide one moves by ranges and
+    builds no owner."""
+    owners = []
+
+    def counting(boundaries):
+        owners.append(boundaries)
+        return owner_index(boundaries)
+
+    monkeypatch.setattr("quest.delivery.owner_index", counting)
+    rng = np.random.default_rng(21)
+    for total, wide in ((4 * WIDE_RANGE + 1, True), (4 * WIDE_RANGE, True), (4 * WIDE_RANGE - 1, False)):
+        boundaries = _ragged(total)
+        assert int(boundaries[-1]) == total and np.count_nonzero(np.diff(boundaries, prepend=0)) == 4
+        lower = 1000
+        pointers = rng.permutation(lower)[:total]
+        counter = Mapping(total, boundaries=boundaries)
+        hop = compose(Mapping(lower, pointers=pointers), counter)
+        assert hop.pointers is not None and np.array_equal(hop.boundaries, boundaries)
+        owners.clear()
+        for name, bits in _density_cases(total, rng).items():
+            assert counter.up(bits).tolist() == _roll_up_loop(bits, boundaries), (total, name)
+        for name, bits in _density_cases(lower, rng).items():
+            assert hop.up(bits).tolist() == _roll_up_loop(bits[pointers], boundaries), (total, name)
+        for name, bits in _density_cases(boundaries.size, rng).items():
+            down = _drill_down_loop(bits, boundaries)
+            assert counter.down(bits).tolist() == down, (total, name)
+            image = np.zeros(lower, bool)
+            image[pointers[np.asarray(down, bool)]] = True
+            assert hop.down(bits).tolist() == image.tolist(), (total, name)
+        assert len(owners) == (0 if wide else 2), total
+        for n in (total - 1, total + 1):
+            with pytest.raises(DeliveryError, match=f"roll_up: bitset length {n} != counter end {total}"):
+                counter.up(np.ones(n, bool))
+        for m in (counter, hop):
+            for n in (8, 10):
+                with pytest.raises(DeliveryError, match=f"drill_down: bitset length {n} != counter length 9"):
+                    m.down(np.ones(n, bool))
 
 
 def test_kernels_reject_bad_lengths():

@@ -399,9 +399,67 @@ def test_a_full_context_scan_computes_no_positions(monkeypatch):
 
     monkeypatch.setattr("quest.engine.positions_of", counting)
     result = evaluate(store, query)
-    # Q01 scans one column under an all-ones context; only the rows take positions
+    # Q01 scans one column whole; only the rows take positions
     assert result.rows
     assert calls == [store.data("people").cardinality[store.schema("people").root.id]]
+
+
+def test_a_first_scan_of_a_full_seed_allocates_no_seed(monkeypatch):
+    store = generate("tiny", seed=0).store()
+    schemas = {name: store.schema(name) for name in store.datasets}
+    seeded = []
+    monkeypatch.setattr("quest.engine.ones_bits", lambda n: seeded.append(n) or np.ones(n, bool))
+    allocating = set()
+    for wq in WORKLOAD:
+        query = parse_query(schemas, wq.doc)
+        for indexes in ({name: build_skip_tree(store.data(name)) for name in store.datasets}, None):
+            seeded.clear()
+            result = evaluate(store, query, indexes=indexes, audit=True)
+            assert result.rows == oracle_query(store, query), wq.name
+            assert result.stats["audit_violations"] == 0, wq.name
+            if seeded:
+                allocating.add(wq.name[:3])
+    # every query but Q06, whose first stop is a pattern, starts with a scan
+    # that every instance reaches
+    assert allocating == {"Q06"}
+
+
+def test_a_fetch_of_a_partial_scans_survivors_searches_for_no_position(monkeypatch):
+    store = generate("tiny", seed=0).store()
+    query = parse_query({"people": store.schema("people")}, WORKLOAD[1].doc)
+    calls = []
+
+    def counting(bits):
+        calls.append(int(np.count_nonzero(bits)))
+        return positions_of(bits)
+
+    monkeypatch.setattr("quest.engine.positions_of", counting)
+    result = evaluate(store, query, audit=True)
+    # Q02 scans `credit_score` whole, `balance` at the survivors' positions,
+    # and fetches `PID` at the positions the `balance` scan kept
+    assert result.rows == oracle_query(store, query) and result.rows
+    assert result.stats["audit_violations"] == 0
+    assert len(calls) == 1 and calls[0] > len(result.rows)
+
+
+def test_a_join_never_records_a_read_of_its_key_columns():
+    store = generate("tiny", seed=0).store()
+    schemas = {name: store.schema(name) for name in store.datasets}
+    for wq in WORKLOAD:
+        query = parse_query(schemas, wq.doc)
+        if not query.joins:
+            continue
+        # the columns the query scans or fetches; a join key column is
+        # read only when it is one of them
+        sites = {store.data(p.site.schema).io_keys[p.site.node] for p in [*query.filters, *query.fetch]}
+        runs = []
+        for _ in range(2):  # building the relation, then reusing it
+            result = evaluate(store, query, audit=True)
+            assert result.rows == oracle_query(store, query), wq.name
+            read = {entry["column"] for entry in store.io.audit}
+            assert read <= sites, wq.name
+            runs.append((result.stats["columns_read"], result.stats["bytes_read"], len(store.io.audit)))
+        assert runs[0] == runs[1], wq.name
 
 
 def test_audit_finds_no_stray_reads(multi_store, schemas):

@@ -203,6 +203,25 @@ def test_cost_terms_reproduce_by_hand(multi_store, schemas):
     assert cost["total"] == pytest.approx(cost["c_io"] + cost["c_cpu"])
 
 
+def test_a_plan_is_priced_when_its_cost_is_first_read(multi_store, schemas, monkeypatch):
+    priced = []
+
+    def counting(tree, seq, params):
+        priced.append(seq)
+        return estimate_cost(tree, seq, params)
+
+    monkeypatch.setattr("quest.optimizer.estimate_cost", counting)
+    query = parse_query(schemas, WORKED)
+    seq = plan_query(multi_store, query)
+    assert evaluate(multi_store, query, plan=seq).rows == [("e1",)]
+    assert priced == []  # neither planning nor evaluating prices the plan
+    want = estimate_cost(query.composite, seq, CostParams.from_store(multi_store, query.composite))
+    assert seq.cost == want and priced == [seq]
+    assert seq.cost is seq.cost and priced == [seq]  # kept
+    # a walk derived without a store has no price
+    assert derive_wandering(query.composite, seq.order, [("ads", EMAIL)]).cost is None
+
+
 def test_params_read_store_shape(multi_store, schemas):
     query = parse_query(schemas, WORKED)
     params = CostParams.from_store(multi_store, query.composite)

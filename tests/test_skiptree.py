@@ -8,6 +8,7 @@ import pytest
 from quest.bench import WORKLOAD
 from quest.datagen import generate, random_corpus
 from quest.delivery import (
+    WIDE_RANGE,
     deliver,
     drill_down,
     indicator_gather,
@@ -252,7 +253,7 @@ def test_composed_route_sides_deliver_as_the_links_one_at_a_time():
     # trees drawn as criterion 4 draws them
     rng = random.Random(404)
     arrays = np.random.default_rng(405)
-    composed = 0
+    composed = empty = 0
     for _ in range(60):
         parents = _random_parents(rng, rng.randrange(2, 65))
         data = _random_data(parents, arrays)
@@ -266,14 +267,24 @@ def test_composed_route_sides_deliver_as_the_links_one_at_a_time():
                 bits = arrays.random(data.cardinality[src]) < density
                 want = _one_link_at_a_time(data, owners, src, dst, bits)
                 for tree in (index, None):
+                    store.io.reset()
                     got = deliver(store, "t", src, dst, bits, index=tree)
                     assert np.array_equal(got, want), (parents, src, dst, tree is None)
+                    # every move is one metadata read and one bitset op, an
+                    # empty composed side as much as an empty link
+                    moves = [] if src == dst else (tree or layered_tree(data)).route(src, dst)
+                    assert store.io.metadata_reads == store.io.bitset_ops == len(moves), (parents, src, dst)
+                    assert sum(e["reads"] for e in store.io.metadata_log.values()) == len(moves)
         composed += len(index.sides)
+        for m, key in index.sides.values():
+            if not m.nbytes:
+                empty += 1
+                assert key.startswith("t/skip/"), key
         # the height-0 tree still makes one move per link
         layered = layered_tree(data)
         assert all(len(moves) == sum(1 for _, key, _ in moves if "/skip/" not in key) for moves in layered.routes.values())
         assert layered.sides == {}
-    assert composed > 500
+    assert composed > 500 and empty > 0
 
 
 def test_an_index_route_side_is_one_link_or_one_composition():
@@ -748,11 +759,22 @@ def test_trees_over_one_schema_data_share_link_mappings(tmp_path, monkeypatch):
         for moves in tree.routes.values():
             for move, key, _ in moves:
                 assert (move.__self__ is own[key]) if key in own else (id(move.__self__) in composed), key
-    # one owner per counter and per composed route side, whichever trees
-    # move bits over it
+    # one owner per narrow counter and per narrow composed route side,
+    # whichever trees move bits over it; a wide one moves by ranges and
+    # builds none
     assert len(owners) == len({id(b) for b in owners})
     counters = [m for m in links if m is not None and m.boundaries is not None]
-    assert len(owners) == len(counters) + len(built.sides)
+    counters += [m for m, _ in built.sides.values()]
+    assert all(m.boundaries is not None for m in counters)
+    wide = [m for m in counters if _wide(m.boundaries)]
+    assert wide and len(wide) < len(counters)
+    assert len(owners) == len(counters) - len(wide)
+
+
+def _wide(boundaries) -> bool:
+    """Whether a counter's non-empty ranges hold `WIDE_RANGE` entries or more on average."""
+    filled = int(np.count_nonzero(np.diff(boundaries, prepend=0)))
+    return filled > 0 and int(boundaries[-1]) >= WIDE_RANGE * filled
 
 
 def _shift_one_child(store) -> None:

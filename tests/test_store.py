@@ -1243,6 +1243,25 @@ def test_dictionary_translation_matches_entries_by_bytes():
         assert not left._decoded.any() and not right._decoded.any()
 
 
+def test_kept_rows_are_built_once_per_entry_and_match_the_entries():
+    def undecoded(values):
+        d = StringDictionary.from_sorted(sorted(set(values)))
+        return StringDictionary(d.lengths, d.blob)
+
+    rng = np.random.default_rng(9)
+    dictionary = undecoded(DICTIONARY_LEFT)
+    entries = sorted(set(DICTIONARY_LEFT))
+    # nothing kept, some kept, everything kept, and an empty fetch
+    for codes in (rng.integers(0, 4, 30), rng.integers(0, len(entries), 50), np.arange(len(entries))[::-1], np.arange(0)):
+        before = {i: dictionary._rows[i] for i in np.flatnonzero(dictionary._rowed).tolist()}
+        rows = dictionary.rows(codes.astype(np.uint8))
+        assert rows.tolist() == [(entries[c],) for c in codes.tolist()]
+        # a row kept before is handed out again, not built again
+        assert all(dictionary._rows[i] is row for i, row in before.items())
+        assert dictionary._rowed[codes].all()
+    assert dictionary._rowed.all()
+
+
 @pytest.mark.parametrize("block_size", [16, 4096])
 def test_block_count_equals_the_float_formula(ads_store, block_size):
     rng = np.random.default_rng(7)
